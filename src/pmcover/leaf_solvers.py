@@ -33,7 +33,13 @@ from .cover import CoverSolution, HALF, exact_cover, terms_independent
 from .decomposition import canonical_petersen, petersen_embedding
 from .graphs import MultiGraph, bipartition, regular_degree
 from .linalg import RatMatrix, hnf_solve, integer_kernel, rational_solve
-from .matchings import enumerate_pms, iter_pms, maximum_matching, pm_containing_edges
+from .matchings import (
+    enumerate_pms,
+    incidence_rows,
+    iter_pms,
+    maximum_matching,
+    pm_containing_edges,
+)
 
 
 class ClassificationError(RuntimeError):
@@ -181,10 +187,6 @@ def greedy_basis(g: MultiGraph) -> list[tuple[frozenset[int], int]]:
     return basis
 
 
-def _incidence_rows(g: MultiGraph, columns: Sequence[frozenset[int]]) -> list[list[int]]:
-    return [[1 if e in pm else 0 for pm in columns] for e in range(g.m)]
-
-
 def _support_is_independent(
     g: MultiGraph, columns: Sequence[frozenset[int]], x: Sequence[int]
 ) -> bool:
@@ -202,7 +204,7 @@ def _independent_support(
     """
     if _support_is_independent(g, columns, x):
         return x
-    kernel = integer_kernel(_incidence_rows(g, columns))[:6]
+    kernel = integer_kernel(incidence_rows(g, columns))[:6]
     candidates: list[list[int]] = []
     for z in kernel:
         for t in range(-4, 5):
@@ -236,7 +238,7 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     known = set(columns)
     source = iter_pms(g)
     while True:
-        x = hnf_solve(_incidence_rows(g, columns), [1] * g.m)
+        x = hnf_solve(incidence_rows(g, columns), [1] * g.m)
         if x is not None:
             repaired = _independent_support(g, columns, x)
             if repaired is not None:

@@ -1,21 +1,26 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here is exact: rational work uses ``fractions.Fraction`` (always in
-lowest terms, arbitrary precision) and integer lattice work uses Python ints.
-Floats never appear.  Matrices are dense; the package operates at desk scale
-where dense exact elimination is the simple, predictable choice.
+Everything here is exact and floats never appear.  Matrices are dense; the
+package operates at desk scale where dense exact elimination is the simple,
+predictable choice.
 
-The integer side is a column-style Hermite normal form with the unimodular
-transform recorded, which answers "is b an integer combination of these
-columns" and, as a byproduct, yields an integer basis of the column kernel.
-Pivot choice is deterministic: smallest nonzero absolute value, then lowest
-column index.
+* ``rank`` takes integer rows and eliminates fraction-free (Bareiss), so it
+  works in Python ints only; it is the one rank routine, used by every
+  linear independence check.
+* ``rational_solve`` works on a ``RatMatrix`` of ``fractions.Fraction``
+  (always in lowest terms) by reduced row echelon form.
+* The integer lattice side is a column-style Hermite normal form with the
+  unimodular transform recorded, which answers "is b an integer combination
+  of these columns" and, as a byproduct, yields an integer basis of the
+  column kernel.  Pivot choice is deterministic: smallest nonzero absolute
+  value, then lowest column index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Optional, Sequence, Union
 
 Rational = Fraction
@@ -38,22 +43,6 @@ class RatMatrix:
         if any(len(row) != ncols for row in data):
             raise ValueError("ragged rows: all rows must have the same length")
         return cls(nrows, ncols, data)
-
-    def transpose(self) -> "RatMatrix":
-        data = tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
-        return RatMatrix(self.cols, self.rows, data)
-
-    def mul_vec(self, x: Sequence[Entry]) -> list[Fraction]:
-        if len(x) != self.cols:
-            raise ValueError(f"dimension mismatch: {self.cols} cols, {len(x)} entries")
-        xs = [Fraction(v) for v in x]
-        return [
-            sum((row[j] * xs[j] for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        ]
 
 
 def _rref(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -82,10 +71,42 @@ def _rref(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]],
     return rows, pivots
 
 
-def rank(m: RatMatrix) -> int:
-    rows = [list(row) for row in m.entries]
-    _, pivots = _rref(rows, m.cols)
-    return len(pivots)
+def rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After k pivots, each entry below the pivot rows equals the (k+1)-minor of
+    the input on the pivot rows and columns plus that entry's own row and
+    column, up to sign; Sylvester's identity then makes every division by the
+    previous pivot exact.  A column with no nonzero entry at or below the
+    next pivot row is skipped and the divisor kept, since it contributes no
+    row or column to those minors.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("ragged rows: all rows must have the same length")
+    if len(matrix) > ncols:
+        # rank(M) = rank(M^T), and few long rows keep the per-row loop short
+        matrix = list(zip(*matrix))
+        ncols = len(matrix[0]) if matrix else 0
+    a = [[index(x) for x in row] for row in matrix]
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        pivot = a[r][c]
+        tail = a[r][c + 1:]
+        for i in range(r + 1, len(a)):
+            row = a[i]
+            f = row[c]
+            row[c + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        prev = pivot
+        r += 1
+        if r == len(a):
+            break
+    return r
 
 
 def rational_solve(

@@ -240,9 +240,16 @@ class IncidenceMatrix:
         return [[int(x) for x in row] for row in self.matrix.entries]
 
 
+def incidence_rows(g: MultiGraph, columns: Sequence[frozenset[int]]) -> list[list[int]]:
+    """Edge-by-column 0/1 integer rows; the columns are not validated."""
+    return [[1 if e in pm else 0 for pm in columns] for e in range(g.m)]
+
+
 def incidence_matrix(g: MultiGraph, matchings: Sequence[frozenset[int]]) -> IncidenceMatrix:
     """Edge-by-matching incidence; every column is validated as a perfect matching."""
     for pm in matchings:
         validate_perfect_matching(g, pm)
-    rows = [[1 if e in pm else 0 for pm in matchings] for e in range(g.m)]
-    return IncidenceMatrix(RatMatrix.from_rows(rows), tuple(frozenset(pm) for pm in matchings))
+    return IncidenceMatrix(
+        RatMatrix.from_rows(incidence_rows(g, matchings)),
+        tuple(frozenset(pm) for pm in matchings),
+    )

@@ -3,11 +3,13 @@
 Perfect matchings are enumerated here by pairing vertices (not by walking
 edge ids), tight cuts by checking every matching against the definition,
 and minimum odd cuts by sweeping all odd shores.  Everything is exponential
-and only meant for small graphs.
+and only meant for small graphs.  Rank is computed in Fractions, not by the
+library's fraction-free integer elimination.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from pmcover import Cut, MultiGraph
@@ -95,3 +97,19 @@ def max_matching_size(g: MultiGraph, removed: frozenset[int] = frozenset()) -> i
         return best
 
     return recurse(frozenset(range(g.vertex_count)) - removed)
+
+
+def fraction_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals by Gaussian elimination in Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, len(a)):
+            factor = a[i][c] / a[rank][c]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank

@@ -139,6 +139,24 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "mandatory_ok: false" in out
 
 
+def test_verify_reports_a_term_that_is_not_a_perfect_matching(tmp_path, capsys):
+    graph_path = _write_graph(tmp_path, gen_r_graph(10, 3, seed=1))
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["solve", "-i", graph_path, "-o", cert_path]) == 0
+    capsys.readouterr()
+
+    data = json.loads(open(cert_path).read())
+    data["terms"][0]["edges"] = data["terms"][0]["edges"][1:]  # uncovers a vertex
+    with open(cert_path, "w") as handle:
+        json.dump(data, handle)
+
+    assert main(["verify", "-i", graph_path, cert_path]) == 1
+    captured = capsys.readouterr()
+    assert "each_term_is_pm: false" in captured.out
+    assert "mandatory_ok: false" in captured.out
+    assert captured.err == ""
+
+
 def test_verify_wrong_graph_is_fingerprint_mismatch(tmp_path, capsys):
     graph_path = _write_graph(tmp_path, corpus.k4())
     cert_path = str(tmp_path / "cert.json")

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmcover.linalg import (
@@ -15,6 +16,10 @@ from pmcover.linalg import (
     rank,
     rational_solve,
 )
+from pmcover.matchings import incidence_rows
+
+import corpus
+import oracles
 
 
 def frac_rows(rows):
@@ -22,9 +27,27 @@ def frac_rows(rows):
 
 
 def test_rank_basic():
-    assert rank(RatMatrix.from_rows(frac_rows([[1, 0], [0, 1]]))) == 2
-    assert rank(RatMatrix.from_rows(frac_rows([[1, 2], [2, 4]]))) == 1
-    assert rank(RatMatrix.from_rows(frac_rows([[0, 0], [0, 0]]))) == 0
+    assert rank([[1, 0], [0, 1]]) == 2
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[0, 0], [0, 0]]) == 0
+
+
+def test_rank_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        rank([[Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="ragged"):
+        rank([[1, 0], [1]])
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("k4", 6 - 4 + 1), ("petersen", 15 - 10 + 1), ("k33", 9 - 6 + 2)],
+)
+def test_rank_of_all_perfect_matchings(name, expected):
+    # dim lin(PM) is m - n + 1 for a brick and m - n + 2 for a brace
+    # (Edmonds, Lovasz and Pulleyblank)
+    g = getattr(corpus, name)()
+    assert rank(incidence_rows(g, oracles.all_pms(g))) == expected
 
 
 def test_rational_solve_unique():
@@ -82,6 +105,51 @@ def small_matrix(draw):
     return [[draw(int_matrix) for _ in range(cols)] for _ in range(rows)]
 
 
+@st.composite
+def dependent_matrix(draw):
+    """Integer or 0/1 matrices with repeated columns, integer combinations of
+    earlier columns, zero columns and zero rows."""
+    entry = st.integers(*draw(st.sampled_from([(-6, 6), (-1, 1), (0, 1)])))
+    nrows = draw(st.integers(1, 7))
+    columns: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "combination", "zero"]))
+        if kind == "fresh" or not columns:
+            columns.append([draw(entry) for _ in range(nrows)])
+        elif kind == "repeat":
+            columns.append(list(draw(st.sampled_from(columns))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            s, t = draw(int_matrix), draw(int_matrix)
+            columns.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            columns.append([0] * nrows)
+    order = draw(st.permutations(range(len(columns))))
+    rows = [[columns[j][i] for j in order] for i in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(columns))
+    return rows
+
+
+@given(dependent_matrix())
+@settings(max_examples=300, deadline=None)
+@example([[-1, -1, 0, 0], [-1, -1, -1, 0], [-1, 1, -1, 1], [0, -1, -1, -1]])
+def test_rank_matches_fraction_elimination(matrix):
+    expected = oracles.fraction_rank(matrix)
+    assert rank(matrix) == expected
+    assert rank([list(col) for col in zip(*matrix)]) == expected
+
+
+def test_rank_matches_fraction_elimination_on_sign_matrices():
+    # Near-square {-1, 0, 1} matrices are mostly of full rank and have many
+    # zero multipliers, where an inexact division would first go wrong.
+    rng = random.Random(11)
+    for _ in range(2000):
+        rows, cols = rng.randint(3, 6), rng.randint(3, 6)
+        matrix = [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)]
+        assert rank(matrix) == oracles.fraction_rank(matrix), matrix
+
+
 @given(small_matrix())
 @settings(max_examples=200, deadline=None)
 def test_hnf_factorization_property(matrix):
@@ -103,8 +171,7 @@ def test_integer_kernel_property(matrix):
     for z in kernel:
         for i in range(rows):
             assert sum(matrix[i][k] * z[k] for k in range(cols)) == 0
-    rat = RatMatrix.from_rows(frac_rows(matrix))
-    assert len(kernel) == cols - rank(rat)
+    assert len(kernel) == cols - rank(matrix)
 
 
 @given(small_matrix(), st.data())
