@@ -23,14 +23,12 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
-from .cover import CoverSolution, HALF, from_twice, terms_independent, to_twice
+from .cover import CoverSolution, from_twice, terms_independent, to_twice
 from .decomposition import DecompositionTree, LeafClass
 from .graphs import MultiGraph, build_graph, regular_degree
 from .matchings import validate_perfect_matching
-
-Term = tuple[frozenset[int], Fraction]
 
 
 class CertificateError(ValueError):
@@ -102,44 +100,31 @@ class Certificate:
 
 
 def _compute_report(
-    g: MultiGraph, terms: Sequence[Term], p: int, brick_ds: Sequence[int]
+    g: MultiGraph, sol: CoverSolution, p: int, brick_ds: Sequence[int]
 ) -> VerifyReport:
-    sums = [Fraction(0)] * g.m
-    for matching, coeff in terms:
-        for e in matching:
-            sums[e] += coeff
-    coverage_ok = all(s == 1 for s in sums)
-
+    """Every check on the solution's terms; the terms must use g's edge ids."""
     each_term_is_pm = True
-    for matching, _ in terms:
+    for matching in sol.matchings:
         try:
             validate_perfect_matching(g, matching)
         except ValueError:
             each_term_is_pm = False
             break
-
-    coefficients = [coeff for _, coeff in terms]
-    fractional = [c for c in coefficients if c.denominator != 1]
-    halves_exact = all(c == HALF for c in fractional)
-    halves_count = sum(1 for c in fractional if c == HALF)
-
-    support = len(terms)
-    independent = terms_independent(g, [m for m, _ in terms])
-    inf_norm = max((abs(c) for c in coefficients), default=Fraction(0))
+    inf_norm = sol.inf_norm()
     norm_bound = max((Fraction(2) ** d for d in brick_ds), default=Fraction(1))
     r = regular_degree(g)
     return VerifyReport(
-        coverage_ok=coverage_ok,
+        coverage_ok=all(s == 1 for s in sol.coverage()),
         each_term_is_pm=each_term_is_pm,
-        halves_count=halves_count,
-        halves_exact=halves_exact,
-        halves_bound_ok=halves_count <= 6 * p,
-        support=support,
-        support_bound_ok=support <= g.m - g.vertex_count + 1,
-        independent=independent,
+        halves_count=sol.halves_count,
+        halves_exact=sol.halves_exact(),
+        halves_bound_ok=sol.halves_count <= 6 * p,
+        support=sol.support,
+        support_bound_ok=sol.support <= g.m - g.vertex_count + 1,
+        independent=terms_independent(g, sol.matchings),
         inf_norm=inf_norm,
         norm_bound_ok=inf_norm <= norm_bound,
-        coeff_sum_is_r=r is not None and sum(coefficients, Fraction(0)) == r,
+        coeff_sum_is_r=r is not None and sol.coefficient_sum() == r,
     )
 
 
@@ -163,7 +148,7 @@ def verify_cover(
 ) -> VerifyReport:
     """Recheck every guarantee from scratch; trusts nothing the solver did."""
     leaves = _leaf_summaries(tree)
-    return _compute_report(g, sol.terms, tree.petersen_count, _brick_ds(leaves))
+    return _compute_report(g, sol, tree.petersen_count, _brick_ds(leaves))
 
 
 def build_certificate(
@@ -174,7 +159,7 @@ def build_certificate(
         raise ValueError("certificates require a regular graph")
     leaves = _leaf_summaries(tree)
     p = tree.petersen_count
-    report = _compute_report(g, sol.terms, p, _brick_ds(leaves))
+    report = _compute_report(g, sol, p, _brick_ds(leaves))
     edges = tuple((u, v) if u <= v else (v, u) for u, v in g.edges)
     terms = tuple(
         (tuple(sorted(matching)), to_twice(coeff)) for matching, coeff in sol.terms
@@ -205,8 +190,7 @@ def verify_certificate(g: MultiGraph, cert: Certificate) -> VerifyReport:
         raise FingerprintMismatch(
             "certificate was issued for a different graph or edge labeling"
         )
-    solution = certificate_solution(g, cert)
-    return _compute_report(g, solution.terms, cert.p, _brick_ds(cert.leaves))
+    return _compute_report(g, certificate_solution(g, cert), cert.p, _brick_ds(cert.leaves))
 
 
 def report_as_dict(report: VerifyReport) -> dict[str, Any]:

@@ -28,7 +28,6 @@ from .certificate import (
     serialize,
     verify_certificate,
 )
-from .cover import to_twice
 from .decomposition import DecompositionTree, decompose
 from .graphs import MultiGraph, build_graph, is_connected, is_r_graph, min_odd_cut, regular_degree
 from .matchings import EnumerationOverflow, enumerate_pms
@@ -180,18 +179,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
-    check = is_r_graph(g)
-    if not check.ok:
-        if check.witness is not None:
-            print(
-                f"not an r-graph: odd cut of size {check.witness.size} at shore "
-                f"{sorted(check.witness.shore)}",
-                file=sys.stderr,
-            )
-        else:
-            print("not an r-graph: disconnected, irregular, or odd order", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    solution, tree = solve_r_graph(g, parallel=args.parallel)
+    solution, tree = solve_r_graph(g)
     cert = build_certificate(g, solution, tree)
     text = serialize(cert)
     if args.output is not None:
@@ -240,10 +228,6 @@ def _tree_payload(node: DecompositionTree) -> dict:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
-    check = is_r_graph(g)
-    if not check.ok:
-        print("not an r-graph", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     tree = decompose(g)
     payload = {"tree": _tree_payload(tree), "p": tree.petersen_count}
     lines = _tree_lines(tree) + [f"p={tree.petersen_count}"]
@@ -323,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decompose, solve, merge, and emit a certificate")
     _add_input(p)
     p.add_argument("--output", "-o", help="certificate path (default: stdout)")
-    p.add_argument("--parallel", action="store_true", help="solve leaves on a thread pool")
     _add_format(p)
     p.set_defaults(func=cmd_solve)
 

@@ -86,7 +86,8 @@ class CoverSolution:
 
     @property
     def halves_count(self) -> int:
-        return len(self.fractional_coefficients())
+        """Coefficients equal to +1/2; any other fraction fails halves_exact instead."""
+        return sum(1 for c in self.coefficients if c == HALF)
 
     def halves_exact(self) -> bool:
         """Every non-integral coefficient is exactly +1/2."""

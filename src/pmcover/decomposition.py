@@ -386,7 +386,12 @@ def decompose(g: MultiGraph) -> DecompositionTree:
     """Recursive tight cut decomposition down to classified brick/brace leaves."""
     check = is_r_graph(g)
     if not check.ok:
-        raise ValueError("decomposition requires an r-graph")
+        if check.witness is None:
+            raise ValueError("not an r-graph: disconnected, irregular, or odd order")
+        raise ValueError(
+            f"not an r-graph: odd cut of size {check.witness.size} at shore "
+            f"{sorted(check.witness.shore)}"
+        )
     assert_matching_covered(g)
     cut = find_nontrivial_tight_cut(g)
     if cut is None:

@@ -5,12 +5,15 @@ Three solvers, one per leaf class:
 * braces: an r-regular bipartite multigraph splits into r pairwise-disjoint
   perfect matchings (Hall's condition survives deleting a perfect matching),
   giving an all-ones cover that partitions the edge ids.
-* Petersen bricks: the six perfect matchings of the Petersen graph span the
-  edge weight space, every edge lying in exactly two of them.  The unique
-  representation of the multiplicity vector has entries all integral or all
-  half-integral; the integral case expands into parallel copies directly, the
-  half case first spends +1/2 on each of the six matchings over one chosen
-  copy of every underlying edge and expands the integer remainder.
+* Petersen bricks: the six perfect matchings of the Petersen graph are
+  linearly independent, every edge lies in exactly two of them, and any two
+  share exactly one edge.  So a multiplicity vector w in their span has the
+  closed-form representation alpha_k = (w(M_k) - w(E)/5) / 4, where w(M_k)
+  is the weight on the edges of M_k and w(E) the total weight.  Its entries
+  are all integral or all half-integral; the integral case expands into
+  parallel copies directly, the half case first spends +1/2 on each of the
+  six matchings over one chosen copy of every underlying edge and expands
+  the integer remainder.
 * other bricks: the all-ones vector is an integer combination of perfect
   matchings.  Starting from a greedy basis (each matching grabs the lowest
   uncovered edge id), a Hermite-normal-form solve finds an integer solution,
@@ -32,7 +35,7 @@ from typing import Optional, Sequence
 from .cover import CoverSolution, HALF, exact_cover, terms_independent
 from .decomposition import canonical_petersen, petersen_embedding
 from .graphs import MultiGraph, bipartition, regular_degree
-from .linalg import RatMatrix, hnf_solve, integer_kernel, rational_solve
+from .linalg import hnf_solve, integer_kernel
 from .matchings import (
     enumerate_pms,
     incidence_rows,
@@ -93,16 +96,20 @@ def petersen_matchings() -> tuple[frozenset[int], ...]:
 def _petersen_weight_alpha(weights: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     """The unique alpha with sum_k alpha_k chi(M_k) = weights on canonical edge ids.
 
-    Checks the shape the solvers rely on: nonnegative, and all six entries
-    integral or all six half-integral.
+    Every edge lies in two of the matchings, so w(E) = 5 sum(alpha), and any
+    two share one edge, so w(M_k) = 4 alpha_k + sum(alpha).  Rebuilding the
+    weights from alpha catches a vector outside the span.  Checks the shape
+    the solvers rely on: nonnegative, and all six entries integral or all six
+    half-integral.
     """
     mats = petersen_matchings()
-    rows = [[Fraction(1 if e in mk else 0) for mk in mats] for e in range(15)]
-    solved = rational_solve(RatMatrix.from_rows(rows), [Fraction(w) for w in weights])
-    if solved is None:
+    fifth = Fraction(sum(weights), 5)
+    alpha = [(sum(weights[e] for e in mk) - fifth) / 4 for mk in mats]
+    rebuilt = [
+        sum((a for a, mk in zip(alpha, mats) if e in mk), Fraction(0)) for e in range(15)
+    ]
+    if rebuilt != list(weights):
         raise ValueError("weights are outside the span of the six matchings")
-    alpha, nullspace = solved
-    assert not nullspace  # the six incidence vectors are linearly independent
     if any(a < 0 for a in alpha):
         raise ValueError(f"negative entry in alpha {alpha}")
     denominators = {a.denominator for a in alpha}

@@ -1,14 +1,11 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers.
 
-Everything here is exact and floats never appear.  Matrices are dense; the
-package operates at desk scale where dense exact elimination is the simple,
-predictable choice.
+Everything here works in Python ints; floats and Fractions never appear.
+Matrices are dense; the package operates at desk scale where dense exact
+elimination is the simple, predictable choice.
 
-* ``rank`` takes integer rows and eliminates fraction-free (Bareiss), so it
-  works in Python ints only; it is the one rank routine, used by every
-  linear independence check.
-* ``rational_solve`` works on a ``RatMatrix`` of ``fractions.Fraction``
-  (always in lowest terms) by reduced row echelon form.
+* ``rank`` takes integer rows and eliminates fraction-free (Bareiss); it is
+  the one rank routine, used by every linear independence check.
 * The integer lattice side is a column-style Hermite normal form with the
   unimodular transform recorded, which answers "is b an integer combination
   of these columns" and, as a byproduct, yields an integer basis of the
@@ -18,57 +15,8 @@ predictable choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
-from typing import Optional, Sequence, Union
-
-Rational = Fraction
-Entry = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable dense matrix of Fractions."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> "RatMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows: all rows must have the same length")
-        return cls(nrows, ncols, data)
-
-
-def _rref(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon over the first ``width`` columns.
-
-    Returns (rows, pivot_columns).  Columns beyond ``width`` (an augmented
-    right-hand side) are carried along but never chosen as pivots.
-    """
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+from typing import Optional, Sequence
 
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -109,58 +57,6 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def rational_solve(
-    m: RatMatrix, b: Sequence[Entry]
-) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
-    """Exact solve of M x = b: (particular solution, nullspace basis) or None.
-
-    The particular solution sets all free variables to zero; each nullspace
-    basis vector sets one free variable to one.
-    """
-    if len(b) != m.rows:
-        raise ValueError(f"dimension mismatch: {m.rows} rows, {len(b)} rhs entries")
-    rows = [list(row) + [Fraction(bv)] for row, bv in zip(m.entries, b)]
-    rows, pivots = _rref(rows, m.cols)
-    for i in range(len(pivots), m.rows):
-        if rows[i][m.cols] != 0:
-            return None  # zero row with nonzero right-hand side
-    x = [Fraction(0)] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][m.cols]
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][f]
-        basis.append(v)
-    return x, basis
-
-
-def integer_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant requires a square matrix")
-    a = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Column-style Hermite normal form: H = M U with U unimodular.
 
@@ -197,7 +93,6 @@ def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
             row[c] = -row[c]
 
     col = 0
-    pivot_of_col: list[tuple[int, int]] = []  # (row, col) of each pivot
     for row_i in range(nrows):
         if col == ncols:
             break
@@ -223,7 +118,6 @@ def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
                 q = h[row_i][j] // h[row_i][col]
                 if q:
                     add_col(j, col, -q)
-            pivot_of_col.append((row_i, col))
             col += 1
     return h, u
 

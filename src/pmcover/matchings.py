@@ -12,11 +12,9 @@ A perfect matching is represented as a frozenset of edge ids.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import MultiGraph
-from .linalg import RatMatrix
 
 
 class EnumerationOverflow(RuntimeError):
@@ -229,27 +227,6 @@ def validate_perfect_matching(g: MultiGraph, edge_ids: Iterable[int]) -> None:
             raise ValueError(f"vertex {v} is covered {t} times")
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """m x k 0/1 matrix: rows are edge ids, columns are matchings."""
-
-    matrix: RatMatrix
-    matchings: tuple[frozenset[int], ...]
-
-    def int_rows(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.matrix.entries]
-
-
 def incidence_rows(g: MultiGraph, columns: Sequence[frozenset[int]]) -> list[list[int]]:
     """Edge-by-column 0/1 integer rows; the columns are not validated."""
     return [[1 if e in pm else 0 for pm in columns] for e in range(g.m)]
-
-
-def incidence_matrix(g: MultiGraph, matchings: Sequence[frozenset[int]]) -> IncidenceMatrix:
-    """Edge-by-matching incidence; every column is validated as a perfect matching."""
-    for pm in matchings:
-        validate_perfect_matching(g, pm)
-    return IncidenceMatrix(
-        RatMatrix.from_rows(incidence_rows(g, matchings)),
-        tuple(frozenset(pm) for pm in matchings),
-    )

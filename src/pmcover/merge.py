@@ -20,15 +20,14 @@ monotonically, which keeps the union matchings linearly independent.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cover import CoverSolution, HALF, exact_cover, terms_independent
 from .decomposition import ContractionMap, DecompositionTree, LeafClass, decompose
-from .graphs import Cut, MultiGraph, is_r_graph, regular_degree
+from .graphs import Cut, MultiGraph, regular_degree
 from .leaf_solvers import brace_solve, brick_solve, petersen_solve
 
 Term = tuple[frozenset[int], Fraction]
@@ -311,28 +310,14 @@ def _fold(node: DecompositionTree, crosscheck: bool) -> CoverSolution:
 
 
 def solve_r_graph(
-    g: MultiGraph, *, crosscheck: bool = False, parallel: bool = False
+    g: MultiGraph, *, crosscheck: bool = False
 ) -> tuple[CoverSolution, DecompositionTree]:
     """Decompose, solve every leaf, and fold the tree back up.
 
-    crosscheck additionally runs the product-rule oracle and the preserved-
-    property checks at every internal node; parallel solves the leaves on a
-    thread pool (results are identical, folds stay sequential).
+    ``decompose`` rejects an input that is not an r-graph.  crosscheck
+    additionally runs the product-rule oracle and the preserved-property
+    checks at every internal node.
     """
-    check = is_r_graph(g)
-    if not check.ok:
-        witness = ""
-        if check.witness is not None:
-            witness = (
-                f"; odd cut of size {check.witness.size} at shore "
-                f"{sorted(check.witness.shore)}"
-            )
-        raise ValueError(f"input is not an r-graph{witness}")
     tree = decompose(g)
-    if parallel:
-        leaves = list(tree.leaves())
-        with ThreadPoolExecutor() as pool:
-            for leaf, solution in zip(leaves, pool.map(_solve_leaf, leaves)):
-                leaf.solution = solution
     solution = _fold(tree, crosscheck)
     return solution, tree

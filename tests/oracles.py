@@ -4,7 +4,8 @@ Perfect matchings are enumerated here by pairing vertices (not by walking
 edge ids), tight cuts by checking every matching against the definition,
 and minimum odd cuts by sweeping all odd shores.  Everything is exponential
 and only meant for small graphs.  Rank is computed in Fractions, not by the
-library's fraction-free integer elimination.
+library's fraction-free integer elimination.  The determinant, used only
+to check that an HNF transform is unimodular, is computed fraction-free.
 """
 
 from __future__ import annotations
@@ -113,3 +114,26 @@ def fraction_rank(rows: list[list[int]]) -> int:
             a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def integer_det(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant requires a square matrix")
+    a = [[int(x) for x in row] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pmcover import is_r_graph
+from pmcover import build_graph, is_r_graph
 from pmcover.cli import (
     GraphParseError,
     format_graph,
@@ -120,6 +120,44 @@ def test_solve_rejects_non_r_graph(tmp_path, capsys):
     graph_path = _write_graph(tmp_path, corpus.bridged_cubic())
     assert main(["solve", "-i", graph_path]) == 1
     assert "odd cut of size 1" in capsys.readouterr().err
+
+
+def test_solve_and_decompose_reject_irregular_graph(tmp_path, capsys):
+    # no odd cut witnesses the failure, so the message names the structural causes
+    irregular = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    graph_path = _write_graph(tmp_path, irregular)
+    for command in ("solve", "decompose"):
+        assert main([command, "-i", graph_path]) == 1
+        err = capsys.readouterr().err
+        assert "not an r-graph: disconnected, irregular, or odd order" in err, command
+
+
+def test_verify_report_for_a_coefficient_outside_the_class(tmp_path, capsys):
+    graph_path = _write_graph(tmp_path, corpus.petersen())
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["solve", "-i", graph_path, "-o", cert_path]) == 0
+    capsys.readouterr()
+
+    data = json.loads(open(cert_path).read())
+    data["terms"][0]["twice_value"] = 3  # coefficient 1/2 -> 3/2
+    with open(cert_path, "w") as handle:
+        json.dump(data, handle)
+
+    assert main(["verify", "-i", graph_path, cert_path, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "coverage_ok": False,
+        "each_term_is_pm": True,
+        "halves_count": 5,  # 3/2 is fractional but not a half
+        "halves_exact": False,
+        "halves_bound_ok": True,
+        "support": 6,
+        "support_bound_ok": True,
+        "independent": True,
+        "twice_inf_norm": 3,
+        "norm_bound_ok": False,
+        "coeff_sum_is_r": False,
+        "mandatory_ok": False,
+    }
 
 
 def test_verify_detects_tampering(tmp_path, capsys):
@@ -242,13 +280,3 @@ def test_gen_rejects_odd_n(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gen", "5", "3"])
     assert info.value.code == 2
-
-
-def test_parallel_solve_flag(tmp_path, capsys):
-    graph_path = _write_graph(tmp_path, corpus.double_petersen_splice())
-    cert_a = str(tmp_path / "a.json")
-    cert_b = str(tmp_path / "b.json")
-    assert main(["solve", "-i", graph_path, "-o", cert_a]) == 0
-    assert main(["solve", "-i", graph_path, "-o", cert_b, "--parallel"]) == 0
-    capsys.readouterr()
-    assert open(cert_a).read() == open(cert_b).read()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pmcover import build_graph
 from pmcover.leaf_solvers import (
     ClassificationError,
+    _petersen_weight_alpha,
     brace_solve,
     brick_solve,
     greedy_basis,
@@ -18,6 +20,7 @@ from pmcover.decomposition import canonical_petersen
 from pmcover.matchings import enumerate_pms
 
 import corpus
+import oracles
 
 HALF = Fraction(1, 2)
 
@@ -76,6 +79,53 @@ def test_petersen_alpha_integral_host():
     alpha = [Fraction(2), Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)]
     g = _petersen_host(alpha)
     assert list(petersen_alpha(g)) == alpha
+
+
+def _petersen_weights(alpha):
+    """sum_k alpha_k chi(M_k) on the canonical edge ids."""
+    matchings = petersen_matchings()
+    return [
+        sum((a for a, m in zip(alpha, matchings) if e in m), Fraction(0)) for e in range(15)
+    ]
+
+
+# +1 on edges 1-2 and 1-6, -1 on edges 0-4 and 0-5: orthogonal to all six
+# matchings, so adding it leaves every w(M_k) and the total weight unchanged
+ORTHOGONAL = [0, 1, 0, 0, -1, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_petersen_weight_alpha_closed_form_sweep():
+    rng = random.Random(7)
+    matchings = petersen_matchings()
+    rows = [[1 if e in m else 0 for m in matchings] for e in range(15)]
+    assert all(sum(ORTHOGONAL[e] for e in m) == 0 for m in matchings)
+    for _ in range(300):
+        shift = rng.choice([Fraction(0), HALF])
+        alpha = [Fraction(rng.randint(0, 5)) + shift for _ in range(6)]
+        assert _petersen_weight_alpha(_petersen_weights(alpha)) == tuple(alpha)
+
+        # the closed form maps this to the valid alpha above; only rebuilding
+        # the weights can reject it
+        off_span = [w + d for w, d in zip(_petersen_weights(alpha), ORTHOGONAL)]
+        with pytest.raises(ValueError, match="outside the span"):
+            _petersen_weight_alpha(off_span)
+
+        negative = list(alpha)
+        negative[rng.randrange(6)] = -1 - shift
+        with pytest.raises(ValueError, match="negative"):
+            _petersen_weight_alpha(_petersen_weights(negative))
+
+        mixed = list(alpha)
+        mixed[rng.randrange(6)] += HALF
+        with pytest.raises(ValueError, match="all integral or all half-integral"):
+            _petersen_weight_alpha(_petersen_weights(mixed))
+
+        # a random integer vector is almost never in the six-dimensional span
+        weights = [rng.randint(0, 6) for _ in range(15)]
+        if oracles.fraction_rank([row + [w] for row, w in zip(rows, weights)]) == 6:
+            continue
+        with pytest.raises(ValueError, match="outside the span"):
+            _petersen_weight_alpha(weights)
 
 
 def test_petersen_alpha_rejects_non_petersen():

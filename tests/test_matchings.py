@@ -9,7 +9,6 @@ from pmcover.matchings import (
     EnumerationOverflow,
     enumerate_pms,
     has_perfect_matching,
-    incidence_matrix,
     iter_pms,
     max_matching_size,
     maximum_matching,
@@ -117,16 +116,3 @@ def test_validate_perfect_matching_errors():
     with pytest.raises(ValueError, match="out of range"):
         validate_perfect_matching(g, [99])
     validate_perfect_matching(g, [0, 2, 4])
-
-
-def test_incidence_matrix():
-    g = corpus.k4()
-    pms = enumerate_pms(g)
-    inc = incidence_matrix(g, pms)
-    assert inc.matrix.rows == g.m
-    assert inc.matrix.cols == 3
-    rows = inc.int_rows()
-    for e in range(g.m):
-        assert sum(rows[e]) == 1  # each K4 edge lies in exactly one matching
-    with pytest.raises(ValueError):
-        incidence_matrix(g, [frozenset({0, 1})])
