@@ -13,6 +13,7 @@ file order, which is what certificates fingerprint.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -29,7 +30,7 @@ from .certificate import (
     verify_certificate,
 )
 from .decomposition import DecompositionTree, decompose
-from .graphs import MultiGraph, build_graph, is_connected, is_r_graph, min_odd_cut, regular_degree
+from .graphs import MultiGraph, build_graph, is_connected, is_r_graph, regular_degree
 from .matchings import EnumerationOverflow, enumerate_pms
 from .merge import solve_r_graph
 
@@ -155,9 +156,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
     check = is_r_graph(g)
     r = regular_degree(g)
-    cut_size: Optional[int] = None
-    if g.vertex_count > 0 and g.vertex_count % 2 == 0 and is_connected(g):
-        cut_size, _ = min_odd_cut(g)
+    cut_size = check.min_odd_cut
     payload = {
         "n": g.vertex_count,
         "m": g.m,
@@ -337,8 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "gen" and (args.n < 2 or args.n % 2 != 0):
         parser.error("n must be even and at least 2")

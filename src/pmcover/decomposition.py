@@ -6,6 +6,14 @@ r-graph, and repeating until no nontrivial tight cut remains produces leaves
 that are braces (bipartite) or bricks (3-connected bicritical), with the
 Petersen brick singled out because its solver differs.
 
+The input is validated once: ``decompose`` runs the r-graph check (a
+Gomory-Hu tree) on the graph it is given, and its recursion tells each child
+that it need not.  Every graph below the root is a contraction across a cut
+that ``is_tight_cut`` has confirmed, and ``contract_shore`` only checks in
+O(m) that the child is r-regular, which for an r-graph parent makes the
+child an r-graph too.  ``crosscheck=True`` re-runs the full r-graph check on
+every child and the matching-covered check on every node.
+
 Finding a nontrivial tight cut does not sweep all odd shores.  Candidates come
 from two classical sources, each validated by the definitional check before
 being returned:
@@ -14,9 +22,14 @@ being returned:
   Every perfect matching must match each odd component to B through a single
   edge, so the cut around any odd component is tight.  In the bipartite case
   barriers arise as neighborhoods N(X) of a side subset X with |N(X)| =
-  |X| + 1, found by a max-flow surplus sweep; in the non-bipartite case they
-  arise as {u, v} together with the attachment set of G - u - v for pairs
-  {u, v} whose removal destroys all perfect matchings.
+  |X| + 1, found by a max-flow surplus sweep.  In the non-bipartite case
+  they come from the Gallai-Edmonds structure theorem (Lovasz-Plummer,
+  Matching Theory, 1986), with D, A and C as in ``matchings.gallai_edmonds``.
+  G - u - v has a perfect matching exactly when v is in D(G - u), so one
+  decomposition per vertex u settles every pair {u, v}; for a failing pair,
+  {u, v} + A(G - u - v) is a barrier.  That is n decompositions for the pair
+  sweep plus one per failing pair, not one matching search per pair and
+  vertex.
 * 2-separations: if {u, v} disconnects G and K is an even component of
   G - u - v, the shore K + u gives a tight cut.
 
@@ -44,8 +57,9 @@ from .graphs import (
     components_without,
     cut_from_shore,
     is_r_graph,
+    regular_degree,
 )
-from .matchings import has_perfect_matching, max_matching_size, pm_containing_edges
+from .matchings import gallai_edmonds, has_perfect_matching, pm_containing_edges
 
 
 @unique
@@ -201,33 +215,24 @@ def _bipartite_barrier_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
                     yield comp
 
 
-def _pair_barrier(g: MultiGraph, u: int, v: int) -> frozenset[int]:
-    """The barrier {u, v} + A where A attaches the missable vertices of G - u - v.
-
-    Only meaningful when G - u - v has no perfect matching; then the returned
-    set B leaves exactly |B| odd components.
-    """
-    removed = frozenset((u, v))
-    base = max_matching_size(g, removed)
-    missable = {
-        w
-        for w in range(g.vertex_count)
-        if w not in removed and max_matching_size(g, removed | {w}) == base
-    }
-    attach: set[int] = set()
-    for w in missable:
-        attach.update(y for y in g.adjacency[w] if y not in missable and y not in removed)
-    return frozenset(removed | attach)
-
-
 def _nonbipartite_barrier_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
-    for u, v in combinations(range(g.vertex_count), 2):
-        if has_perfect_matching(g, (u, v)):
-            continue
-        barrier = _pair_barrier(g, u, v)
-        for comp in components_without(g, barrier):
-            if len(comp) >= 3 and len(comp) % 2 == 1:
-                yield comp
+    """Odd components left by the barrier of each pair {u, v} with no perfect matching.
+
+    G has a perfect matching, so G - u misses exactly one vertex in a maximum
+    matching, and G - u - v has a perfect matching exactly when v is in
+    D(G - u).  For a failing pair, {u, v} + A(G - u - v) leaves exactly as
+    many odd components as it has vertices, so it is a barrier.  Pairs are
+    visited in lexicographic order.
+    """
+    for u in range(g.vertex_count - 1):
+        matchable = gallai_edmonds(g, (u,)).d
+        for v in range(u + 1, g.vertex_count):
+            if v in matchable:
+                continue
+            barrier = frozenset((u, v)) | gallai_edmonds(g, (u, v)).a
+            for comp in components_without(g, barrier):
+                if len(comp) >= 3 and len(comp) % 2 == 1:
+                    yield comp
 
 
 def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
@@ -245,12 +250,11 @@ def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
 def find_nontrivial_tight_cut(g: MultiGraph) -> Optional[Cut]:
     """A verified nontrivial tight cut, or None when G is a brick or brace.
 
-    Candidate shores are generated deterministically (see module docstring)
-    and each is validated with is_tight_cut; the first survivor wins.
+    G must already be an r-graph (``decompose`` checks its input once); this
+    is not re-checked.  Candidate shores are generated deterministically (see
+    module docstring) and each is validated with is_tight_cut; the first
+    survivor wins.
     """
-    check = is_r_graph(g)
-    if not check.ok:
-        raise ValueError("input is not an r-graph")
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
     if bipartition(g) is not None:
@@ -278,8 +282,10 @@ def contract_shore(
 
     Kept vertices are relabeled 0..k-1 in ascending order, the collapsed
     shore becomes vertex k, and child edges keep the parent's relative order,
-    so the contraction is deterministic.  The child is checked to be an
-    r-graph with the parent's degree; that fails for non-tight input cuts.
+    so the contraction is deterministic.  The parent must be an r-graph.  The
+    child is checked to be r-regular, that is, the cut has exactly r edges;
+    then every odd cut of the child is an odd cut of the parent, so the child
+    is an r-graph too.  A tight cut of an r-graph always has r edges.
     """
     complement = frozenset(range(g.vertex_count)) - cut.shore
     if keep_side == cut.shore:
@@ -310,9 +316,8 @@ def contract_shore(
             child_edges.append((index[a], index[b]))
         child_to_parent.append(parent_id)
     child = build_graph(new_vertex + 1, child_edges)
-    r = max(g.degrees) if g.degrees else 0
-    child_check = is_r_graph(child)
-    if not child_check.ok or child_check.r != r:
+    r = regular_degree(g)
+    if r is None or regular_degree(child) != r:
         raise ValueError("contraction did not yield an r-graph; the cut is not tight")
     return child, ContractionMap(
         child_to_parent=tuple(child_to_parent),
@@ -382,17 +387,30 @@ def classify_leaf(g: MultiGraph) -> LeafClass:
     return LeafClass.OTHER_BRICK
 
 
-def decompose(g: MultiGraph) -> DecompositionTree:
-    """Recursive tight cut decomposition down to classified brick/brace leaves."""
-    check = is_r_graph(g)
-    if not check.ok:
-        if check.witness is None:
-            raise ValueError("not an r-graph: disconnected, irregular, or odd order")
-        raise ValueError(
-            f"not an r-graph: odd cut of size {check.witness.size} at shore "
-            f"{sorted(check.witness.shore)}"
-        )
-    assert_matching_covered(g)
+def decompose(
+    g: MultiGraph, *, crosscheck: bool = False, checked: bool = False
+) -> DecompositionTree:
+    """Recursive tight cut decomposition down to classified brick/brace leaves.
+
+    The input is checked to be an r-graph unless ``checked`` says the caller
+    has done so.  The recursion passes ``checked=True`` for every contracted
+    child, which is an r-graph by construction, so one solve runs the r-graph
+    check once.  crosscheck re-runs the full checks at every node: the
+    r-graph check on each child and the matching-covered check on each node.
+    """
+    if not checked:
+        check = is_r_graph(g)
+        if not check.ok:
+            if check.witness is None:
+                raise ValueError("not an r-graph: disconnected, irregular, or odd order")
+            raise ValueError(
+                f"not an r-graph: odd cut of size {check.witness.size} at shore "
+                f"{sorted(check.witness.shore)}"
+            )
+    elif crosscheck and not is_r_graph(g).ok:
+        raise RuntimeError("a contraction across a tight cut is not an r-graph")
+    if crosscheck:
+        assert_matching_covered(g)
     cut = find_nontrivial_tight_cut(g)
     if cut is None:
         leaf_class = classify_leaf(g)
@@ -406,8 +424,8 @@ def decompose(g: MultiGraph) -> DecompositionTree:
     return DecompositionTree(
         graph=g,
         cut=cut,
-        left=decompose(left_graph),
-        right=decompose(right_graph),
+        left=decompose(left_graph, crosscheck=crosscheck, checked=True),
+        right=decompose(right_graph, crosscheck=crosscheck, checked=True),
         left_map=left_map,
         right_map=right_map,
     )

@@ -104,6 +104,7 @@ class RGraphCheck(NamedTuple):
     ok: bool
     r: Optional[int]
     witness: Optional[Cut]
+    min_odd_cut: Optional[int] = None  # None when odd cuts are undefined
 
 
 def build_graph(vertex_count: int, edge_list: Sequence[tuple[int, int]]) -> MultiGraph:
@@ -315,17 +316,19 @@ def min_odd_cut(g: MultiGraph) -> tuple[int, Cut]:
 def is_r_graph(g: MultiGraph) -> RGraphCheck:
     """Connected, r-regular, even order, and every odd cut has >= r edges.
 
-    Returns (ok, r, witness); the witness is a violating odd cut when that is
-    the failure, None for structural failures (irregular, odd order, ...).
+    Returns (ok, r, witness, min_odd_cut); the witness is a violating odd cut
+    when that is the failure, None for structural failures (irregular, odd
+    order, ...).  min_odd_cut is the minimum odd cut size, computed whenever
+    the graph is connected and of even order, so also for irregular graphs.
     """
     if g.vertex_count == 0 or not is_connected(g):
         return RGraphCheck(False, None, None)
     r = regular_degree(g)
-    if r is None or r < 1:
-        return RGraphCheck(False, r, None)
     if g.vertex_count % 2 != 0:
         return RGraphCheck(False, r, None)
     size, witness = min_odd_cut(g)
+    if r is None:
+        return RGraphCheck(False, r, None, size)
     if size < r:
-        return RGraphCheck(False, r, witness)
-    return RGraphCheck(True, r, None)
+        return RGraphCheck(False, r, witness, size)
+    return RGraphCheck(True, r, None, size)

@@ -12,7 +12,7 @@ A perfect matching is represented as a frozenset of edge ids.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import MultiGraph
 
@@ -41,75 +41,88 @@ def maximum_matching(n: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
                     mate[v] = w
                     mate[w] = v
                     break
-
-    def find_augmenting_path(root: int) -> bool:
-        parent = [-1] * n
-        base = list(range(n))
-        used = [False] * n
-        used[root] = True
-        queue = deque([root])
-
-        def least_common_base(a: int, b: int) -> int:
-            seen = [False] * n
-            x = a
-            while True:
-                x = base[x]
-                seen[x] = True
-                if mate[x] == -1:
-                    break
-                x = parent[mate[x]]
-            y = b
-            while True:
-                y = base[y]
-                if seen[y]:
-                    return y
-                y = parent[mate[y]]
-
-        def mark_path(v: int, b: int, child: int) -> None:
-            while base[v] != b:
-                in_blossom[base[v]] = True
-                in_blossom[base[mate[v]]] = True
-                parent[v] = child
-                child = mate[v]
-                v = parent[mate[v]]
-
-        while queue:
-            v = queue.popleft()
-            for to in adjacency[v]:
-                if base[v] == base[to] or mate[v] == to:
-                    continue
-                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                    # v and to are both outer: contract the blossom
-                    b = least_common_base(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, b, to)
-                    mark_path(to, b, v)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = b
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if mate[to] == -1:
-                        # augment along the alternating path ending at `to`
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            nxt = mate[pv]
-                            mate[u] = pv
-                            mate[pv] = u
-                            u = nxt
-                        return True
-                    used[mate[to]] = True
-                    queue.append(mate[to])
-        return False
-
     for v in range(n):
         if mate[v] == -1:
-            find_augmenting_path(v)
+            _grow_forest(adjacency, mate, (v,))
     return mate
+
+
+def _grow_forest(
+    adjacency: Sequence[Sequence[int]], mate: list[int], roots: Sequence[int]
+) -> Optional[list[bool]]:
+    """Grow alternating trees from exposed roots, contracting blossoms.
+
+    As soon as an edge reaches an exposed vertex outside the forest, ``mate``
+    is augmented along the path and None is returned.  Otherwise the forest
+    is grown to the end and its outer flags are returned: the roots, the
+    mates of inner vertices, and every vertex of a contracted blossom.
+    """
+    n = len(adjacency)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    queue = deque(roots)
+    for root in roots:
+        outer[root] = True
+
+    def least_common_base(a: int, b: int) -> int:
+        seen = [False] * n
+        x = a
+        while True:
+            x = base[x]
+            seen[x] = True
+            if mate[x] == -1:
+                break
+            x = parent[mate[x]]
+        y = b
+        while True:
+            y = base[y]
+            if seen[y]:
+                return y
+            if mate[y] == -1:
+                raise AssertionError("outer vertices of two trees are adjacent")
+            y = parent[mate[y]]
+
+    def mark_path(v: int, b: int, child: int) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adjacency[v]:
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if outer[to]:
+                # v and to are both outer: contract the blossom
+                b = least_common_base(v, to)
+                in_blossom = [False] * n
+                mark_path(v, b, to)
+                mark_path(to, b, v)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = b
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate[to] == -1:
+                    # augment along the alternating path ending at `to`
+                    u = to
+                    while u != -1:
+                        pv = parent[u]
+                        nxt = mate[pv]
+                        mate[u] = pv
+                        mate[pv] = u
+                        u = nxt
+                    return None
+                outer[mate[to]] = True
+                queue.append(mate[to])
+    return outer
 
 
 def _filtered_adjacency(g: MultiGraph, removed: frozenset[int]) -> list[tuple[int, ...]]:
@@ -128,6 +141,36 @@ def _matching_excluding(g: MultiGraph, removed: frozenset[int]) -> Optional[list
         if v not in removed and mate[v] == -1:
             return None
     return mate
+
+
+class GallaiEdmonds(NamedTuple):
+    """D: vertices missed by some maximum matching; A = N(D) - D; C: the rest."""
+
+    d: frozenset[int]
+    a: frozenset[int]
+    c: frozenset[int]
+
+
+def gallai_edmonds(g: MultiGraph, removed: Iterable[int] = ()) -> GallaiEdmonds:
+    """The Gallai-Edmonds decomposition of G minus the given vertices.
+
+    One maximum matching, then one alternating forest grown from every
+    exposed vertex at once, contracting blossoms as in the matching search.
+    With the matching maximum, no edge joins outer vertices of two trees, and
+    the outer vertices (those at even distance from an exposed vertex along
+    some alternating path, blossoms included) are exactly D.
+    """
+    gone = frozenset(removed)
+    adjacency = _filtered_adjacency(g, gone)
+    mate = maximum_matching(g.vertex_count, adjacency)
+    exposed = [v for v in range(g.vertex_count) if v not in gone and mate[v] == -1]
+    outer = _grow_forest(adjacency, mate, exposed)
+    if outer is None:
+        raise AssertionError("an augmenting path exists; the matching is not maximum")
+    d = frozenset(v for v in range(g.vertex_count) if outer[v])
+    a = frozenset(w for v in d for w in adjacency[v] if not outer[w])
+    c = frozenset(range(g.vertex_count)) - gone - d - a
+    return GallaiEdmonds(d, a, c)
 
 
 def max_matching_size(g: MultiGraph, removed: Iterable[int] = ()) -> int:

@@ -315,9 +315,10 @@ def solve_r_graph(
     """Decompose, solve every leaf, and fold the tree back up.
 
     ``decompose`` rejects an input that is not an r-graph.  crosscheck
-    additionally runs the product-rule oracle and the preserved-property
+    additionally re-runs the r-graph and matching-covered checks at every
+    decomposition node, and the product-rule oracle and the preserved-property
     checks at every internal node.
     """
-    tree = decompose(g)
+    tree = decompose(g, crosscheck=crosscheck)
     solution = _fold(tree, crosscheck)
     return solution, tree

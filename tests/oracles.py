@@ -2,9 +2,10 @@
 
 Perfect matchings are enumerated here by pairing vertices (not by walking
 edge ids), tight cuts by checking every matching against the definition,
-and minimum odd cuts by sweeping all odd shores.  Everything is exponential
-and only meant for small graphs.  Rank is computed in Fractions, not by the
-library's fraction-free integer elimination.  The determinant, used only
+minimum odd cuts by sweeping all odd shores, and the Gallai-Edmonds sets
+by removing one vertex at a time.  Everything is exponential and only meant
+for small graphs.  Rank is computed in Fractions, not by the library's
+fraction-free integer elimination.  The determinant, used only
 to check that an HNF transform is unimodular, is computed fraction-free.
 """
 
@@ -98,6 +99,24 @@ def max_matching_size(g: MultiGraph, removed: frozenset[int] = frozenset()) -> i
         return best
 
     return recurse(frozenset(range(g.vertex_count)) - removed)
+
+
+def gallai_edmonds(
+    g: MultiGraph, removed: frozenset[int] = frozenset()
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """(D, A, C) of G minus ``removed``, by definition.
+
+    D holds the vertices w with nu(G - w) = nu(G), A = N(D) - D, and C is the
+    rest; matching sizes come from the branch-and-bound above.
+    """
+    gone = frozenset(removed)
+    nu = max_matching_size(g, gone)
+    d = frozenset(
+        w for w in range(g.vertex_count)
+        if w not in gone and max_matching_size(g, gone | {w}) == nu
+    )
+    a = frozenset(y for w in d for y in g.adjacency[w] if y not in d and y not in gone)
+    return d, a, frozenset(range(g.vertex_count)) - gone - d - a
 
 
 def fraction_rank(rows: list[list[int]]) -> int:

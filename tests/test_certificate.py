@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,38 @@ def test_certificate_round_trip():
     for g in (corpus.petersen(), corpus.k33_petersen_splice()):
         cert, _, _ = _certificate(g)
         assert deserialize(serialize(cert)) == cert
+
+
+K4_CERTIFICATE = """{
+  "graph": {"n":4,"m":6,"r":3,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]},
+  "terms": [{"edges":[0,5],"twice_value":2},{"edges":[1,4],"twice_value":2},{"edges":[2,3],"twice_value":2}],
+  "tree": {"leaves":[{"class":"OtherBrick","n":4,"m":6}],"p":0},
+  "report": {"coverage_ok":true,"each_term_is_pm":true,"halves_count":0,"halves_exact":true,"halves_bound_ok":true,"support":3,"support_bound_ok":true,"independent":true,"twice_inf_norm":2,"norm_bound_ok":true,"coeff_sum_is_r":true}
+}
+"""
+
+
+def test_serialize_layout_is_pinned():
+    cert, _, _ = _certificate(corpus.k4())
+    assert serialize(cert) == K4_CERTIFICATE
+
+
+def test_readme_shows_the_petersen_certificate_exactly():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Certificate format"):]
+    shown = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cert, _, _ = _certificate(corpus.petersen())
+    assert shown == serialize(cert)
+
+
+def test_indented_layout_still_deserializes_and_verifies():
+    for g in (corpus.petersen(), corpus.k33_brick_splice()):
+        cert, _, _ = _certificate(g)
+        indented = json.dumps(json.loads(serialize(cert)), indent=2) + "\n"
+        assert indented.count("\n") > 4 * serialize(cert).count("\n")
+        loaded = deserialize(indented)
+        assert loaded == cert
+        assert verify_certificate(g, loaded).mandatory_ok
 
 
 def test_certificate_contents_petersen():

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pmcover import build_graph, is_r_graph
+import pmcover
+from pmcover import build_graph, graphs, is_r_graph
 from pmcover.cli import (
     GraphParseError,
     format_graph,
@@ -93,6 +98,58 @@ def test_validate_json(tmp_path, capsys):
     assert main(["validate", "-i", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"n": 4, "m": 6, "r": 3, "min_odd_cut": 3, "is_r_graph": True}
+
+
+def test_validate_builds_one_gomory_hu_tree(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = graphs.gomory_hu_tree
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "gomory_hu_tree", counting)
+    for g, code in ((gen_r_graph(10, 3, seed=1), 0), (corpus.bridged_cubic(), 1)):
+        calls.clear()
+        path = _write_graph(tmp_path, g)
+        assert main(["validate", "-i", path, "--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out)["min_odd_cut"] == (3 if code == 0 else 1)
+        assert len(calls) == 1
+
+
+def test_one_process_matches_fresh_processes(tmp_path, capsys):
+    graph_path = _write_graph(tmp_path, corpus.k33_petersen_splice())
+    commands = [
+        ["solve", "-i", graph_path, "-o", "{cert}"],
+        ["verify", "-i", graph_path, "{cert}"],
+        ["validate", "-i", graph_path, "--format", "json"],
+        ["solve"],  # usage error: --input is required
+        ["gen", "5", "3"],  # usage error: odd n
+    ]
+    src = str(Path(pmcover.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def fill(argv, cert):
+        return [arg.format(cert=cert) for arg in argv]
+
+    fresh = []
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "pmcover.cli", *fill(argv, tmp_path / "fresh.json")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    in_process = []
+    for argv in commands:
+        try:
+            code = main(fill(argv, tmp_path / "same.json"))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [entry[0] for entry in fresh] == [0, 0, 0, 2, 2]
+    assert in_process == fresh
+    assert (tmp_path / "same.json").read_text() == (tmp_path / "fresh.json").read_text()
 
 
 def test_solve_verify_chain(tmp_path, capsys):

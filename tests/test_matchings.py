@@ -8,6 +8,7 @@ from pmcover import build_graph
 from pmcover.matchings import (
     EnumerationOverflow,
     enumerate_pms,
+    gallai_edmonds,
     has_perfect_matching,
     iter_pms,
     max_matching_size,
@@ -116,3 +117,45 @@ def test_validate_perfect_matching_errors():
     with pytest.raises(ValueError, match="out of range"):
         validate_perfect_matching(g, [99])
     validate_perfect_matching(g, [0, 2, 4])
+
+
+def _random_multigraph(rng: random.Random, n: int):
+    """A multigraph on n vertices with a few parallel copies; often unmatchable."""
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(0, 2 * n + 1))]
+    edges += rng.sample(edges, min(len(edges), rng.randrange(0, 4)))
+    return build_graph(n, edges)
+
+
+def test_gallai_edmonds_matches_oracle():
+    cases = []
+    for name, g in corpus.structured_instances():
+        if g.vertex_count > 14:
+            continue
+        cases.append((name, g, ()))
+        cases.extend((name, g, (v,)) for v in range(g.vertex_count))
+        cases.append((name, g, (0, g.vertex_count - 1)))
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randrange(2, 15)
+        removed = tuple(rng.sample(range(n), rng.randrange(0, min(3, n) + 1)))
+        cases.append((f"random {trial}", _random_multigraph(rng, n), removed))
+    kinds = {"parallel": 0, "no_pm": 0, "removed": 0}
+    for name, g, removed in cases:
+        got = gallai_edmonds(g, removed)
+        assert tuple(got) == oracles.gallai_edmonds(g, frozenset(removed)), (name, removed)
+        kinds["parallel"] += len(g.pair_ids) < g.m
+        kinds["no_pm"] += not has_perfect_matching(g, removed)
+        kinds["removed"] += bool(removed)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_gallai_edmonds_decides_every_pair():
+    instances = corpus.structured_instances() + corpus.random_instances(
+        ns=(6, 8, 10, 12), rs=(2, 3, 4), seeds=range(2)
+    )
+    for name, g in instances:
+        for u in range(g.vertex_count):
+            d = gallai_edmonds(g, (u,)).d
+            for v in range(g.vertex_count):
+                if v != u:
+                    assert (v in d) == has_perfect_matching(g, (u, v)), (name, u, v)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmcover import verify_cover
+from pmcover import decomposition, graphs, verify_cover
 from pmcover.cover import exact_cover, terms_independent
 from pmcover.decomposition import decompose
 from pmcover.leaf_solvers import brace_solve
@@ -227,6 +227,42 @@ def test_solve_r_graph_crosscheck_corpus():
         assert report.mandatory_ok, name
         internal_total += sum(1 for _ in tree.internal_nodes())
     assert internal_total > 0
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs one entry per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("crosscheck", [False, True])
+def test_solve_r_graph_checks_the_input_once(monkeypatch, crosscheck):
+    g = corpus.double_petersen_splice()
+    r_graph = _counted(monkeypatch, decomposition, "is_r_graph")
+    gomory_hu = _counted(monkeypatch, graphs, "gomory_hu_tree")
+    covered = _counted(monkeypatch, decomposition, "assert_matching_covered")
+    _, tree = solve_r_graph(g, crosscheck=crosscheck)
+    nodes = [tree] + [n for node in tree.internal_nodes() for n in (node.left, node.right)]
+    assert len(nodes) == 5
+
+    def checked(calls):
+        return sorted((args[0].vertex_count, args[0].edges) for args in calls)
+
+    if crosscheck:
+        # the input once, then each child as it is contracted: every node once
+        every_node = sorted((node.graph.vertex_count, node.graph.edges) for node in nodes)
+        assert checked(r_graph) == checked(covered) == every_node
+        assert len(gomory_hu) == len(nodes)
+    else:
+        assert len(r_graph) == len(gomory_hu) == 1
+        assert covered == []
 
 
 def test_solve_r_graph_rejects_non_r_graph():
