@@ -66,7 +66,6 @@ from .merge import (
     balance_negatives,
     improved_merge,
     pair_sequences,
-    product_merge,
     signed_split,
     solve_r_graph,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "petersen_embedding",
     "petersen_solve",
     "pm_containing_edges",
-    "product_merge",
     "regular_degree",
     "serialize",
     "signed_split",

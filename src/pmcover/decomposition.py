@@ -11,8 +11,8 @@ Gomory-Hu tree) on the graph it is given, and its recursion tells each child
 that it need not.  Every graph below the root is a contraction across a cut
 that ``is_tight_cut`` has confirmed, and ``contract_shore`` only checks in
 O(m) that the child is r-regular, which for an r-graph parent makes the
-child an r-graph too.  ``crosscheck=True`` re-runs the full r-graph check on
-every child and the matching-covered check on every node.
+child an r-graph too.  The tests re-run the full r-graph check and the
+matching-covered check on every node of solved trees (``tests/oracles.py``).
 
 Finding a nontrivial tight cut does not sweep all odd shores.  Candidates come
 from two classical sources, each validated by the definitional check before
@@ -59,7 +59,7 @@ from .graphs import (
     is_r_graph,
     regular_degree,
 )
-from .matchings import gallai_edmonds, has_perfect_matching, pm_containing_edges
+from .matchings import gallai_edmonds, has_perfect_matching
 
 
 @unique
@@ -91,15 +91,13 @@ class ContractionMap:
 class DecompositionTree:
     """Recursive tight cut decomposition of an r-graph.
 
-    A leaf carries its class (and, for the Petersen brick, a vertex map from
-    the canonical labeling); an internal node carries the verified cut, the
+    A leaf carries its class; an internal node carries the verified cut, the
     two contractions, and their subtrees.  ``solution`` is filled in by the
     solving pass, bottom up.
     """
 
     graph: MultiGraph
     leaf_class: Optional[LeafClass] = None
-    petersen_map: Optional[tuple[int, ...]] = None
     cut: Optional[Cut] = None
     left: Optional["DecompositionTree"] = None
     right: Optional["DecompositionTree"] = None
@@ -129,13 +127,6 @@ class DecompositionTree:
     @property
     def petersen_count(self) -> int:
         return sum(1 for leaf in self.leaves() if leaf.leaf_class is LeafClass.PETERSEN_BRICK)
-
-
-def assert_matching_covered(g: MultiGraph) -> None:
-    """Every edge must lie in some perfect matching; r-graphs always do."""
-    for e in range(g.m):
-        if pm_containing_edges(g, (e,)) is None:
-            raise RuntimeError(f"edge {e} lies in no perfect matching")
 
 
 def is_tight_cut(g: MultiGraph, cut: Cut) -> bool:
@@ -387,16 +378,13 @@ def classify_leaf(g: MultiGraph) -> LeafClass:
     return LeafClass.OTHER_BRICK
 
 
-def decompose(
-    g: MultiGraph, *, crosscheck: bool = False, checked: bool = False
-) -> DecompositionTree:
+def decompose(g: MultiGraph, *, checked: bool = False) -> DecompositionTree:
     """Recursive tight cut decomposition down to classified brick/brace leaves.
 
     The input is checked to be an r-graph unless ``checked`` says the caller
     has done so.  The recursion passes ``checked=True`` for every contracted
     child, which is an r-graph by construction, so one solve runs the r-graph
-    check once.  crosscheck re-runs the full checks at every node: the
-    r-graph check on each child and the matching-covered check on each node.
+    check once.
     """
     if not checked:
         check = is_r_graph(g)
@@ -407,25 +395,17 @@ def decompose(
                 f"not an r-graph: odd cut of size {check.witness.size} at shore "
                 f"{sorted(check.witness.shore)}"
             )
-    elif crosscheck and not is_r_graph(g).ok:
-        raise RuntimeError("a contraction across a tight cut is not an r-graph")
-    if crosscheck:
-        assert_matching_covered(g)
     cut = find_nontrivial_tight_cut(g)
     if cut is None:
-        leaf_class = classify_leaf(g)
-        embedding = (
-            petersen_embedding(g) if leaf_class is LeafClass.PETERSEN_BRICK else None
-        )
-        return DecompositionTree(graph=g, leaf_class=leaf_class, petersen_map=embedding)
+        return DecompositionTree(graph=g, leaf_class=classify_leaf(g))
     complement = frozenset(range(g.vertex_count)) - cut.shore
     left_graph, left_map = contract_shore(g, cut, cut.shore)
     right_graph, right_map = contract_shore(g, cut, complement)
     return DecompositionTree(
         graph=g,
         cut=cut,
-        left=decompose(left_graph, crosscheck=crosscheck, checked=True),
-        right=decompose(right_graph, crosscheck=crosscheck, checked=True),
+        left=decompose(left_graph, checked=True),
+        right=decompose(right_graph, checked=True),
         left_map=left_map,
         right_map=right_map,
     )

@@ -75,9 +75,6 @@ class MultiGraph:
     def simple_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pair_ids))
 
-    def endpoints(self, edge_id: int) -> tuple[int, int]:
-        return self.edges[edge_id]
-
     def other_end(self, edge_id: int, vertex: int) -> int:
         u, v = self.edges[edge_id]
         if vertex == u:

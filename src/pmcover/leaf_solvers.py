@@ -118,44 +118,33 @@ def _petersen_weight_alpha(weights: Sequence[Fraction | int]) -> tuple[Fraction,
     return tuple(alpha)
 
 
-def _canonical_pair_copies(g: MultiGraph, embedding: tuple[int, ...]) -> list[list[int]]:
+def _canonical_pair_copies(g: MultiGraph) -> list[list[int]]:
     """Per canonical edge id, the host's parallel copy ids for that pair, ascending."""
-    canon = canonical_petersen()
+    embedding = petersen_embedding(g)
+    if embedding is None:
+        raise ValueError("the underlying simple graph is not the Petersen graph")
     copies = []
-    for i, j in canon.edges:
+    for i, j in canonical_petersen().edges:
         a, b = embedding[i], embedding[j]
         copies.append(list(g.pair_ids[(min(a, b), max(a, b))]))
     return copies
 
 
-def petersen_alpha(
-    g: MultiGraph, embedding: Optional[tuple[int, ...]] = None
-) -> tuple[Fraction, ...]:
+def petersen_alpha(g: MultiGraph) -> tuple[Fraction, ...]:
     """Representation of the edge multiplicities over the six Petersen matchings."""
-    if embedding is None:
-        embedding = petersen_embedding(g)
-    if embedding is None:
-        raise ValueError("the underlying simple graph is not the Petersen graph")
-    weights = [len(ids) for ids in _canonical_pair_copies(g, embedding)]
-    return _petersen_weight_alpha(weights)
+    return _petersen_weight_alpha([len(ids) for ids in _canonical_pair_copies(g)])
 
 
-def petersen_solve(
-    g: MultiGraph, embedding: Optional[tuple[int, ...]] = None
-) -> CoverSolution:
+def petersen_solve(g: MultiGraph) -> CoverSolution:
     """Cover a Petersen brick: either all-integer terms or exactly six at +1/2.
 
     Parallel copies of each underlying edge are consumed in ascending edge id
     order; in the half case the six +1/2 matchings live on the lowest copy of
     every underlying edge and the remainder expands integrally.
     """
-    if embedding is None:
-        embedding = petersen_embedding(g)
-    if embedding is None:
-        raise ValueError("the underlying simple graph is not the Petersen graph")
-    alpha = petersen_alpha(g, embedding)
+    copies = _canonical_pair_copies(g)
+    alpha = _petersen_weight_alpha([len(ids) for ids in copies])
     mats = petersen_matchings()
-    copies = _canonical_pair_copies(g, embedding)
     consumed = [0] * 15
     terms: list[tuple[frozenset[int], Fraction]] = []
     if alpha[0].denominator == 2:

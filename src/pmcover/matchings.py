@@ -173,12 +173,6 @@ def gallai_edmonds(g: MultiGraph, removed: Iterable[int] = ()) -> GallaiEdmonds:
     return GallaiEdmonds(d, a, c)
 
 
-def max_matching_size(g: MultiGraph, removed: Iterable[int] = ()) -> int:
-    """Number of edges in a maximum matching of G minus the given vertices."""
-    mate = maximum_matching(g.vertex_count, _filtered_adjacency(g, frozenset(removed)))
-    return sum(1 for w in mate if w != -1) // 2
-
-
 def has_perfect_matching(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
     """Whether G minus the given vertices has a perfect matching."""
     gone = frozenset(removed)

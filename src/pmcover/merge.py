@@ -6,15 +6,16 @@ with coefficient sum 1 on both sides, and any coefficient assignment to the
 pairwise unions whose row and column marginals reproduce y and t yields a
 cover of the parent.
 
-The classical assignment multiplies coefficients (kept here as a
-differential-testing oracle); it can leave the integer-or-+1/2 class, e.g.
-two half/half groups produce quarters.  The production path instead pairs
-sorted coefficient sequences by prefix sums: negatives are first balanced to
-equal mass by splitting one positive entry, then positives pair with
-positives and negatives with negatives segment by segment.  Pairing preserves
-the class (equal sums force equally many halves mod 2, so every segment is a
-half or an integer), adds at most one term per merged entry, never exceeds
-the unaugmented side's largest coefficient, and walks the index pairs
+The classical assignment multiplies coefficients; it can leave the
+integer-or-+1/2 class, e.g. two half/half groups produce quarters.  It is
+kept as a test oracle in ``tests/oracles.py``, with the checks of the
+preserved merge properties on a solved tree.  The solve instead pairs sorted
+coefficient sequences by prefix sums: negatives are first balanced to equal
+mass by splitting one positive entry, then positives pair with positives and
+negatives with negatives segment by segment.  Pairing preserves the class
+(equal sums force equally many halves mod 2, so every segment is a half or
+an integer), adds at most one term per merged entry, never exceeds the
+unaugmented side's largest coefficient, and walks the index pairs
 monotonically, which keeps the union matchings linearly independent.
 """
 
@@ -25,9 +26,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .cover import CoverSolution, HALF, exact_cover, terms_independent
+from .cover import CoverSolution, HALF, exact_cover
 from .decomposition import ContractionMap, DecompositionTree, LeafClass, decompose
-from .graphs import Cut, MultiGraph, regular_degree
+from .graphs import Cut, MultiGraph
 from .leaf_solvers import brace_solve, brick_solve, petersen_solve
 
 Term = tuple[frozenset[int], Fraction]
@@ -207,9 +208,14 @@ def improved_merge(
     left_map: ContractionMap,
     right_map: ContractionMap,
 ) -> CoverSolution:
-    """Combine child covers with the pairing rule; stays in the coefficient class."""
-    exact_cover(left_solution.graph, left_solution.terms)
-    exact_cover(right_solution.graph, right_solution.terms)
+    """Combine child covers with the pairing rule; stays in the coefficient class.
+
+    Only the parent cover is validated.  The solve builds each child through
+    ``exact_cover``, and a bad child still cannot yield an unchecked cover: a
+    group that leaves the class or does not sum to 1 fails in
+    ``signed_split``, and any other fault carries into the parent's terms or
+    edge sums, which ``exact_cover`` checks.
+    """
     left_groups = _group_by_cut_edge(left_solution, left_map, cut)
     right_groups = _group_by_cut_edge(right_solution, right_map, cut)
     combined: dict[frozenset[int], Fraction] = {}
@@ -234,91 +240,36 @@ def improved_merge(
     return exact_cover(g, terms)
 
 
-def product_merge(
-    g: MultiGraph,
-    cut: Cut,
-    left_solution: CoverSolution,
-    right_solution: CoverSolution,
-    left_map: ContractionMap,
-    right_map: ContractionMap,
-) -> CoverSolution:
-    """The classical product assignment; an oracle, not class-preserving."""
-    exact_cover(left_solution.graph, left_solution.terms)
-    exact_cover(right_solution.graph, right_solution.terms)
-    left_groups = _group_by_cut_edge(left_solution, left_map, cut)
-    right_groups = _group_by_cut_edge(right_solution, right_map, cut)
-    combined: dict[frozenset[int], Fraction] = {}
-    for parent_edge in sorted(cut.edge_ids):
-        for left_matching, y in left_groups[parent_edge]:
-            for right_matching, t in right_groups[parent_edge]:
-                union = left_map.lift_edges(left_matching) | right_map.lift_edges(
-                    right_matching
-                )
-                combined[union] = combined.get(union, Fraction(0)) + y * t
-    return exact_cover(g, [(m, c) for m, c in combined.items() if c != 0])
-
-
 def _solve_leaf(leaf: DecompositionTree) -> CoverSolution:
     if leaf.leaf_class is LeafClass.BRACE:
         return brace_solve(leaf.graph)
     if leaf.leaf_class is LeafClass.PETERSEN_BRICK:
-        return petersen_solve(leaf.graph, leaf.petersen_map)
+        return petersen_solve(leaf.graph)
     return brick_solve(leaf.graph)
 
 
-def _check_merge_properties(
-    node: DecompositionTree, parent: CoverSolution
-) -> None:
-    """The four preserved merge properties, checked exactly on one node."""
-    assert node.left is not None and node.right is not None
-    left = node.left.solution
-    right = node.right.solution
-    assert left is not None and right is not None
-    if parent.support > left.support + right.support:
-        raise AssertionError("support grew beyond the children's combined support")
-    if parent.inf_norm() > max(left.inf_norm(), right.inf_norm()):
-        raise AssertionError("infinity norm grew during the merge")
-    if parent.halves_count > left.halves_count + right.halves_count:
-        raise AssertionError("half-coefficient count grew during the merge")
-    children_independent = terms_independent(
-        left.graph, left.matchings
-    ) and terms_independent(right.graph, right.matchings)
-    if children_independent and not terms_independent(parent.graph, parent.matchings):
-        raise AssertionError("merge broke linear independence")
-    r = regular_degree(node.graph)
-    if parent.coefficient_sum() != r:
-        raise AssertionError("coefficient sum differs from the degree")
-
-
-def _fold(node: DecompositionTree, crosscheck: bool) -> CoverSolution:
+def _fold(node: DecompositionTree) -> CoverSolution:
     if node.is_leaf:
-        if node.solution is None:
-            node.solution = _solve_leaf(node)
+        node.solution = _solve_leaf(node)
         return node.solution
     assert node.left is not None and node.right is not None
     assert node.cut is not None and node.left_map is not None and node.right_map is not None
-    left = _fold(node.left, crosscheck)
-    right = _fold(node.right, crosscheck)
-    solution = improved_merge(
-        node.graph, node.cut, left, right, node.left_map, node.right_map
+    node.solution = improved_merge(
+        node.graph,
+        node.cut,
+        _fold(node.left),
+        _fold(node.right),
+        node.left_map,
+        node.right_map,
     )
-    if crosscheck:
-        product_merge(node.graph, node.cut, left, right, node.left_map, node.right_map)
-        _check_merge_properties(node, solution)
-    node.solution = solution
-    return solution
+    return node.solution
 
 
-def solve_r_graph(
-    g: MultiGraph, *, crosscheck: bool = False
-) -> tuple[CoverSolution, DecompositionTree]:
+def solve_r_graph(g: MultiGraph) -> tuple[CoverSolution, DecompositionTree]:
     """Decompose, solve every leaf, and fold the tree back up.
 
-    ``decompose`` rejects an input that is not an r-graph.  crosscheck
-    additionally re-runs the r-graph and matching-covered checks at every
-    decomposition node, and the product-rule oracle and the preserved-property
-    checks at every internal node.
+    ``decompose`` rejects an input that is not an r-graph.  Each cover is
+    validated once, by ``exact_cover``, when its leaf solver or merge builds it.
     """
-    tree = decompose(g, crosscheck=crosscheck)
-    solution = _fold(tree, crosscheck)
-    return solution, tree
+    tree = decompose(g)
+    return _fold(tree), tree

@@ -7,6 +7,11 @@ by removing one vertex at a time.  Everything is exponential and only meant
 for small graphs.  Rank is computed in Fractions, not by the library's
 fraction-free integer elimination.  The determinant, used only
 to check that an HNF transform is unimodular, is computed fraction-free.
+
+The merge oracles at the end re-check a solved decomposition tree node by
+node with the library's public checks (r-graph test, perfect-matching
+search, rank), plus the classical product rule for merging child covers,
+which is exact but can leave the integer-or-+1/2 class.
 """
 
 from __future__ import annotations
@@ -14,7 +19,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from pmcover import Cut, MultiGraph
+from pmcover import (
+    ContractionMap,
+    CoverSolution,
+    Cut,
+    DecompositionTree,
+    MultiGraph,
+    exact_cover,
+    is_r_graph,
+    pm_containing_edges,
+    regular_degree,
+    terms_independent,
+)
 from pmcover.graphs import cut_from_shore
 
 
@@ -156,3 +172,93 @@ def integer_det(matrix: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1] if n else 1
+
+
+def assert_matching_covered(g: MultiGraph) -> None:
+    """Every edge must lie in some perfect matching; r-graphs always do."""
+    for e in range(g.m):
+        if pm_containing_edges(g, (e,)) is None:
+            raise RuntimeError(f"edge {e} lies in no perfect matching")
+
+
+def edge_sums_are_one(g: MultiGraph, terms) -> bool:
+    """Whether the (matching, coefficient) terms put total weight 1 on every edge."""
+    sums = [Fraction(0)] * g.m
+    for matching, coeff in terms:
+        for e in matching:
+            sums[e] += coeff
+    return all(x == 1 for x in sums)
+
+
+def _terms_by_cut_edge(
+    solution: CoverSolution, cmap: ContractionMap, cut: Cut
+) -> dict[int, list[tuple[frozenset[int], Fraction]]]:
+    """Child terms grouped by the one parent cut edge each matching uses."""
+    groups: dict[int, list[tuple[frozenset[int], Fraction]]] = {e: [] for e in cut.edge_ids}
+    for matching, coeff in solution.terms:
+        crossing = cmap.lift_edges(matching) & cut.edge_ids
+        assert len(crossing) == 1, "a child matching must use exactly one cut edge"
+        groups[min(crossing)].append((matching, coeff))
+    return groups
+
+
+def product_merge(
+    g: MultiGraph,
+    cut: Cut,
+    left_solution: CoverSolution,
+    right_solution: CoverSolution,
+    left_map: ContractionMap,
+    right_map: ContractionMap,
+) -> CoverSolution:
+    """The classical product rule: exact, but not class-preserving.
+
+    Every pair of child matchings through the same cut edge becomes one
+    parent matching whose coefficient is the product of theirs.
+    """
+    left_groups = _terms_by_cut_edge(left_solution, left_map, cut)
+    right_groups = _terms_by_cut_edge(right_solution, right_map, cut)
+    combined: dict[frozenset[int], Fraction] = {}
+    for parent_edge in sorted(cut.edge_ids):
+        for left_matching, y in left_groups[parent_edge]:
+            for right_matching, t in right_groups[parent_edge]:
+                union = left_map.lift_edges(left_matching) | right_map.lift_edges(
+                    right_matching
+                )
+                combined[union] = combined.get(union, Fraction(0)) + y * t
+    return exact_cover(g, [(m, c) for m, c in combined.items() if c != 0])
+
+
+def assert_solved_tree(tree: DecompositionTree) -> int:
+    """Re-check every node of a tree from ``solve_r_graph``; returns the internal count.
+
+    At every node the graph is an r-graph and matching covered, and its
+    cover sums to 1 on every edge, uses independent matchings and has
+    coefficient sum r.  At every internal node the product rule also gives
+    an exact cover, and the merged cover's support, infinity norm and count
+    of halves are at most the children's combined support, larger norm and
+    combined count.
+    """
+    internal = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        g, cover = node.graph, node.solution
+        assert is_r_graph(g).ok, "a decomposition node is not an r-graph"
+        assert_matching_covered(g)
+        assert edge_sums_are_one(g, cover.terms), "a node cover misses an edge sum"
+        assert cover.coefficient_sum() == regular_degree(g), "coefficient sum is not r"
+        if not node.is_leaf:
+            left, right = node.left.solution, node.right.solution
+            assert cover.support <= left.support + right.support, "support grew in the merge"
+            assert cover.inf_norm() <= max(left.inf_norm(), right.inf_norm()), (
+                "infinity norm grew in the merge"
+            )
+            assert cover.halves_count <= left.halves_count + right.halves_count, (
+                "count of halves grew in the merge"
+            )
+            product_rule = product_merge(g, node.cut, left, right, node.left_map, node.right_map)
+            assert edge_sums_are_one(g, product_rule.terms), "the product rule is not exact"
+            internal += 1
+            stack.extend((node.left, node.right))
+        assert terms_independent(g, cover.matchings), "a node cover is dependent"
+    return internal

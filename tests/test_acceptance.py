@@ -14,12 +14,10 @@ from pmcover import (
     LeafClass,
     cut_from_shore,
     find_nontrivial_tight_cut,
-    improved_merge,
     is_r_graph,
     is_tight_cut,
     min_odd_cut,
     pair_sequences,
-    product_merge,
     solve_r_graph,
     terms_independent,
     verify_cover,
@@ -33,14 +31,6 @@ import oracles
 HALF = Fraction(1, 2)
 
 
-def _edge_sums_are_one(g, terms) -> bool:
-    sums = [Fraction(0)] * g.m
-    for matching, coeff in terms:
-        for e in matching:
-            sums[e] += coeff
-    return all(s == 1 for s in sums)
-
-
 def _solved_corpus():
     """Every corpus r-graph together with its solved decomposition tree."""
     out = []
@@ -48,15 +38,6 @@ def _solved_corpus():
         sol, tree = solve_r_graph(g)
         out.append((name, g, sol, tree))
     return out
-
-
-def _internal_nodes(tree):
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            yield node
-            stack.extend((node.left, node.right))
 
 
 def test_criterion_1_petersen_reproduction(tmp_path, capsys):
@@ -198,23 +179,8 @@ def test_criterion_5_min_odd_cut_oracle_equivalence():
 
 def test_criterion_6_merge_crosscheck():
     internal_total = 0
-    for name, g, _, tree in _solved_corpus():
-        for node in _internal_nodes(tree):
-            left = node.left.solution
-            right = node.right.solution
-            merged = improved_merge(
-                node.graph, node.cut, left, right, node.left_map, node.right_map
-            )
-            product = product_merge(
-                node.graph, node.cut, left, right, node.left_map, node.right_map
-            )
-            assert _edge_sums_are_one(node.graph, merged.terms), name
-            assert _edge_sums_are_one(node.graph, product.terms), name
-            assert merged.support <= left.support + right.support, name
-            assert merged.inf_norm() <= max(left.inf_norm(), right.inf_norm()), name
-            assert merged.halves_count <= left.halves_count + right.halves_count, name
-            assert terms_independent(node.graph, merged.matchings), name
-            internal_total += 1
+    for _, _, _, tree in _solved_corpus():
+        internal_total += oracles.assert_solved_tree(tree)
     assert internal_total > 0
     print(f"criterion 6 (merge cross-check): PASS on {internal_total} internal nodes")
 

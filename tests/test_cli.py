@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +296,33 @@ def test_decompose_tree_output(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["p"] == 2
     assert payload["tree"]["type"] == "internal"
+
+
+def _readme_demo_session():
+    """Each `$ pmcover ...` line on demo.txt in the README, with the text shown below it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Exit codes")]
+    session = {}
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for entry in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, shown = entry.partition("\n")
+            argv = shlex.split(command)
+            if "demo.txt" in argv:
+                session[argv[1]] = (argv[1:], shown)
+    return session
+
+
+def test_readme_shows_the_demo_session_exactly(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    session = _readme_demo_session()
+    for command in ("gen", "validate", "solve", "decompose"):
+        argv, shown = session[command]
+        assert main(argv) == 0, command
+        assert capsys.readouterr().out == shown, command
+    # the README says verify prints the same report, recomputed
+    argv, _ = session["verify"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == session["solve"][1]
 
 
 def test_enumerate_lists_matchings(tmp_path, capsys):

@@ -11,7 +11,6 @@ from pmcover.matchings import (
     gallai_edmonds,
     has_perfect_matching,
     iter_pms,
-    max_matching_size,
     maximum_matching,
     pm_containing_edges,
     validate_perfect_matching,
@@ -43,7 +42,10 @@ def test_maximum_matching_agrees_with_brute_force():
         if not pairs:
             continue
         g = build_graph(n, sorted(pairs))
-        assert max_matching_size(g) == oracles.max_matching_size(g), sorted(pairs)
+        mate = maximum_matching(n, g.adjacency)
+        matched = [v for v in range(n) if mate[v] != -1]
+        assert all(mate[v] in g.adjacency[v] and mate[mate[v]] == v for v in matched)
+        assert len(matched) // 2 == oracles.max_matching_size(g), sorted(pairs)
 
 
 def test_has_perfect_matching():

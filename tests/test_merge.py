@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmcover import decomposition, graphs, verify_cover
+from pmcover import decomposition, graphs, leaf_solvers, merge, verify_cover
 from pmcover.cover import exact_cover, terms_independent
 from pmcover.decomposition import decompose
 from pmcover.leaf_solvers import brace_solve
@@ -15,12 +15,12 @@ from pmcover.merge import (
     balance_negatives,
     improved_merge,
     pair_sequences,
-    product_merge,
     signed_split,
     solve_r_graph,
 )
 
 import corpus
+import oracles
 
 HALF = Fraction(1, 2)
 
@@ -170,7 +170,7 @@ def test_product_merge_agrees_on_integral_instances():
     left = brace_solve(tree.left.graph)
     right = brace_solve(tree.right.graph)
     improved = improved_merge(g, tree.cut, left, right, tree.left_map, tree.right_map)
-    product = product_merge(g, tree.cut, left, right, tree.left_map, tree.right_map)
+    product = oracles.product_merge(g, tree.cut, left, right, tree.left_map, tree.right_map)
     assert improved.coverage() == product.coverage() == [Fraction(1)] * g.m
 
 
@@ -185,7 +185,7 @@ def test_product_merge_leaves_class_where_improved_does_not():
         if left_sol.halves_count and right_sol.halves_count:
             deepest = node
     assert deepest is not None
-    product = product_merge(
+    product = oracles.product_merge(
         deepest.graph,
         deepest.cut,
         deepest.left.solution,
@@ -222,10 +222,10 @@ def test_solve_r_graph_crosscheck_corpus():
     instances = corpus.structured_instances() + corpus.random_instances(seeds=range(2))
     internal_total = 0
     for name, g in instances:
-        sol, tree = solve_r_graph(g, crosscheck=True)
+        sol, tree = solve_r_graph(g)
         report = verify_cover(g, sol, tree)
         assert report.mandatory_ok, name
-        internal_total += sum(1 for _ in tree.internal_nodes())
+        internal_total += oracles.assert_solved_tree(tree)
     assert internal_total > 0
 
 
@@ -242,27 +242,23 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("crosscheck", [False, True])
-def test_solve_r_graph_checks_the_input_once(monkeypatch, crosscheck):
-    g = corpus.double_petersen_splice()
+def test_solve_r_graph_checks_the_input_once(monkeypatch):
     r_graph = _counted(monkeypatch, decomposition, "is_r_graph")
     gomory_hu = _counted(monkeypatch, graphs, "gomory_hu_tree")
-    covered = _counted(monkeypatch, decomposition, "assert_matching_covered")
-    _, tree = solve_r_graph(g, crosscheck=crosscheck)
+    solve_r_graph(corpus.double_petersen_splice())
+    assert len(r_graph) == len(gomory_hu) == 1
+
+
+def test_solve_r_graph_validates_each_cover_once(monkeypatch):
+    # three leaf solves and two merges: each builds one cover and checks it once
+    merges = _counted(monkeypatch, merge, "exact_cover")
+    leaves = _counted(monkeypatch, leaf_solvers, "exact_cover")
+    _, tree = solve_r_graph(corpus.double_petersen_splice())
     nodes = [tree] + [n for node in tree.internal_nodes() for n in (node.left, node.right)]
     assert len(nodes) == 5
-
-    def checked(calls):
-        return sorted((args[0].vertex_count, args[0].edges) for args in calls)
-
-    if crosscheck:
-        # the input once, then each child as it is contracted: every node once
-        every_node = sorted((node.graph.vertex_count, node.graph.edges) for node in nodes)
-        assert checked(r_graph) == checked(covered) == every_node
-        assert len(gomory_hu) == len(nodes)
-    else:
-        assert len(r_graph) == len(gomory_hu) == 1
-        assert covered == []
+    assert len(merges) == 2 and len(leaves) == 3
+    checked = sorted((args[0].vertex_count, args[0].edges) for args in merges + leaves)
+    assert checked == sorted((node.graph.vertex_count, node.graph.edges) for node in nodes)
 
 
 def test_solve_r_graph_rejects_non_r_graph():
