@@ -14,7 +14,6 @@ from .certificate import (
     LeafSummary,
     VerifyReport,
     build_certificate,
-    certificate_graph,
     certificate_solution,
     deserialize,
     graph_fingerprint,
@@ -49,8 +48,6 @@ from .leaf_solvers import (
     ClassificationError,
     brace_solve,
     brick_solve,
-    greedy_basis,
-    petersen_alpha,
     petersen_solve,
 )
 from .matchings import (
@@ -62,11 +59,8 @@ from .matchings import (
     validate_perfect_matching,
 )
 from .merge import (
-    SignedSequences,
-    balance_negatives,
     improved_merge,
     pair_sequences,
-    signed_split,
     solve_r_graph,
 )
 
@@ -86,15 +80,12 @@ __all__ = [
     "LeafSummary",
     "MultiGraph",
     "RGraphCheck",
-    "SignedSequences",
     "VerifyReport",
-    "balance_negatives",
     "brace_solve",
     "brick_solve",
     "build_certificate",
     "build_graph",
     "canonical_petersen",
-    "certificate_graph",
     "certificate_solution",
     "classify_leaf",
     "contract_shore",
@@ -106,7 +97,6 @@ __all__ = [
     "find_nontrivial_tight_cut",
     "from_twice",
     "graph_fingerprint",
-    "greedy_basis",
     "has_perfect_matching",
     "improved_merge",
     "is_r_graph",
@@ -114,13 +104,11 @@ __all__ = [
     "iter_pms",
     "min_odd_cut",
     "pair_sequences",
-    "petersen_alpha",
     "petersen_embedding",
     "petersen_solve",
     "pm_containing_edges",
     "regular_degree",
     "serialize",
-    "signed_split",
     "solve_r_graph",
     "terms_independent",
     "to_twice",

@@ -1,13 +1,17 @@
 """Independent verification of covers, and the certificate file format.
 
-Verification trusts nothing from the solver: every quantity is recomputed
-from the graph, the terms, and the decomposition summary.  Two bound checks
-are advisory rather than mandatory.  The m - n + 1 support bound fails on
-degenerate all-brace inputs (C4's unique cover has support 2 > 1, and the
-two-vertex graph with r parallel edges needs support r > r - 1), and the
-2^d norm bound depends on basis choices the solver is free to vary.  A
-verifier must not reject a correct cover over either, so both are reported
-but excluded from mandatory_ok.
+Verification recomputes every check on the terms from the graph: coverage,
+that each term is a perfect matching, independence, the count of halves, the
+support and the coefficient sum.  It does not re-derive the decomposition:
+the Petersen count p behind the 6p halves bound and the leaf sizes behind the
+norm advisory are read from the decomposition summary (the certificate's
+tree block) as given, so a forged summary can pass; ROADMAP item 3 is the
+fix.  Two bound checks are advisory rather than mandatory.  The m - n + 1
+support bound fails on degenerate all-brace inputs (C4's unique cover has
+support 2 > 1, and the two-vertex graph with r parallel edges needs support
+r > r - 1), and the 2^d norm bound depends on basis choices the solver is
+free to vary.  A verifier must not reject a correct cover over either, so
+both are reported but excluded from mandatory_ok.
 
 Certificates are canonical JSON with integers only: coefficients are stored
 doubled (twice_value), so +1/2 is the odd integer 1 and the format is exact.
@@ -27,7 +31,7 @@ from typing import Any, Sequence
 
 from .cover import CoverSolution, from_twice, terms_independent, to_twice
 from .decomposition import DecompositionTree, LeafClass
-from .graphs import MultiGraph, build_graph, regular_degree
+from .graphs import MultiGraph, regular_degree
 from .matchings import validate_perfect_matching
 
 
@@ -146,7 +150,7 @@ def _brick_ds(leaves: Sequence[LeafSummary]) -> list[int]:
 def verify_cover(
     g: MultiGraph, sol: CoverSolution, tree: DecompositionTree
 ) -> VerifyReport:
-    """Recheck every guarantee from scratch; trusts nothing the solver did."""
+    """Recheck every check on the terms; p and the leaf sizes come from tree."""
     leaves = _leaf_summaries(tree)
     return _compute_report(g, sol, tree.petersen_count, _brick_ds(leaves))
 
@@ -344,8 +348,3 @@ def deserialize(text: str) -> Certificate:
         n=n, m=m, r=r, edges=tuple(edges), terms=tuple(terms),
         leaves=tuple(leaves), p=p, report=report,
     )
-
-
-def certificate_graph(cert: Certificate) -> MultiGraph:
-    """Rebuild the graph block; useful for standalone certificate checks."""
-    return build_graph(cert.n, list(cert.edges))

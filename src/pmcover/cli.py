@@ -345,8 +345,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "gen" and (args.n < 2 or args.n % 2 != 0):
-        parser.error("n must be even and at least 2")
+    if args.command == "gen":
+        if args.n < 2 or args.n % 2 != 0:
+            parser.error("n must be even and at least 2")
+        if args.r < 1:
+            parser.error("r must be at least 1")
+    if args.command == "enumerate" and args.limit is not None and args.limit < 0:
+        parser.error("--limit must be nonnegative")
     try:
         return args.func(args)
     except GraphParseError as exc:

@@ -93,9 +93,6 @@ class CoverSolution:
         """Every non-integral coefficient is exactly +1/2."""
         return all(c == HALF for c in self.fractional_coefficients())
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients)
-
 
 def terms_independent(graph: MultiGraph, matchings: Sequence[frozenset[int]]) -> bool:
     """Whether the edge sets' 0/1 incidence vectors are linearly independent.

@@ -16,10 +16,9 @@ Three solvers, one per leaf class:
   the integer remainder.
 * other bricks: the all-ones vector is an integer combination of perfect
   matchings.  Starting from a greedy basis (each matching grabs the lowest
-  uncovered edge id), a Hermite-normal-form solve finds an integer solution,
-  enumerating further matchings into the column set until one exists; a
-  bounded kernel search then steers the solution to one whose support columns
-  are linearly independent.
+  uncovered edge id), a Hermite-normal-form solve finds an integer solution;
+  further matchings are enumerated into the column set, eight at a time,
+  until the solve yields one whose support columns are linearly independent.
 
 Coefficients are Fractions throughout; every solver returns through the
 strict cover constructor, so per-edge sums are rechecked exactly.
@@ -29,13 +28,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cover import CoverSolution, HALF, exact_cover, terms_independent
 from .decomposition import canonical_petersen, petersen_embedding
 from .graphs import MultiGraph, bipartition, regular_degree
-from .linalg import hnf_solve, integer_kernel
+from .linalg import hnf_solve
 from .matchings import (
     enumerate_pms,
     incidence_rows,
@@ -130,11 +128,6 @@ def _canonical_pair_copies(g: MultiGraph) -> list[list[int]]:
     return copies
 
 
-def petersen_alpha(g: MultiGraph) -> tuple[Fraction, ...]:
-    """Representation of the edge multiplicities over the six Petersen matchings."""
-    return _petersen_weight_alpha([len(ids) for ids in _canonical_pair_copies(g)])
-
-
 def petersen_solve(g: MultiGraph) -> CoverSolution:
     """Cover a Petersen brick: either all-integer terms or exactly six at +1/2.
 
@@ -183,47 +176,6 @@ def greedy_basis(g: MultiGraph) -> list[tuple[frozenset[int], int]]:
     return basis
 
 
-def _support_is_independent(
-    g: MultiGraph, columns: Sequence[frozenset[int]], x: Sequence[int]
-) -> bool:
-    return terms_independent(g, [columns[j] for j, c in enumerate(x) if c != 0])
-
-
-def _independent_support(
-    g: MultiGraph, columns: Sequence[frozenset[int]], x: list[int]
-) -> Optional[list[int]]:
-    """x, or a sibling integer solution whose support columns are independent.
-
-    Siblings differ by integer kernel vectors of the incidence matrix, so they
-    solve the same system.  A bounded deterministic search ranks candidates by
-    support size, then coefficient mass; None when nothing in range works.
-    """
-    if _support_is_independent(g, columns, x):
-        return x
-    kernel = integer_kernel(incidence_rows(g, columns))[:6]
-    candidates: list[list[int]] = []
-    for z in kernel:
-        for t in range(-4, 5):
-            if t:
-                candidates.append([a + t * b for a, b in zip(x, z)])
-    for za, zb in combinations(kernel, 2):
-        for ta in range(-2, 3):
-            for tb in range(-2, 3):
-                if ta and tb:
-                    candidates.append(
-                        [a + ta * p + tb * q for a, p, q in zip(x, za, zb)]
-                    )
-    best: Optional[tuple[tuple[int, int, tuple[int, ...]], list[int]]] = None
-    for cand in candidates:
-        support = sum(1 for c in cand if c)
-        if support == 0:
-            continue
-        key = (support, sum(abs(c) for c in cand), tuple(cand))
-        if (best is None or key < best[0]) and _support_is_independent(g, columns, cand):
-            best = (key, cand)
-    return best[1] if best else None
-
-
 def brick_solve(g: MultiGraph) -> CoverSolution:
     """All-integer cover of a non-Petersen brick by independent matchings."""
     if bipartition(g) is not None:
@@ -236,12 +188,9 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     while True:
         x = hnf_solve(incidence_rows(g, columns), [1] * g.m)
         if x is not None:
-            repaired = _independent_support(g, columns, x)
-            if repaired is not None:
-                terms = [
-                    (columns[j], Fraction(c)) for j, c in enumerate(repaired) if c != 0
-                ]
-                return exact_cover(g, terms)
+            support = [j for j, c in enumerate(x) if c != 0]
+            if terms_independent(g, [columns[j] for j in support]):
+                return exact_cover(g, [(columns[j], Fraction(x[j])) for j in support])
         added = 0
         for pm in source:
             if pm not in known:

@@ -8,9 +8,8 @@ elimination is the simple, predictable choice.
   the one rank routine, used by every linear independence check.
 * The integer lattice side is a column-style Hermite normal form with the
   unimodular transform recorded, which answers "is b an integer combination
-  of these columns" and, as a byproduct, yields an integer basis of the
-  column kernel.  Pivot choice is deterministic: smallest nonzero absolute
-  value, then lowest column index.
+  of these columns".  Pivot choice is deterministic: smallest nonzero
+  absolute value, then lowest column index.
 """
 
 from __future__ import annotations
@@ -151,15 +150,3 @@ def hnf_solve(matrix: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[lis
         if sum(matrix[i][j] * x[j] for j in range(ncols)) != b[i]:
             raise AssertionError("hnf_solve produced an inexact solution")
     return x
-
-
-def integer_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer basis of {z : M z = 0}: U columns over zero columns of H."""
-    h, u = hnf(matrix)
-    nrows = len(h)
-    ncols = len(h[0]) if nrows else 0
-    basis = []
-    for j in range(ncols):
-        if all(h[i][j] == 0 for i in range(nrows)):
-            basis.append([u[i][j] for i in range(ncols)])
-    return basis

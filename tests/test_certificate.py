@@ -10,7 +10,7 @@ import pytest
 from pmcover import (
     CoverSolution,
     build_certificate,
-    certificate_graph,
+    build_graph,
     certificate_solution,
     deserialize,
     graph_fingerprint,
@@ -20,6 +20,7 @@ from pmcover import (
     verify_cover,
 )
 from pmcover.certificate import CertificateError, FingerprintMismatch
+from pmcover.cli import gen_r_graph
 
 import corpus
 
@@ -133,11 +134,32 @@ def test_fingerprint_depends_on_edge_order():
 def test_certificate_graph_rebuild():
     g = corpus.prism()
     cert, _, _ = _certificate(g)
-    rebuilt = certificate_graph(cert)
+    rebuilt = build_graph(cert.n, list(cert.edges))
     assert rebuilt.vertex_count == g.vertex_count
     assert [tuple(sorted(e)) for e in rebuilt.edges] == [
         tuple(sorted(e)) for e in g.edges
     ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="p and the leaf sizes are read from the tree block (ROADMAP item 3)",
+)
+def test_forged_tree_is_not_accepted():
+    g = gen_r_graph(10, 3, seed=1)
+    cert, _, _ = _certificate(g)
+    data = json.loads(serialize(cert))
+    petersen = {"class": "PetersenBrick", "n": 10, "m": 15}
+    data["tree"] = {
+        "leaves": [petersen] * 5 + [{"class": "OtherBrick", "n": 10, "m": 1000}],
+        "p": 5,
+    }
+    try:
+        report = verify_certificate(g, deserialize(json.dumps(data)))
+    except (CertificateError, FingerprintMismatch):
+        return
+    assert not report.mandatory_ok
 
 
 def test_certificate_solution_is_structural():

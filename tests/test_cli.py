@@ -362,7 +362,18 @@ def test_gen_writes_file_and_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
-def test_gen_rejects_odd_n(capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "5", "3"], "n must be even and at least 2"),
+        (["gen", "10", "0"], "r must be at least 1"),
+        (["enumerate", "-i", "{graph}", "--limit", "-1"], "--limit must be nonnegative"),
+    ],
+    ids=["odd-n", "zero-r", "negative-limit"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    path = _write_graph(tmp_path, corpus.k4())
     with pytest.raises(SystemExit) as info:
-        main(["gen", "5", "3"])
+        main([arg.format(graph=path) for arg in argv])
     assert info.value.code == 2
+    assert message in capsys.readouterr().err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pmcover import CoverSolution, build_graph, exact_cover, terms_independent
+from pmcover import CoverSolution, exact_cover, terms_independent
 from pmcover.cover import from_twice, to_twice
 from pmcover.matchings import enumerate_pms
 
@@ -32,7 +32,7 @@ def test_exact_cover_k4():
     pms = enumerate_pms(g)
     sol = exact_cover(g, [(pm, Fraction(1)) for pm in pms])
     assert sol.support == 3
-    assert sol.is_integral()
+    assert all(c.denominator == 1 for c in sol.coefficients)
     assert sol.coefficient_sum() == 3
     assert sol.inf_norm() == 1
     assert sol.coverage() == [Fraction(1)] * g.m
@@ -80,7 +80,7 @@ def test_halves_accounting():
     sol = exact_cover(g, [(pm, HALF) for pm in pms])
     assert sol.halves_count == 6
     assert sol.halves_exact()
-    assert not sol.is_integral()
+    assert not all(c.denominator == 1 for c in sol.coefficients)
     assert sol.fractional_coefficients() == [HALF] * 6
     assert sol.inf_norm() == HALF
     assert sol.coefficient_sum() == 3

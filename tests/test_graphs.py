@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from pmcover.graphs import (
-    MultiGraph,
     bipartition,
     build_graph,
     components_without,

@@ -1,0 +1,34 @@
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_every_import_is_used():
+    # the package's __init__ imports names only to re-export them
+    package = sorted((ROOT / "src" / "pmcover").glob("*.py"))
+    modules = [p for p in package if p.name != "__init__.py"]
+    modules += sorted((ROOT / "tests").glob("*.py"))
+    assert len(modules) > 15
+    unused = [line for path in modules for line in _unused_imports(path)]
+    assert unused == []

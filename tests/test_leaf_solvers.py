@@ -5,19 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from pmcover import build_graph
+from pmcover import build_graph, leaf_solvers, terms_independent
 from pmcover.leaf_solvers import (
     ClassificationError,
+    _canonical_pair_copies,
     _petersen_weight_alpha,
     brace_solve,
     brick_solve,
     greedy_basis,
-    petersen_alpha,
     petersen_matchings,
     petersen_solve,
 )
 from pmcover.decomposition import canonical_petersen
-from pmcover.matchings import enumerate_pms
 
 import corpus
 import oracles
@@ -59,8 +58,7 @@ def test_petersen_matchings_structure():
 
 
 def test_petersen_alpha_simple_graph_is_all_halves():
-    alpha = petersen_alpha(canonical_petersen())
-    assert list(alpha) == [HALF] * 6
+    assert _petersen_weight_alpha([1] * 15) == (HALF,) * 6
 
 
 def _petersen_host(alpha):
@@ -78,7 +76,8 @@ def _petersen_host(alpha):
 def test_petersen_alpha_integral_host():
     alpha = [Fraction(2), Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)]
     g = _petersen_host(alpha)
-    assert list(petersen_alpha(g)) == alpha
+    weights = [len(ids) for ids in _canonical_pair_copies(g)]
+    assert list(_petersen_weight_alpha(weights)) == alpha
 
 
 def _petersen_weights(alpha):
@@ -129,8 +128,8 @@ def test_petersen_weight_alpha_closed_form_sweep():
 
 
 def test_petersen_alpha_rejects_non_petersen():
-    with pytest.raises(ValueError):
-        petersen_alpha(corpus.prism())
+    with pytest.raises(ValueError, match="not the Petersen graph"):
+        petersen_solve(corpus.prism())
 
 
 def test_petersen_solve_simple():
@@ -192,12 +191,41 @@ def test_brick_solve_triangle_expanded():
     g = corpus.triangle_expanded_petersen()
     sol = brick_solve(g)
     assert sol.coverage() == [Fraction(1)] * g.m
-    assert sol.is_integral()
+    assert all(c.denominator == 1 for c in sol.coefficients)
     # support stays within the independent budget
     assert sol.support <= g.m - g.vertex_count + 1
-    from pmcover import terms_independent
-
     assert terms_independent(g, sol.matchings)
+
+
+def test_brick_solve_adds_matchings_when_the_support_is_dependent(monkeypatch):
+    g = corpus.prism()
+    assert len(greedy_basis(g)) == 3 and len(oracles.all_pms(g)) == 4
+    seen = []
+
+    def reject_first(graph, matchings):
+        seen.append(matchings)
+        return len(seen) > 1 and terms_independent(graph, matchings)
+
+    solves = []
+    real_solve = leaf_solvers.hnf_solve
+
+    def counted_solve(matrix, b):
+        solves.append(len(matrix[0]))
+        return real_solve(matrix, b)
+
+    monkeypatch.setattr(leaf_solvers, "terms_independent", reject_first)
+    monkeypatch.setattr(leaf_solvers, "hnf_solve", counted_solve)
+    sol = brick_solve(g)
+    # one solve over the greedy basis, one after the fourth matching is added
+    assert solves == [3, 4]
+    assert sol.coverage() == [Fraction(1)] * g.m
+    assert terms_independent(g, sol.matchings)
+
+
+def test_brick_solve_raises_when_no_support_is_independent(monkeypatch):
+    monkeypatch.setattr(leaf_solvers, "terms_independent", lambda graph, matchings: False)
+    with pytest.raises(ClassificationError, match="all perfect matchings enumerated"):
+        brick_solve(corpus.k4())
 
 
 def test_brick_solve_rejections():
