@@ -112,8 +112,6 @@ def test_rank_matches_fraction_elimination_on_sign_matrices():
 
 @given(small_matrix())
 @settings(max_examples=200, deadline=None)
-@example([[1, 1, 1]])
-@example([[1, 0], [0, 1]])
 def test_hnf_factorization_property(matrix):
     h, u = hnf(matrix)
     rows, cols = len(matrix), len(matrix[0])
@@ -123,7 +121,17 @@ def test_hnf_factorization_property(matrix):
             assert h[i][j] == sum(matrix[i][k] * u[k][j] for k in range(cols))
     # U unimodular
     assert oracles.integer_det(u) in (1, -1)
-    # H has cols - rank zero columns, and their U columns lie in the kernel of M
+
+
+@given(small_matrix())
+@settings(max_examples=200, deadline=None)
+@example([[1, 1, 1]])
+@example([[1, 0], [0, 1]])
+def test_integer_kernel_property(matrix):
+    # The integer kernel of M is read off its HNF: H has cols - rank zero
+    # columns, and the matching columns of U lie in the kernel of M.
+    h, u = hnf(matrix)
+    rows, cols = len(matrix), len(matrix[0])
     zero = [j for j in range(cols) if all(h[i][j] == 0 for i in range(rows))]
     assert len(zero) == cols - rank(matrix)
     for j in zero:
