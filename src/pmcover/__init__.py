@@ -21,7 +21,7 @@ from .certificate import (
     verify_certificate,
     verify_cover,
 )
-from .cover import CoverSolution, exact_cover, from_twice, terms_independent, to_twice
+from .cover import CoverSolution, exact_cover, terms_independent
 from .decomposition import (
     ContractionMap,
     DecompositionTree,
@@ -95,7 +95,6 @@ __all__ = [
     "enumerate_pms",
     "exact_cover",
     "find_nontrivial_tight_cut",
-    "from_twice",
     "graph_fingerprint",
     "has_perfect_matching",
     "improved_merge",
@@ -111,7 +110,6 @@ __all__ = [
     "serialize",
     "solve_r_graph",
     "terms_independent",
-    "to_twice",
     "validate_perfect_matching",
     "verify_certificate",
     "verify_cover",

@@ -3,22 +3,24 @@
 Verification recomputes every check on the terms from the graph: coverage,
 that each term is a perfect matching, independence, the count of halves, the
 support and the coefficient sum.  It does not re-derive the decomposition:
-the Petersen count p behind the 6p halves bound and the leaf sizes behind the
-norm advisory are read from the decomposition summary (the certificate's
-tree block) as given, so a forged summary can pass; ROADMAP item 3 is the
-fix.  Two bound checks are advisory rather than mandatory.  The m - n + 1
-support bound fails on degenerate all-brace inputs (C4's unique cover has
-support 2 > 1, and the two-vertex graph with r parallel edges needs support
-r > r - 1), and the 2^d norm bound depends on basis choices the solver is
-free to vary.  A verifier must not reject a correct cover over either, so
-both are reported but excluded from mandatory_ok.
+the Petersen count p behind the 6p halves bound, the brick count b behind
+the support advisory and the leaf sizes behind the norm advisory are read
+from the decomposition summary (the certificate's tree block) as given, so a
+forged summary can pass; ROADMAP item 3 is the fix.  Two bound checks are
+therefore advisory rather than mandatory.  The support advisory is
+support <= dim lin(PM) = m - n + 2 - b (Edmonds-Lovasz-Pulleyblank), which
+independent terms always meet once b is trusted; the 2^d norm bound depends
+on basis choices the solver is free to vary.  A verifier must not reject a
+correct cover over either, so both are reported but excluded from
+mandatory_ok.
 
-Certificates are canonical JSON with integers only: coefficients are stored
-doubled (twice_value), so +1/2 is the odd integer 1 and the format is exact.
-The graph block pins down the exact edge_id assignment; verifying a
-certificate against a relabeled graph is detected by fingerprint, not
-repaired.  Leaf summaries carry each leaf's vertex and edge counts so the
-norm advisory is recomputable from the artifact alone.
+Certificates are canonical JSON with integers only.  Coefficients are stored
+doubled (twice_value), exactly as ``CoverSolution`` holds them in memory, so
++1/2 is the odd integer 1 and the format is exact; the report's norm is
+doubled too (twice_inf_norm).  The graph block pins down the exact edge_id
+assignment; verifying a certificate against a relabeled graph is detected by
+fingerprint, not repaired.  Leaf summaries carry each leaf's vertex and edge
+counts so the advisories are recomputable from the artifact alone.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Sequence
 
-from .cover import CoverSolution, from_twice, terms_independent, to_twice
+from .cover import CoverSolution, terms_independent
 from .decomposition import DecompositionTree, LeafClass
 from .graphs import MultiGraph, regular_degree
 from .matchings import validate_perfect_matching
@@ -70,7 +71,7 @@ class VerifyReport:
     support: int
     support_bound_ok: bool
     independent: bool
-    inf_norm: Fraction
+    inf_norm: int  # doubled, like every coefficient
     norm_bound_ok: bool
     coeff_sum_is_r: bool
 
@@ -104,9 +105,13 @@ class Certificate:
 
 
 def _compute_report(
-    g: MultiGraph, sol: CoverSolution, p: int, brick_ds: Sequence[int]
+    g: MultiGraph, sol: CoverSolution, leaves: Sequence[LeafSummary]
 ) -> VerifyReport:
-    """Every check on the solution's terms; the terms must use g's edge ids."""
+    """Every check on the solution's terms; the terms must use g's edge ids.
+
+    The bounds' inputs come from the leaf summaries: p, the brick count b,
+    and d, the largest m - n + 1 over other bricks.
+    """
     each_term_is_pm = True
     for matching in sol.matchings:
         try:
@@ -114,21 +119,26 @@ def _compute_report(
         except ValueError:
             each_term_is_pm = False
             break
+    bricks = [leaf for leaf in leaves if leaf.kind != LeafClass.BRACE.value]
+    p = sum(1 for leaf in bricks if leaf.kind == LeafClass.PETERSEN_BRICK.value)
+    d = max(
+        (leaf.m - leaf.n + 1 for leaf in bricks if leaf.kind == LeafClass.OTHER_BRICK.value),
+        default=0,
+    )
     inf_norm = sol.inf_norm()
-    norm_bound = max((Fraction(2) ** d for d in brick_ds), default=Fraction(1))
     r = regular_degree(g)
     return VerifyReport(
-        coverage_ok=all(s == 1 for s in sol.coverage()),
+        coverage_ok=all(s == 2 for s in sol.coverage()),
         each_term_is_pm=each_term_is_pm,
         halves_count=sol.halves_count,
         halves_exact=sol.halves_exact(),
         halves_bound_ok=sol.halves_count <= 6 * p,
         support=sol.support,
-        support_bound_ok=sol.support <= g.m - g.vertex_count + 1,
+        support_bound_ok=sol.support <= g.m - g.vertex_count + 2 - len(bricks),
         independent=terms_independent(g, sol.matchings),
         inf_norm=inf_norm,
-        norm_bound_ok=inf_norm <= norm_bound,
-        coeff_sum_is_r=r is not None and sol.coefficient_sum() == r,
+        norm_bound_ok=inf_norm <= 2 * 2**d,
+        coeff_sum_is_r=r is not None and sol.coefficient_sum() == 2 * r,
     )
 
 
@@ -139,20 +149,11 @@ def _leaf_summaries(tree: DecompositionTree) -> tuple[LeafSummary, ...]:
     )
 
 
-def _brick_ds(leaves: Sequence[LeafSummary]) -> list[int]:
-    return [
-        leaf.m - leaf.n + 1
-        for leaf in leaves
-        if leaf.kind == LeafClass.OTHER_BRICK.value
-    ]
-
-
 def verify_cover(
     g: MultiGraph, sol: CoverSolution, tree: DecompositionTree
 ) -> VerifyReport:
-    """Recheck every check on the terms; p and the leaf sizes come from tree."""
-    leaves = _leaf_summaries(tree)
-    return _compute_report(g, sol, tree.petersen_count, _brick_ds(leaves))
+    """Recheck every check on the terms; p, b and the leaf sizes come from tree."""
+    return _compute_report(g, sol, _leaf_summaries(tree))
 
 
 def build_certificate(
@@ -162,24 +163,20 @@ def build_certificate(
     if r is None:
         raise ValueError("certificates require a regular graph")
     leaves = _leaf_summaries(tree)
-    p = tree.petersen_count
-    report = _compute_report(g, sol, p, _brick_ds(leaves))
+    report = _compute_report(g, sol, leaves)
     edges = tuple((u, v) if u <= v else (v, u) for u, v in g.edges)
-    terms = tuple(
-        (tuple(sorted(matching)), to_twice(coeff)) for matching, coeff in sol.terms
-    )
+    terms = tuple((tuple(sorted(matching)), twice) for matching, twice in sol.terms)
     return Certificate(
-        n=g.vertex_count, m=g.m, r=r, edges=edges, terms=terms, leaves=leaves, p=p,
-        report=report,
+        n=g.vertex_count, m=g.m, r=r, edges=edges, terms=terms, leaves=leaves,
+        p=tree.petersen_count, report=report,
     )
 
 
 def certificate_solution(g: MultiGraph, cert: Certificate) -> CoverSolution:
     """The certificate's terms as a structural (unvalidated) solution."""
-    terms = tuple(
-        (frozenset(edge_ids), from_twice(twice)) for edge_ids, twice in cert.terms
+    return CoverSolution(
+        g, tuple((frozenset(edge_ids), twice) for edge_ids, twice in cert.terms)
     )
-    return CoverSolution(g, terms)
 
 
 def verify_certificate(g: MultiGraph, cert: Certificate) -> VerifyReport:
@@ -194,7 +191,7 @@ def verify_certificate(g: MultiGraph, cert: Certificate) -> VerifyReport:
         raise FingerprintMismatch(
             "certificate was issued for a different graph or edge labeling"
         )
-    return _compute_report(g, certificate_solution(g, cert), cert.p, _brick_ds(cert.leaves))
+    return _compute_report(g, certificate_solution(g, cert), cert.leaves)
 
 
 def report_as_dict(report: VerifyReport) -> dict[str, Any]:
@@ -207,7 +204,7 @@ def report_as_dict(report: VerifyReport) -> dict[str, Any]:
         "support": report.support,
         "support_bound_ok": report.support_bound_ok,
         "independent": report.independent,
-        "twice_inf_norm": to_twice(report.inf_norm) if report.inf_norm else 0,
+        "twice_inf_norm": report.inf_norm,
         "norm_bound_ok": report.norm_bound_ok,
         "coeff_sum_is_r": report.coeff_sum_is_r,
     }
@@ -340,7 +337,7 @@ def deserialize(text: str) -> Certificate:
         support=_as_int(raw_report.get("support"), "report.support"),
         support_bound_ok=_as_bool(raw_report.get("support_bound_ok"), "report.support_bound_ok"),
         independent=_as_bool(raw_report.get("independent"), "report.independent"),
-        inf_norm=Fraction(twice_norm, 2),
+        inf_norm=twice_norm,
         norm_bound_ok=_as_bool(raw_report.get("norm_bound_ok"), "report.norm_bound_ok"),
         coeff_sum_is_r=_as_bool(raw_report.get("coeff_sum_is_r"), "report.coeff_sum_is_r"),
     )

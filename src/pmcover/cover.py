@@ -1,55 +1,48 @@
 """Weighted perfect-matching covers and their exact invariants.
 
-A cover assigns a nonzero rational coefficient to each of a set of distinct
-perfect matchings so that every edge id is covered with total weight exactly
-one.  Coefficients live in ``fractions.Fraction``; the serialized form stores
-2x as an integer, which is lossless for the integer-or-half class produced by
-the solvers.
+A cover assigns a nonzero coefficient to each of a set of distinct perfect
+matchings so that every edge id is covered with total weight exactly one.
+Every coefficient x is stored doubled, as the Python int t = 2x, in memory
+as in the certificate's ``twice_value``.  The paper's class, integers or
++1/2, is then the ints t with t even or t == 1, so every check is an int
+comparison: each edge sums to 2, and the coefficients of an r-graph's cover
+sum to 2r.
 
 Construction is deliberately two-tier: ``CoverSolution`` itself validates only
 structure (ids in range, coefficients nonzero), so a verifier can load
 untrusted term data and report on it; ``exact_cover`` is the strict factory
 the solvers use, which additionally demands that each term is a perfect
-matching, that no matching repeats, and that the per-edge sums are exactly 1.
+matching, that no matching repeats, and that the per-edge sums are exactly 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graphs import MultiGraph
 from .linalg import rank
 from .matchings import incidence_rows, validate_perfect_matching
 
-HALF = Fraction(1, 2)
 
-
-def to_twice(value: Fraction) -> int:
-    """The integer 2*value; rejects anything outside halves of integers."""
-    doubled = 2 * value
-    if doubled.denominator != 1:
-        raise ValueError(f"coefficient {value} is not a half of an integer")
-    return int(doubled)
-
-
-def from_twice(twice_value: int) -> Fraction:
-    if twice_value == 0:
-        raise ValueError("coefficient must be nonzero")
-    return Fraction(twice_value, 2)
+def in_class(twice: int) -> bool:
+    """Whether the doubled coefficient ``twice`` is an integer or exactly +1/2."""
+    return twice % 2 == 0 or twice == 1
 
 
 @dataclass(frozen=True)
 class CoverSolution:
-    """Terms (matching edge ids, coefficient) over a host graph."""
+    """Terms (matching edge ids, doubled coefficient) over a host graph.
+
+    A term (M, t) puts weight t/2 on every edge of M; t is a nonzero int.
+    """
 
     graph: MultiGraph
-    terms: tuple[tuple[frozenset[int], Fraction], ...]
+    terms: tuple[tuple[frozenset[int], int], ...]
 
     def __post_init__(self) -> None:
-        for edge_ids, coefficient in self.terms:
-            if coefficient == 0:
+        for edge_ids, twice in self.terms:
+            if twice == 0:
                 raise ValueError("zero coefficient in cover term")
             for e in edge_ids:
                 if not 0 <= e < self.graph.m:
@@ -60,38 +53,37 @@ class CoverSolution:
         return tuple(edge_ids for edge_ids, _ in self.terms)
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(c for _, c in self.terms)
+    def coefficients(self) -> tuple[int, ...]:
+        return tuple(t for _, t in self.terms)
 
     @property
     def support(self) -> int:
         return len(self.terms)
 
-    def coverage(self) -> list[Fraction]:
-        """Total coefficient landing on each edge id."""
-        sums = [Fraction(0)] * self.graph.m
-        for edge_ids, coefficient in self.terms:
+    def coverage(self) -> list[int]:
+        """Doubled total coefficient landing on each edge id; 2 on a cover."""
+        sums = [0] * self.graph.m
+        for edge_ids, twice in self.terms:
             for e in edge_ids:
-                sums[e] += coefficient
+                sums[e] += twice
         return sums
 
-    def coefficient_sum(self) -> Fraction:
-        return sum(self.coefficients, Fraction(0))
+    def coefficient_sum(self) -> int:
+        """Doubled sum of the coefficients; 2r on a cover of an r-graph."""
+        return sum(self.coefficients)
 
-    def inf_norm(self) -> Fraction:
-        return max((abs(c) for c in self.coefficients), default=Fraction(0))
-
-    def fractional_coefficients(self) -> list[Fraction]:
-        return [c for c in self.coefficients if c.denominator != 1]
+    def inf_norm(self) -> int:
+        """Doubled largest coefficient magnitude."""
+        return max((abs(t) for t in self.coefficients), default=0)
 
     @property
     def halves_count(self) -> int:
-        """Coefficients equal to +1/2; any other fraction fails halves_exact instead."""
-        return sum(1 for c in self.coefficients if c == HALF)
+        """Coefficients equal to +1/2; any other non-integer fails halves_exact instead."""
+        return sum(1 for t in self.coefficients if t == 1)
 
     def halves_exact(self) -> bool:
-        """Every non-integral coefficient is exactly +1/2."""
-        return all(c == HALF for c in self.fractional_coefficients())
+        """Every coefficient is an integer or exactly +1/2."""
+        return all(in_class(t) for t in self.coefficients)
 
 
 def terms_independent(graph: MultiGraph, matchings: Sequence[frozenset[int]]) -> bool:
@@ -106,10 +98,10 @@ def terms_independent(graph: MultiGraph, matchings: Sequence[frozenset[int]]) ->
 
 
 def exact_cover(
-    graph: MultiGraph, terms: Iterable[tuple[frozenset[int], Fraction]]
+    graph: MultiGraph, terms: Iterable[tuple[frozenset[int], int]]
 ) -> CoverSolution:
-    """Strict constructor: terms must be distinct perfect matchings summing to 1 per edge."""
-    normalized = tuple((frozenset(edge_ids), Fraction(c)) for edge_ids, c in terms)
+    """Strict constructor: distinct perfect matchings whose doubled sums are 2 per edge."""
+    normalized = tuple((frozenset(edge_ids), twice) for edge_ids, twice in terms)
     sol = CoverSolution(graph, normalized)
     seen: set[frozenset[int]] = set()
     for edge_ids, _ in normalized:
@@ -118,6 +110,8 @@ def exact_cover(
             raise ValueError("duplicated matching in cover")
         seen.add(edge_ids)
     for e, total in enumerate(sol.coverage()):
-        if total != 1:
-            raise ValueError(f"edge {e} covered with total weight {total}, expected 1")
+        if total != 2:
+            raise ValueError(
+                f"edge {e} covered with doubled total weight {total}, expected 2"
+            )
     return sol

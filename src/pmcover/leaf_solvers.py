@@ -8,29 +8,30 @@ Three solvers, one per leaf class:
 * Petersen bricks: the six perfect matchings of the Petersen graph are
   linearly independent, every edge lies in exactly two of them, and any two
   share exactly one edge.  So a multiplicity vector w in their span has the
-  closed-form representation alpha_k = (w(M_k) - w(E)/5) / 4, where w(M_k)
-  is the weight on the edges of M_k and w(E) the total weight.  Its entries
-  are all integral or all half-integral; the integral case expands into
-  parallel copies directly, the half case first spends +1/2 on each of the
-  six matchings over one chosen copy of every underlying edge and expands
-  the integer remainder.
+  closed-form representation 2 alpha_k = (5 w(M_k) - w(E)) / 10, where
+  w(M_k) is the weight on the edges of M_k and w(E) the total weight.  Its
+  entries are all integral or all half-integral; the integral case expands
+  into parallel copies directly, the half case first spends +1/2 on each of
+  the six matchings over one chosen copy of every underlying edge and
+  expands the integer remainder.
 * other bricks: the all-ones vector is an integer combination of perfect
   matchings.  Starting from a greedy basis (each matching grabs the lowest
   uncovered edge id), a Hermite-normal-form solve finds an integer solution;
   further matchings are enumerated into the column set, eight at a time,
   until the solve yields one whose support columns are linearly independent.
 
-Coefficients are Fractions throughout; every solver returns through the
-strict cover constructor, so per-edge sums are rechecked exactly.
+Coefficients are doubled ints, as everywhere in the package: a brace term
+is 2, a brick term 2x for the integer x of the lattice solve, a Petersen
+half 1.  Every solver returns through the strict cover constructor, so
+per-edge sums are rechecked exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cover import CoverSolution, HALF, exact_cover, terms_independent
+from .cover import CoverSolution, exact_cover, terms_independent
 from .decomposition import canonical_petersen, petersen_embedding
 from .graphs import MultiGraph, bipartition, regular_degree
 from .linalg import hnf_solve
@@ -61,7 +62,7 @@ def brace_solve(g: MultiGraph) -> CoverSolution:
     remaining: dict[tuple[int, int], list[int]] = {
         pair: list(ids) for pair, ids in g.pair_ids.items()
     }
-    terms: list[tuple[frozenset[int], Fraction]] = []
+    terms: list[tuple[frozenset[int], int]] = []
     for _ in range(r):
         nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
         for (a, b), ids in remaining.items():
@@ -77,7 +78,7 @@ def brace_solve(g: MultiGraph) -> CoverSolution:
             if w < v:
                 continue
             ids.append(remaining[(v, w)].pop(0))
-        terms.append((frozenset(ids), Fraction(1)))
+        terms.append((frozenset(ids), 2))
     if any(ids for ids in remaining.values()):
         raise AssertionError("peeling left edge ids unconsumed")
     return exact_cover(g, terms)
@@ -91,29 +92,30 @@ def petersen_matchings() -> tuple[frozenset[int], ...]:
     return matchings
 
 
-def _petersen_weight_alpha(weights: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """The unique alpha with sum_k alpha_k chi(M_k) = weights on canonical edge ids.
+def _petersen_weight_alpha(weights: Sequence[int]) -> tuple[int, ...]:
+    """The unique alpha with sum_k alpha_k chi(M_k) = weights, doubled.
 
     Every edge lies in two of the matchings, so w(E) = 5 sum(alpha), and any
-    two share one edge, so w(M_k) = 4 alpha_k + sum(alpha).  Rebuilding the
-    weights from alpha catches a vector outside the span.  Checks the shape
-    the solvers rely on: nonnegative, and all six entries integral or all six
-    half-integral.
+    two share one edge, so w(M_k) = 4 alpha_k + sum(alpha); hence
+    2 alpha_k = (5 w(M_k) - w(E)) / 10, which must divide exactly.
+    Rebuilding the weights from alpha catches a vector outside the span.
+    Checks the shape the solvers rely on: nonnegative, and all six entries
+    integral or all six half-integral.
     """
     mats = petersen_matchings()
-    fifth = Fraction(sum(weights), 5)
-    alpha = [(sum(weights[e] for e in mk) - fifth) / 4 for mk in mats]
-    rebuilt = [
-        sum((a for a, mk in zip(alpha, mats) if e in mk), Fraction(0)) for e in range(15)
-    ]
-    if rebuilt != list(weights):
+    total = sum(weights)
+    parts = [divmod(5 * sum(weights[e] for e in mk) - total, 10) for mk in mats]
+    twice_alpha = [twice for twice, _ in parts]
+    rebuilt = [sum(t for t, mk in zip(twice_alpha, mats) if e in mk) for e in range(15)]
+    if any(remainder for _, remainder in parts) or rebuilt != [2 * w for w in weights]:
         raise ValueError("weights are outside the span of the six matchings")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative entry in alpha {alpha}")
-    denominators = {a.denominator for a in alpha}
-    if not (denominators == {1} or denominators == {2}):
-        raise ValueError(f"alpha must be all integral or all half-integral: {alpha}")
-    return tuple(alpha)
+    if any(t < 0 for t in twice_alpha):
+        raise ValueError(f"negative entry in doubled alpha {twice_alpha}")
+    if len({t % 2 for t in twice_alpha}) != 1:
+        raise ValueError(
+            f"alpha must be all integral or all half-integral: doubled {twice_alpha}"
+        )
+    return tuple(twice_alpha)
 
 
 def _canonical_pair_copies(g: MultiGraph) -> list[list[int]]:
@@ -136,22 +138,22 @@ def petersen_solve(g: MultiGraph) -> CoverSolution:
     every underlying edge and the remainder expands integrally.
     """
     copies = _canonical_pair_copies(g)
-    alpha = _petersen_weight_alpha([len(ids) for ids in copies])
+    twice_alpha = _petersen_weight_alpha([len(ids) for ids in copies])
     mats = petersen_matchings()
     consumed = [0] * 15
-    terms: list[tuple[frozenset[int], Fraction]] = []
-    if alpha[0].denominator == 2:
+    terms: list[tuple[frozenset[int], int]] = []
+    if twice_alpha[0] % 2:
         for mk in mats:
-            terms.append((frozenset(copies[e][0] for e in mk), HALF))
+            terms.append((frozenset(copies[e][0] for e in mk), 1))
         consumed = [1] * 15
-        alpha = tuple(a - HALF for a in alpha)
+        twice_alpha = tuple(t - 1 for t in twice_alpha)
     for k, mk in enumerate(mats):
-        for _ in range(int(alpha[k])):
+        for _ in range(twice_alpha[k] // 2):
             ids = []
             for e in mk:
                 ids.append(copies[e][consumed[e]])
                 consumed[e] += 1
-            terms.append((frozenset(ids), Fraction(1)))
+            terms.append((frozenset(ids), 2))
     if any(consumed[e] != len(copies[e]) for e in range(15)):
         raise AssertionError("expansion did not consume every parallel copy")
     return exact_cover(g, terms)
@@ -190,7 +192,7 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
         if x is not None:
             support = [j for j, c in enumerate(x) if c != 0]
             if terms_independent(g, [columns[j] for j in support]):
-                return exact_cover(g, [(columns[j], Fraction(x[j])) for j in support])
+                return exact_cover(g, [(columns[j], 2 * x[j]) for j in support])
         added = 0
         for pm in source:
             if pm not in known:

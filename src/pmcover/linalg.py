@@ -1,6 +1,7 @@
 """Exact linear algebra over the integers.
 
-Everything here works in Python ints; floats and Fractions never appear.
+Everything here works in Python ints, like the rest of the package, whose
+cover coefficients are doubled ints; no rational or float type appears.
 Matrices are dense; the package operates at desk scale where dense exact
 elimination is the simple, predictable choice.
 

@@ -6,6 +6,10 @@ with coefficient sum 1 on both sides, and any coefficient assignment to the
 pairwise unions whose row and column marginals reproduce y and t yields a
 cover of the parent.
 
+Coefficients are doubled ints, as in ``cover``: a group sums to 2, +1/2 is
+1, and every prefix sum below is an int.  Doubling is monotone, so sorting
+doubled values orders terms exactly as sorting the coefficients would.
+
 The classical assignment multiplies coefficients; it can leave the
 integer-or-+1/2 class, e.g. two half/half groups produce quarters.  It is
 kept as a test oracle in ``tests/oracles.py``, with the checks of the
@@ -22,35 +26,34 @@ monotonically, which keeps the union matchings linearly independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .cover import CoverSolution, HALF, exact_cover
+from .cover import CoverSolution, exact_cover, in_class
 from .decomposition import ContractionMap, DecompositionTree, LeafClass, decompose
 from .graphs import Cut, MultiGraph
 from .leaf_solvers import brace_solve, brick_solve, petersen_solve
 
-Term = tuple[frozenset[int], Fraction]
+Term = tuple[frozenset[int], int]
 
 
 @dataclass(frozen=True)
 class SignedSequences:
     """One side of an edge group, split by sign and sorted non-decreasingly.
 
-    Positives carry the coefficient values (halves first, by sorting);
-    negatives carry magnitudes and are always integral for in-class covers.
+    Positives carry doubled coefficient values, so halves (1) sort first;
+    negatives carry doubled magnitudes, always even for in-class covers.
     """
 
     positives: tuple[Term, ...]
     negatives: tuple[Term, ...]
 
     @property
-    def negative_mass(self) -> Fraction:
-        return sum((v for _, v in self.negatives), Fraction(0))
+    def negative_mass(self) -> int:
+        return sum(v for _, v in self.negatives)
 
 
-def _sort_key(term: Term) -> tuple[Fraction, tuple[int, ...]]:
+def _sort_key(term: Term) -> tuple[int, tuple[int, ...]]:
     return term[1], tuple(sorted(term[0]))
 
 
@@ -58,28 +61,23 @@ def signed_split(terms: Sequence[Term]) -> SignedSequences:
     """Split group terms by sign; rejects coefficients outside integers and +1/2."""
     positives: list[Term] = []
     negatives: list[Term] = []
-    for matching, coeff in terms:
-        if coeff.denominator == 1:
-            if coeff > 0:
-                positives.append((matching, coeff))
-            else:
-                negatives.append((matching, -coeff))
-        elif coeff == HALF:
-            positives.append((matching, coeff))
+    for matching, twice in terms:
+        if not in_class(twice):
+            raise ValueError(f"coefficient {twice}/2 is neither integral nor +1/2")
+        if twice > 0:
+            positives.append((matching, twice))
         else:
-            raise ValueError(f"coefficient {coeff} is neither integral nor +1/2")
-    total = sum((v for _, v in positives), Fraction(0)) - sum(
-        (v for _, v in negatives), Fraction(0)
-    )
-    if total != 1:
-        raise ValueError(f"group coefficients sum to {total}, expected 1")
+            negatives.append((matching, -twice))
+    total = sum(v for _, v in positives) - sum(v for _, v in negatives)
+    if total != 2:
+        raise ValueError(f"group coefficients sum to {total}/2, expected 1")
     return SignedSequences(
         tuple(sorted(positives, key=_sort_key)), tuple(sorted(negatives, key=_sort_key))
     )
 
 
-def _augment(side: SignedSequences, delta: Fraction) -> SignedSequences:
-    """Add ``delta`` of negative mass without changing any matching's total.
+def _augment(side: SignedSequences, delta: int) -> SignedSequences:
+    """Add doubled ``delta`` of negative mass without changing any matching's total.
 
     The largest positive entry s is split as (s + delta) - delta when s is
     an integer.  When every positive is a half, splitting would create an
@@ -89,7 +87,7 @@ def _augment(side: SignedSequences, delta: Fraction) -> SignedSequences:
     if not side.positives:
         raise ValueError("cannot balance a group with no positive coefficients")
     key, value = side.positives[-1]
-    if value.denominator == 1:
+    if value % 2 == 0:
         positives = side.positives[:-1] + ((key, value + delta),)
     else:
         positives = side.positives + ((key, delta),)
@@ -112,22 +110,21 @@ def balance_negatives(
     return left, _augment(right, l1 - l2)
 
 
-def pair_sequences(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> list[tuple[int, int, Fraction]]:
-    """Pair two sorted sequences of equal sum by their prefix-sum segments.
+def pair_sequences(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Pair two sorted sequences of doubled values of equal sum by prefix-sum segments.
 
     Emits (i, j, value) with 1-based indices: for each segment between
     consecutive marked prefix sums, i and j are the minimal indices whose
     prefixes reach the segment's right end.  Marginals are exact (entry a_i
     receives total a_i across its triples, likewise b_j), at most
-    len(a) + len(b) - 1 triples appear, and with entries from {1/2} and the
-    positive integers every emitted value stays in that class.
+    len(a) + len(b) - 1 triples appear, and with entries from {1} (a half)
+    and the positive even ints (integers) every emitted value stays in that
+    class.
     """
     for name, seq in (("a", a), ("b", b)):
         if not seq:
             raise ValueError(f"sequence {name} is empty")
-        if any(v <= 0 or (v != HALF and v.denominator != 1) for v in seq):
+        if any(v <= 0 or not in_class(v) for v in seq):
             raise ValueError(f"sequence {name} has an entry outside {{1/2}} and the positive integers")
         if any(x > y for x, y in zip(seq, seq[1:])):
             raise ValueError(f"sequence {name} is not sorted non-decreasingly")
@@ -136,8 +133,8 @@ def pair_sequences(
     if prefix_a[-1] != prefix_b[-1]:
         raise ValueError(f"sums differ: {prefix_a[-1]} vs {prefix_b[-1]}")
     marks = sorted(set(prefix_a) | set(prefix_b))
-    out: list[tuple[int, int, Fraction]] = []
-    prev = Fraction(0)
+    out: list[tuple[int, int, int]] = []
+    prev = 0
     i = j = 0
     for mark in marks:
         while prefix_a[i] < mark:
@@ -145,8 +142,8 @@ def pair_sequences(
         while prefix_b[j] < mark:
             j += 1
         value = mark - prev
-        if value != HALF and value.denominator != 1:
-            raise AssertionError(f"segment value {value} left the coefficient class")
+        if not in_class(value):
+            raise AssertionError(f"segment value {value}/2 left the coefficient class")
         out.append((i + 1, j + 1, value))
         prev = mark
     return out
@@ -191,12 +188,12 @@ def _group_by_cut_edge(
     """Partition child terms by the cut edge their matching crosses."""
     at_contracted = set(solution.graph.incident_ids[cmap.contracted_vertex])
     groups: dict[int, list[Term]] = {e: [] for e in sorted(cut.edge_ids)}
-    for matching, coeff in solution.terms:
+    for matching, twice in solution.terms:
         crossing = [e for e in matching if e in at_contracted]
         if len(crossing) != 1:
             raise ValueError("child matching must cross the contracted vertex once")
         parent_edge = cmap.child_to_parent[crossing[0]]
-        groups[parent_edge].append((matching, coeff))
+        groups[parent_edge].append((matching, twice))
     return groups
 
 
@@ -218,25 +215,25 @@ def improved_merge(
     """
     left_groups = _group_by_cut_edge(left_solution, left_map, cut)
     right_groups = _group_by_cut_edge(right_solution, right_map, cut)
-    combined: dict[frozenset[int], Fraction] = {}
+    combined: dict[frozenset[int], int] = {}
     emitted = 0
     for parent_edge in sorted(cut.edge_ids):
         if not left_groups[parent_edge] or not right_groups[parent_edge]:
             raise ValueError(f"no child matching crosses cut edge {parent_edge}")
-        for matching, coeff in _merge_group(
+        for matching, twice in _merge_group(
             left_groups[parent_edge],
             right_groups[parent_edge],
             left_map,
             right_map,
         ):
             emitted += 1
-            combined[matching] = combined.get(matching, Fraction(0)) + coeff
+            combined[matching] = combined.get(matching, 0) + twice
     if emitted != len(combined):
         raise AssertionError("distinct group pairings produced the same union matching")
     terms = [(m, c) for m, c in combined.items() if c != 0]
-    for _, coeff in terms:
-        if coeff != HALF and coeff.denominator != 1:
-            raise AssertionError(f"merged coefficient {coeff} left the class")
+    for _, twice in terms:
+        if not in_class(twice):
+            raise AssertionError(f"merged coefficient {twice}/2 left the class")
     return exact_cover(g, terms)
 
 

@@ -11,7 +11,10 @@ to check that an HNF transform is unimodular, is computed fraction-free.
 The merge oracles at the end re-check a solved decomposition tree node by
 node with the library's public checks (r-graph test, perfect-matching
 search, rank), plus the classical product rule for merging child covers,
-which is exact but can leave the integer-or-+1/2 class.
+which is exact but can leave the integer-or-+1/2 class.  The library keeps
+coefficients doubled, as ints; the oracles halve them into Fractions and
+check edge sums of 1, so a quarter from the product rule stays
+representable and the sums are not checked in the library's own units.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from pmcover import (
     Cut,
     DecompositionTree,
     MultiGraph,
-    exact_cover,
     is_r_graph,
     pm_containing_edges,
     regular_degree,
@@ -181,6 +183,11 @@ def assert_matching_covered(g: MultiGraph) -> None:
             raise RuntimeError(f"edge {e} lies in no perfect matching")
 
 
+def halved(terms) -> list[tuple[frozenset[int], Fraction]]:
+    """The library's (matching, doubled coefficient) terms with the true coefficients."""
+    return [(matching, Fraction(twice, 2)) for matching, twice in terms]
+
+
 def edge_sums_are_one(g: MultiGraph, terms) -> bool:
     """Whether the (matching, coefficient) terms put total weight 1 on every edge."""
     sums = [Fraction(0)] * g.m
@@ -193,9 +200,9 @@ def edge_sums_are_one(g: MultiGraph, terms) -> bool:
 def _terms_by_cut_edge(
     solution: CoverSolution, cmap: ContractionMap, cut: Cut
 ) -> dict[int, list[tuple[frozenset[int], Fraction]]]:
-    """Child terms grouped by the one parent cut edge each matching uses."""
+    """Child terms, with true coefficients, grouped by the one parent cut edge each uses."""
     groups: dict[int, list[tuple[frozenset[int], Fraction]]] = {e: [] for e in cut.edge_ids}
-    for matching, coeff in solution.terms:
+    for matching, coeff in halved(solution.terms):
         crossing = cmap.lift_edges(matching) & cut.edge_ids
         assert len(crossing) == 1, "a child matching must use exactly one cut edge"
         groups[min(crossing)].append((matching, coeff))
@@ -203,17 +210,18 @@ def _terms_by_cut_edge(
 
 
 def product_merge(
-    g: MultiGraph,
     cut: Cut,
     left_solution: CoverSolution,
     right_solution: CoverSolution,
     left_map: ContractionMap,
     right_map: ContractionMap,
-) -> CoverSolution:
+) -> list[tuple[frozenset[int], Fraction]]:
     """The classical product rule: exact, but not class-preserving.
 
     Every pair of child matchings through the same cut edge becomes one
-    parent matching whose coefficient is the product of theirs.
+    parent matching whose coefficient is the product of theirs.  The terms
+    carry true coefficients, quarters included; ``edge_sums_are_one``
+    checks them.
     """
     left_groups = _terms_by_cut_edge(left_solution, left_map, cut)
     right_groups = _terms_by_cut_edge(right_solution, right_map, cut)
@@ -225,7 +233,7 @@ def product_merge(
                     right_matching
                 )
                 combined[union] = combined.get(union, Fraction(0)) + y * t
-    return exact_cover(g, [(m, c) for m, c in combined.items() if c != 0])
+    return [(m, c) for m, c in combined.items() if c != 0]
 
 
 def assert_solved_tree(tree: DecompositionTree) -> int:
@@ -245,8 +253,8 @@ def assert_solved_tree(tree: DecompositionTree) -> int:
         g, cover = node.graph, node.solution
         assert is_r_graph(g).ok, "a decomposition node is not an r-graph"
         assert_matching_covered(g)
-        assert edge_sums_are_one(g, cover.terms), "a node cover misses an edge sum"
-        assert cover.coefficient_sum() == regular_degree(g), "coefficient sum is not r"
+        assert edge_sums_are_one(g, halved(cover.terms)), "a node cover misses an edge sum"
+        assert cover.coefficient_sum() == 2 * regular_degree(g), "coefficient sum is not r"
         if not node.is_leaf:
             left, right = node.left.solution, node.right.solution
             assert cover.support <= left.support + right.support, "support grew in the merge"
@@ -256,8 +264,8 @@ def assert_solved_tree(tree: DecompositionTree) -> int:
             assert cover.halves_count <= left.halves_count + right.halves_count, (
                 "count of halves grew in the merge"
             )
-            product_rule = product_merge(g, node.cut, left, right, node.left_map, node.right_map)
-            assert edge_sums_are_one(g, product_rule.terms), "the product rule is not exact"
+            product_rule = product_merge(node.cut, left, right, node.left_map, node.right_map)
+            assert edge_sums_are_one(g, product_rule), "the product rule is not exact"
             internal += 1
             stack.extend((node.left, node.right))
         assert terms_independent(g, cover.matchings), "a node cover is dependent"

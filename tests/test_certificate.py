@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,11 +19,10 @@ from pmcover import (
     verify_cover,
 )
 from pmcover.certificate import CertificateError, FingerprintMismatch
+from pmcover.decomposition import LeafClass
 from pmcover.cli import gen_r_graph
 
 import corpus
-
-HALF = Fraction(1, 2)
 
 
 def _certificate(g):
@@ -39,7 +37,7 @@ def test_verify_cover_petersen_frozen():
     assert report.mandatory_ok
     assert report.halves_count == 6
     assert report.support == 6 == g.m - g.vertex_count + 1
-    assert report.inf_norm == HALF
+    assert report.inf_norm == 1  # doubled: the norm is 1/2
     assert report.support_bound_ok and report.norm_bound_ok
 
 
@@ -50,13 +48,24 @@ def test_verify_cover_k4_frozen():
     assert report.mandatory_ok
     assert report.halves_count == 0
     assert report.support == 3
-    assert report.inf_norm == 1
+    assert report.inf_norm == 2  # doubled: the norm is 1
+
+
+def test_support_advisory_holds_on_the_corpus():
+    # dim lin(PM) = m - n + 2 - b (Edmonds-Lovasz-Pulleyblank), b the brick
+    # count; the braces C4 and C6 have b = 0 and covers of support 2
+    for name, g in corpus.structured_instances():
+        sol, tree = solve_r_graph(g)
+        report = verify_cover(g, sol, tree)
+        b = sum(1 for leaf in tree.leaves() if leaf.leaf_class is not LeafClass.BRACE)
+        assert report.support_bound_ok, name
+        assert report.support <= g.m - g.vertex_count + 2 - b, name
 
 
 def test_tampered_coefficient_fails_coverage():
     g = corpus.k4()
     sol, tree = solve_r_graph(g)
-    tampered = ((sol.terms[0][0], Fraction(2)),) + sol.terms[1:]
+    tampered = ((sol.terms[0][0], 4),) + sol.terms[1:]
     report = verify_cover(g, CoverSolution(g, tampered), tree)
     assert not report.coverage_ok
     assert not report.mandatory_ok
@@ -78,9 +87,38 @@ K4_CERTIFICATE = """{
 """
 
 
-def test_serialize_layout_is_pinned():
-    cert, _, _ = _certificate(corpus.k4())
-    assert serialize(cert) == K4_CERTIFICATE
+K33_BRICK_SPLICE_CERTIFICATE = """{
+  "graph": {"n":16,"m":24,"r":3,"edges":[[0,1],[1,2],[0,5],[1,6],[2,7],[3,5],[5,7],[4,7],[4,6],[3,6],[2,9],[3,10],[8,9],[9,10],[8,10],[11,13],[11,14],[11,15],[12,13],[12,14],[12,15],[0,13],[4,14],[8,15]]},
+  "terms": [{"edges":[1,6,8,11,12,16,20,21],"twice_value":2},{"edges":[0,6,9,10,14,17,18,22],"twice_value":2},{"edges":[0,4,5,8,13,15,19,23],"twice_value":2},{"edges":[2,3,7,10,11,15,19,23],"twice_value":2},{"edges":[0,6,8,10,11,15,19,23],"twice_value":-2}],
+  "tree": {"leaves":[{"class":"OtherBrick","n":12,"m":18},{"class":"Brace","n":6,"m":9}],"p":0},
+  "report": {"coverage_ok":true,"each_term_is_pm":true,"halves_count":0,"halves_exact":true,"halves_bound_ok":true,"support":5,"support_bound_ok":true,"independent":true,"twice_inf_norm":2,"norm_bound_ok":true,"coeff_sum_is_r":true}
+}
+"""
+
+
+DOUBLE_PETERSEN_SPLICE_CERTIFICATE = """{
+  "graph": {"n":22,"m":33,"r":3,"edges":[[0,1],[1,2],[2,3],[0,5],[1,6],[2,7],[3,8],[4,6],[6,8],[5,8],[5,7],[4,7],[9,10],[10,11],[11,12],[9,14],[10,15],[11,16],[12,17],[13,15],[15,17],[14,17],[14,16],[13,16],[18,19],[18,20],[18,21],[0,19],[3,20],[4,21],[9,19],[12,20],[13,21]]},
+  "terms": [{"edges":[1,6,7,10,12,17,19,21,26,27,31],"twice_value":1},{"edges":[2,4,9,11,13,15,20,23,26,27,31],"twice_value":1},{"edges":[0,5,7,9,12,14,20,22,24,28,32],"twice_value":1},{"edges":[1,3,8,11,15,16,17,18,24,28,32],"twice_value":1},{"edges":[0,2,8,10,13,18,19,22,25,29,30],"twice_value":1},{"edges":[3,4,5,6,14,16,21,23,25,29,30],"twice_value":1}],
+  "tree": {"leaves":[{"class":"PetersenBrick","n":10,"m":15},{"class":"PetersenBrick","n":10,"m":15},{"class":"Brace","n":6,"m":9}],"p":2},
+  "report": {"coverage_ok":true,"each_term_is_pm":true,"halves_count":6,"halves_exact":true,"halves_bound_ok":true,"support":6,"support_bound_ok":true,"independent":true,"twice_inf_norm":1,"norm_bound_ok":true,"coeff_sum_is_r":true}
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "graph, expected",
+    [
+        (corpus.k4, K4_CERTIFICATE),
+        # an integral cover with a -1 term
+        (corpus.k33_brick_splice, K33_BRICK_SPLICE_CERTIFICATE),
+        # six halves carried up from two Petersen leaves
+        (corpus.double_petersen_splice, DOUBLE_PETERSEN_SPLICE_CERTIFICATE),
+    ],
+    ids=["k4", "k33_brick_splice", "double_petersen_splice"],
+)
+def test_serialize_layout_is_pinned(graph, expected):
+    cert, _, _ = _certificate(graph())
+    assert serialize(cert) == expected
 
 
 def test_readme_shows_the_petersen_certificate_exactly():

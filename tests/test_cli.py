@@ -196,27 +196,34 @@ def test_verify_report_for_a_coefficient_outside_the_class(tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     assert main(["solve", "-i", graph_path, "-o", cert_path]) == 0
     capsys.readouterr()
+    solved = json.loads(open(cert_path).read())
 
-    data = json.loads(open(cert_path).read())
-    data["terms"][0]["twice_value"] = 3  # coefficient 1/2 -> 3/2
-    with open(cert_path, "w") as handle:
-        json.dump(data, handle)
-
-    assert main(["verify", "-i", graph_path, cert_path, "--format", "json"]) == 1
-    assert json.loads(capsys.readouterr().out) == {
+    common = {
         "coverage_ok": False,
         "each_term_is_pm": True,
-        "halves_count": 5,  # 3/2 is fractional but not a half
+        "halves_count": 5,  # the tampered term is no longer a +1/2
         "halves_exact": False,
         "halves_bound_ok": True,
         "support": 6,
         "support_bound_ok": True,
         "independent": True,
-        "twice_inf_norm": 3,
-        "norm_bound_ok": False,
         "coeff_sum_is_r": False,
         "mandatory_ok": False,
     }
+    # coefficient 1/2 -> 3/2, which also breaks the norm advisory, and
+    # 1/2 -> -1/2, which only a sign test tells apart from +1/2
+    for twice, twice_inf_norm, norm_bound_ok in ((3, 3, False), (-1, 1, True)):
+        data = json.loads(json.dumps(solved))
+        data["terms"][0]["twice_value"] = twice
+        with open(cert_path, "w") as handle:
+            json.dump(data, handle)
+
+        assert main(["verify", "-i", graph_path, cert_path, "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            **common,
+            "twice_inf_norm": twice_inf_norm,
+            "norm_bound_ok": norm_bound_ok,
+        }, twice
 
 
 def test_verify_detects_tampering(tmp_path, capsys):
@@ -234,6 +241,90 @@ def test_verify_detects_tampering(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "coverage_ok: false" in out
     assert "mandatory_ok: false" in out
+
+
+K33_BRICK_SPLICE_REPORT = """coverage_ok: true
+each_term_is_pm: true
+halves_count: 0
+halves_exact: true
+halves_bound_ok: true
+support: 5
+support_bound_ok: true
+independent: true
+twice_inf_norm: 2
+norm_bound_ok: true
+coeff_sum_is_r: true
+mandatory_ok: true
+"""
+
+K33_BRICK_SPLICE_REPORT_JSON = """{
+  "coverage_ok": true,
+  "each_term_is_pm": true,
+  "halves_count": 0,
+  "halves_exact": true,
+  "halves_bound_ok": true,
+  "support": 5,
+  "support_bound_ok": true,
+  "independent": true,
+  "twice_inf_norm": 2,
+  "norm_bound_ok": true,
+  "coeff_sum_is_r": true,
+  "mandatory_ok": true
+}
+"""
+
+DOUBLE_PETERSEN_SPLICE_REPORT = """coverage_ok: true
+each_term_is_pm: true
+halves_count: 6
+halves_exact: true
+halves_bound_ok: true
+support: 6
+support_bound_ok: true
+independent: true
+twice_inf_norm: 1
+norm_bound_ok: true
+coeff_sum_is_r: true
+mandatory_ok: true
+"""
+
+DOUBLE_PETERSEN_SPLICE_REPORT_JSON = """{
+  "coverage_ok": true,
+  "each_term_is_pm": true,
+  "halves_count": 6,
+  "halves_exact": true,
+  "halves_bound_ok": true,
+  "support": 6,
+  "support_bound_ok": true,
+  "independent": true,
+  "twice_inf_norm": 1,
+  "norm_bound_ok": true,
+  "coeff_sum_is_r": true,
+  "mandatory_ok": true
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "graph, text, json_text",
+    [
+        (corpus.k33_brick_splice, K33_BRICK_SPLICE_REPORT, K33_BRICK_SPLICE_REPORT_JSON),
+        (
+            corpus.double_petersen_splice,
+            DOUBLE_PETERSEN_SPLICE_REPORT,
+            DOUBLE_PETERSEN_SPLICE_REPORT_JSON,
+        ),
+    ],
+    ids=["k33_brick_splice", "double_petersen_splice"],
+)
+def test_verify_output_is_pinned(tmp_path, capsys, graph, text, json_text):
+    graph_path = _write_graph(tmp_path, graph())
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["solve", "-i", graph_path, "-o", cert_path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "-i", graph_path, cert_path]) == 0
+    assert capsys.readouterr().out == text
+    assert main(["verify", "-i", graph_path, cert_path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == json_text
 
 
 def test_verify_reports_a_term_that_is_not_a_perfect_matching(tmp_path, capsys):

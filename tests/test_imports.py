@@ -32,3 +32,25 @@ def test_every_import_is_used():
     assert len(modules) > 15
     unused = [line for path in modules for line in _unused_imports(path)]
     assert unused == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_package_does_not_import_fractions():
+    # coefficients are doubled ints end to end; a rational type in the
+    # package would bring back a second representation
+    package = sorted((ROOT / "src" / "pmcover").glob("*.py"))
+    assert len(package) > 5
+    offenders = [
+        str(path.relative_to(ROOT)) for path in package if "fractions" in _imported_modules(path)
+    ]
+    assert offenders == []

@@ -21,16 +21,14 @@ from pmcover.decomposition import canonical_petersen
 import corpus
 import oracles
 
-HALF = Fraction(1, 2)
-
 
 def test_brace_solve_peels_unit_coefficients():
     for g, r in ((corpus.c6(), 2), (corpus.k33(), 3), (corpus.cube(), 3),
                  (corpus.doubled_c4(), 4), (corpus.parallel_pair(5), 5)):
         sol = brace_solve(g)
         assert len(sol.terms) == r
-        assert all(c == 1 for _, c in sol.terms)
-        assert sol.coverage() == [Fraction(1)] * g.m
+        assert all(c == 2 for _, c in sol.terms)
+        assert sol.coverage() == [2] * g.m
 
 
 def test_brace_solve_c6_frozen():
@@ -58,34 +56,30 @@ def test_petersen_matchings_structure():
 
 
 def test_petersen_alpha_simple_graph_is_all_halves():
-    assert _petersen_weight_alpha([1] * 15) == (HALF,) * 6
+    assert _petersen_weight_alpha([1] * 15) == (1,) * 6
 
 
-def _petersen_host(alpha):
-    """Multigraph with edge multiplicities given by sum of alpha over matchings."""
+def _petersen_weights(twice_alpha):
+    """sum_k alpha_k chi(M_k) on the canonical edge ids, from doubled alpha."""
     matchings = petersen_matchings()
-    base = canonical_petersen()
+    twice = [sum(t for t, m in zip(twice_alpha, matchings) if e in m) for e in range(15)]
+    assert all(w % 2 == 0 for w in twice)
+    return [w // 2 for w in twice]
+
+
+def _petersen_host(twice_alpha):
+    """Multigraph with edge multiplicities given by sum of alpha over matchings."""
     pairs = []
-    for e, (u, v) in enumerate(base.edges):
-        weight = sum(a for a, m in zip(alpha, matchings) if e in m)
-        assert weight.denominator == 1
-        pairs.extend([(u, v)] * int(weight))
+    for (u, v), weight in zip(canonical_petersen().edges, _petersen_weights(twice_alpha)):
+        pairs.extend([(u, v)] * weight)
     return build_graph(10, pairs)
 
 
 def test_petersen_alpha_integral_host():
-    alpha = [Fraction(2), Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)]
-    g = _petersen_host(alpha)
+    twice_alpha = [4, 2, 2, 2, 2, 2]
+    g = _petersen_host(twice_alpha)
     weights = [len(ids) for ids in _canonical_pair_copies(g)]
-    assert list(_petersen_weight_alpha(weights)) == alpha
-
-
-def _petersen_weights(alpha):
-    """sum_k alpha_k chi(M_k) on the canonical edge ids."""
-    matchings = petersen_matchings()
-    return [
-        sum((a for a, m in zip(alpha, matchings) if e in m), Fraction(0)) for e in range(15)
-    ]
+    assert list(_petersen_weight_alpha(weights)) == twice_alpha
 
 
 # +1 on edges 1-2 and 1-6, -1 on edges 0-4 and 0-5: orthogonal to all six
@@ -99,8 +93,8 @@ def test_petersen_weight_alpha_closed_form_sweep():
     rows = [[1 if e in m else 0 for m in matchings] for e in range(15)]
     assert all(sum(ORTHOGONAL[e] for e in m) == 0 for m in matchings)
     for _ in range(300):
-        shift = rng.choice([Fraction(0), HALF])
-        alpha = [Fraction(rng.randint(0, 5)) + shift for _ in range(6)]
+        shift = rng.choice([0, 1])
+        alpha = [2 * rng.randint(0, 5) + shift for _ in range(6)]
         assert _petersen_weight_alpha(_petersen_weights(alpha)) == tuple(alpha)
 
         # the closed form maps this to the valid alpha above; only rebuilding
@@ -110,14 +104,22 @@ def test_petersen_weight_alpha_closed_form_sweep():
             _petersen_weight_alpha(off_span)
 
         negative = list(alpha)
-        negative[rng.randrange(6)] = -1 - shift
+        negative[rng.randrange(6)] = -2 - shift
         with pytest.raises(ValueError, match="negative"):
             _petersen_weight_alpha(_petersen_weights(negative))
 
+        # any two matchings share exactly one edge, whose weight is the sum
+        # of their alphas, so integer weights force all six alphas to one
+        # parity; only half-integral weights reach the parity check
         mixed = list(alpha)
-        mixed[rng.randrange(6)] += HALF
+        mixed[rng.randrange(6)] += 1
+        halves = [
+            Fraction(sum(t for t, m in zip(mixed, matchings) if e in m), 2)
+            for e in range(15)
+        ]
+        assert any(w.denominator == 2 for w in halves)
         with pytest.raises(ValueError, match="all integral or all half-integral"):
-            _petersen_weight_alpha(_petersen_weights(mixed))
+            _petersen_weight_alpha(halves)
 
         # a random integer vector is almost never in the six-dimensional span
         weights = [rng.randint(0, 6) for _ in range(15)]
@@ -135,28 +137,26 @@ def test_petersen_alpha_rejects_non_petersen():
 def test_petersen_solve_simple():
     sol = petersen_solve(canonical_petersen())
     assert len(sol.terms) == 6
-    assert all(c == HALF for _, c in sol.terms)
-    assert sol.coverage() == [Fraction(1)] * 15
+    assert all(c == 1 for _, c in sol.terms)
+    assert sol.coverage() == [2] * 15
 
 
 def test_petersen_solve_integral_host():
-    alpha = [Fraction(2), Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)]
-    g = _petersen_host(alpha)
+    g = _petersen_host([4, 2, 2, 2, 2, 2])
     sol = petersen_solve(g)
     assert len(sol.terms) == 7
-    assert all(c == 1 for _, c in sol.terms)
-    assert sol.coverage() == [Fraction(1)] * g.m
+    assert all(c == 2 for _, c in sol.terms)
+    assert sol.coverage() == [2] * g.m
     assert sol.halves_count == 0
 
 
 def test_petersen_solve_half_host():
-    alpha = [Fraction(3, 2), HALF, HALF, HALF, HALF, HALF]
-    g = _petersen_host(alpha)
+    g = _petersen_host([3, 1, 1, 1, 1, 1])
     sol = petersen_solve(g)
     assert sol.halves_count == 6
-    integral = [(m, c) for m, c in sol.terms if c.denominator == 1]
-    assert len(integral) == 1 and integral[0][1] == 1
-    assert sol.coverage() == [Fraction(1)] * g.m
+    integral = [(m, c) for m, c in sol.terms if c % 2 == 0]
+    assert len(integral) == 1 and integral[0][1] == 2
+    assert sol.coverage() == [2] * g.m
 
 
 def test_greedy_basis_prism_frozen():
@@ -177,21 +177,21 @@ def test_greedy_basis_names_uncoverable_edge():
 def test_brick_solve_k4():
     sol = brick_solve(corpus.k4())
     assert sorted(sorted(m) for m, _ in sol.terms) == [[0, 5], [1, 4], [2, 3]]
-    assert all(c == 1 for _, c in sol.terms)
+    assert all(c == 2 for _, c in sol.terms)
 
 
 def test_brick_solve_prism():
     sol = brick_solve(corpus.prism())
     assert len(sol.terms) == 3
-    assert all(c == 1 for _, c in sol.terms)
-    assert sol.coverage() == [Fraction(1)] * 9
+    assert all(c == 2 for _, c in sol.terms)
+    assert sol.coverage() == [2] * 9
 
 
 def test_brick_solve_triangle_expanded():
     g = corpus.triangle_expanded_petersen()
     sol = brick_solve(g)
-    assert sol.coverage() == [Fraction(1)] * g.m
-    assert all(c.denominator == 1 for c in sol.coefficients)
+    assert sol.coverage() == [2] * g.m
+    assert all(c % 2 == 0 for c in sol.coefficients)
     # support stays within the independent budget
     assert sol.support <= g.m - g.vertex_count + 1
     assert terms_independent(g, sol.matchings)
@@ -218,7 +218,7 @@ def test_brick_solve_adds_matchings_when_the_support_is_dependent(monkeypatch):
     sol = brick_solve(g)
     # one solve over the greedy basis, one after the fourth matching is added
     assert solves == [3, 4]
-    assert sol.coverage() == [Fraction(1)] * g.m
+    assert sol.coverage() == [2] * g.m
     assert terms_independent(g, sol.matchings)
 
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +20,6 @@ from pmcover.merge import (
 import corpus
 import oracles
 
-HALF = Fraction(1, 2)
-
 
 def _keys(n):
     return [frozenset({100 + i}) for i in range(n)]
@@ -31,38 +27,40 @@ def _keys(n):
 
 def test_signed_split_sorts_and_validates():
     a, b, c, d = _keys(4)
-    seqs = signed_split([(a, Fraction(1)), (b, Fraction(-1)), (c, HALF), (d, HALF)])
-    assert [v for _, v in seqs.positives] == [HALF, HALF, Fraction(1)]
-    assert [v for _, v in seqs.negatives] == [Fraction(1)]
-    assert seqs.negative_mass == 1
+    seqs = signed_split([(a, 2), (b, -2), (c, 1), (d, 1)])
+    assert [v for _, v in seqs.positives] == [1, 1, 2]
+    assert [v for _, v in seqs.negatives] == [2]
+    assert seqs.negative_mass == 2
 
 
 def test_signed_split_rejects_out_of_class():
     a, b = _keys(2)
+    # doubled ints cannot hold 1/3 + 2/3 at all; 3/2 and -1/2 are the odd
+    # doubled values besides +1/2
     with pytest.raises(ValueError, match="neither integral nor"):
-        signed_split([(a, Fraction(1, 3)), (b, Fraction(2, 3))])
+        signed_split([(a, 3), (b, -1)])
     with pytest.raises(ValueError, match="neither integral nor"):
-        signed_split([(a, Fraction(3, 2)), (b, Fraction(-1, 2))])
+        signed_split([(a, -1), (b, 3)])
     with pytest.raises(ValueError, match="sum"):
-        signed_split([(a, Fraction(2))])
+        signed_split([(a, 4)])
 
 
 def test_balance_negatives_worked_example():
     a, b, c, d = _keys(4)
-    left = signed_split([(a, Fraction(2)), (b, Fraction(-1))])
-    right = signed_split([(c, Fraction(3)), (d, Fraction(-2))])
+    left = signed_split([(a, 4), (b, -2)])
+    right = signed_split([(c, 6), (d, -4)])
     new_left, new_right = balance_negatives(left, right)
     assert new_right == right
-    assert [v for _, v in new_left.positives] == [Fraction(3)]
+    assert [v for _, v in new_left.positives] == [6]
     assert new_left.positives[0][0] == a
-    assert [v for _, v in new_left.negatives] == [Fraction(1), Fraction(1)]
+    assert [v for _, v in new_left.negatives] == [2, 2]
     assert {k for k, _ in new_left.negatives} == {a, b}
 
 
 def test_balance_negatives_no_op_when_equal():
     a, b, c, d = _keys(4)
-    left = signed_split([(a, Fraction(2)), (b, Fraction(-1))])
-    right = signed_split([(c, Fraction(2)), (d, Fraction(-1))])
+    left = signed_split([(a, 4), (b, -2)])
+    right = signed_split([(c, 4), (d, -2)])
     assert balance_negatives(left, right) == (left, right)
 
 
@@ -70,58 +68,47 @@ def test_balance_negatives_all_halves_corner():
     # largest positive is 1/2: splitting it would leave the class, so a
     # +delta/-delta pair is appended on the largest half's key instead
     keys = _keys(6)
-    left_terms = [(keys[i], HALF) for i in range(4)] + [(keys[4], Fraction(-1))]
-    right_terms = [(keys[5], Fraction(3)), (_keys(7)[6], Fraction(-2))]
+    left_terms = [(keys[i], 1) for i in range(4)] + [(keys[4], -2)]
+    right_terms = [(keys[5], 6), (_keys(7)[6], -4)]
     left, right = balance_negatives(signed_split(left_terms), signed_split(right_terms))
-    assert [v for _, v in left.positives] == [HALF, HALF, HALF, HALF, Fraction(1)]
-    assert [v for _, v in left.negatives] == [Fraction(1), Fraction(1)]
+    assert [v for _, v in left.positives] == [1, 1, 1, 1, 2]
+    assert [v for _, v in left.negatives] == [2, 2]
     # the duplicated key keeps its overall weight
     dup = left.positives[-1][0]
     total = sum(v for k, v in left.positives if k == dup) - sum(
         v for k, v in left.negatives if k == dup
     )
-    assert total == HALF
-    assert all(v == HALF or v.denominator == 1 for _, v in left.positives)
+    assert total == 1
+    assert all(v == 1 or v % 2 == 0 for _, v in left.positives)
 
 
 def test_balance_rejects_empty_positives():
     empty = SignedSequences((), ())
     with pytest.raises(ValueError):
-        balance_negatives(
-            empty, signed_split([(_keys(1)[0], Fraction(2)), (_keys(2)[1], Fraction(-1))])
-        )
+        balance_negatives(empty, signed_split([(_keys(1)[0], 4), (_keys(2)[1], -2)]))
 
 
 def test_pair_sequences_frozen_examples():
-    assert pair_sequences([Fraction(3)], [Fraction(1), Fraction(2)]) == [
-        (1, 1, Fraction(1)),
-        (1, 2, Fraction(2)),
-    ]
-    assert pair_sequences([Fraction(1), Fraction(2)], [Fraction(1), Fraction(2)]) == [
-        (1, 1, Fraction(1)),
-        (2, 2, Fraction(2)),
-    ]
-    assert pair_sequences([HALF, HALF, Fraction(1)], [HALF, HALF, Fraction(1)]) == [
-        (1, 1, HALF),
-        (2, 2, HALF),
-        (3, 3, Fraction(1)),
-    ]
+    assert pair_sequences([6], [2, 4]) == [(1, 1, 2), (1, 2, 4)]
+    assert pair_sequences([2, 4], [2, 4]) == [(1, 1, 2), (2, 2, 4)]
+    assert pair_sequences([1, 1, 2], [1, 1, 2]) == [(1, 1, 1), (2, 2, 1), (3, 3, 2)]
 
 
 def test_pair_sequences_rejections():
     with pytest.raises(ValueError, match="sums differ"):
-        pair_sequences([Fraction(1)], [Fraction(2)])
+        pair_sequences([2], [4])
     with pytest.raises(ValueError, match="not sorted"):
-        pair_sequences([Fraction(2), Fraction(1)], [Fraction(3)])
+        pair_sequences([4, 2], [6])
     with pytest.raises(ValueError, match="empty"):
-        pair_sequences([], [Fraction(1)])
+        pair_sequences([], [2])
     with pytest.raises(ValueError, match="outside"):
-        pair_sequences([Fraction(3, 2)], [Fraction(3, 2)])
+        pair_sequences([3], [3])
     with pytest.raises(ValueError, match="outside"):
-        pair_sequences([Fraction(-1), Fraction(2)], [Fraction(1)])
+        pair_sequences([-2, 4], [2])
 
 
-entry = st.sampled_from([HALF, Fraction(1), Fraction(2), Fraction(3)])
+# doubled values: a half, then the integers 1, 2 and 3
+entry = st.sampled_from([1, 2, 4, 6])
 
 
 @given(st.lists(entry, min_size=1, max_size=8), st.lists(entry, min_size=1, max_size=8))
@@ -134,19 +121,19 @@ def test_pair_sequences_properties(a, b):
     diff = abs(total_a - total_b)
     if diff != 0:
         shorter = a if total_a < total_b else b
-        if diff.denominator != 1:
-            shorter.append(HALF)
-            diff -= HALF
+        if diff % 2:
+            shorter.append(1)
+            diff -= 1
         if diff > 0:
             shorter.append(diff)
     a, b = sorted(a), sorted(b)
     assert sum(a) == sum(b)
     triples = pair_sequences(a, b)
     assert len(triples) <= len(a) + len(b) - 1
-    got_a = [Fraction(0)] * len(a)
-    got_b = [Fraction(0)] * len(b)
+    got_a = [0] * len(a)
+    got_b = [0] * len(b)
     for i, j, value in triples:
-        assert value == HALF or (value.denominator == 1 and value > 0)
+        assert value == 1 or (value % 2 == 0 and value > 0)
         got_a[i - 1] += value
         got_b[j - 1] += value
     assert got_a == a
@@ -161,7 +148,7 @@ def test_improved_merge_c6_by_hand():
     right = brace_solve(tree.right.graph)
     merged = improved_merge(g, tree.cut, left, right, tree.left_map, tree.right_map)
     assert sorted(sorted(m) for m, _ in merged.terms) == [[0, 2, 4], [1, 3, 5]]
-    assert all(c == 1 for _, c in merged.terms)
+    assert all(c == 2 for _, c in merged.terms)
 
 
 def test_product_merge_agrees_on_integral_instances():
@@ -170,8 +157,12 @@ def test_product_merge_agrees_on_integral_instances():
     left = brace_solve(tree.left.graph)
     right = brace_solve(tree.right.graph)
     improved = improved_merge(g, tree.cut, left, right, tree.left_map, tree.right_map)
-    product = oracles.product_merge(g, tree.cut, left, right, tree.left_map, tree.right_map)
-    assert improved.coverage() == product.coverage() == [Fraction(1)] * g.m
+    product = oracles.product_merge(tree.cut, left, right, tree.left_map, tree.right_map)
+    assert improved.coverage() == [2] * g.m
+    assert oracles.edge_sums_are_one(g, product)
+    assert sorted(product, key=lambda t: sorted(t[0])) == sorted(
+        oracles.halved(improved.terms), key=lambda t: sorted(t[0])
+    )
 
 
 def test_product_merge_leaves_class_where_improved_does_not():
@@ -186,16 +177,16 @@ def test_product_merge_leaves_class_where_improved_does_not():
             deepest = node
     assert deepest is not None
     product = oracles.product_merge(
-        deepest.graph,
         deepest.cut,
         deepest.left.solution,
         deepest.right.solution,
         deepest.left_map,
         deepest.right_map,
     )
-    assert any(c.denominator == 4 for _, c in product.terms)
+    assert oracles.edge_sums_are_one(deepest.graph, product)
+    assert any(c.denominator == 4 for _, c in product)
     improved = deepest.solution
-    assert all(c == HALF or c.denominator == 1 for _, c in improved.terms)
+    assert all(c == 1 or c % 2 == 0 for _, c in improved.terms)
 
 
 def test_merge_requires_valid_child_covers():
@@ -204,7 +195,7 @@ def test_merge_requires_valid_child_covers():
     left = brace_solve(tree.left.graph)
     right = brace_solve(tree.right.graph)
     broken = exact_cover(tree.left.graph, left.terms)
-    bad_terms = ((broken.terms[0][0], Fraction(2)),) + broken.terms[1:]
+    bad_terms = ((broken.terms[0][0], 4),) + broken.terms[1:]
     from pmcover import CoverSolution
 
     with pytest.raises(ValueError):
