@@ -14,9 +14,11 @@ O(m) that the child is r-regular, which for an r-graph parent makes the
 child an r-graph too.  The tests re-run the full r-graph check and the
 matching-covered check on every node of solved trees (``tests/oracles.py``).
 
-Finding a nontrivial tight cut does not sweep all odd shores.  Candidates come
-from two classical sources, each validated by the definitional check before
-being returned:
+Finding a nontrivial tight cut does not sweep all odd shores.  A node whose
+underlying simple graph is Petersen is a brick whatever its parallel edges
+(bicritical and 3-connected), so ``decompose`` makes it a leaf before any
+search.  For other nodes, candidates come from two classical sources, each
+validated by the definitional check before being returned:
 
 * barriers: a vertex set B such that G - B has exactly |B| odd components.
   Every perfect matching must match each odd component to B through a single
@@ -27,11 +29,13 @@ being returned:
   Matching Theory, 1986), with D, A and C as in ``matchings.gallai_edmonds``.
   G - u - v has a perfect matching exactly when v is in D(G - u), so one
   decomposition per vertex u settles every pair {u, v}; for a failing pair,
-  {u, v} + A(G - u - v) is a barrier.  That is n decompositions for the pair
-  sweep plus one per failing pair, not one matching search per pair and
-  vertex.
+  {u, v} + A(G - u - v) is a barrier.  One perfect matching of the node
+  serves every decomposition, so each is one alternating forest: one per
+  vertex plus one per failing pair, and one matching search per node.
 * 2-separations: if {u, v} disconnects G and K is an even component of
-  G - u - v, the shore K + u gives a tight cut.
+  G - u - v, the shore K + u gives a tight cut.  An r-graph is 2-connected,
+  so {u, v} separates exactly when v is a cut vertex of G - u, and one
+  low-link depth-first search per vertex u finds every separating pair.
 
 For graphs where neither source produces a verified cut, no nontrivial tight
 cut exists: a connected bipartite r-graph evading the surplus sweep satisfies
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .cover import CoverSolution
@@ -59,7 +62,7 @@ from .graphs import (
     is_r_graph,
     regular_degree,
 )
-from .matchings import gallai_edmonds, has_perfect_matching
+from .matchings import gallai_edmonds, has_perfect_matching, maximum_matching
 
 
 @unique
@@ -214,28 +217,78 @@ def _nonbipartite_barrier_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
     D(G - u).  For a failing pair, {u, v} + A(G - u - v) leaves exactly as
     many odd components as it has vertices, so it is a barrier.  Pairs are
     visited in lexicographic order.
+
+    One perfect matching M of G serves every decomposition.  M minus the edge
+    at u is maximum in G - u, which has odd order.  For a failing pair, M
+    minus the edges at u and v is maximum in G - u - v, which has even order
+    and no perfect matching.  So each decomposition grows one alternating
+    forest and runs no matching search.
     """
+    mate = maximum_matching(g.vertex_count, g.adjacency)
     for u in range(g.vertex_count - 1):
-        matchable = gallai_edmonds(g, (u,)).d
+        matchable = gallai_edmonds(g, (u,), mate).d
         for v in range(u + 1, g.vertex_count):
             if v in matchable:
                 continue
-            barrier = frozenset((u, v)) | gallai_edmonds(g, (u, v)).a
+            barrier = frozenset((u, v)) | gallai_edmonds(g, (u, v), mate).a
             for comp in components_without(g, barrier):
                 if len(comp) >= 3 and len(comp) % 2 == 1:
                     yield comp
 
 
-def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
-    for u, v in combinations(range(g.vertex_count), 2):
-        comps = components_without(g, (u, v))
-        if len(comps) < 2:
-            continue
-        for comp in comps:
-            if len(comp) % 2 != 0:
+def _cut_vertices_without(g: MultiGraph, u: int) -> set[int]:
+    """The cut vertices of G - u, from one iterative low-link DFS.
+
+    G - u must be connected; an r-graph is 2-connected, since the odd
+    component left by a cut vertex would have fewer than r boundary edges.
+    """
+    disc = [0] * g.vertex_count  # discovery time from 1; 0 while unvisited
+    low = [0] * g.vertex_count
+    root = 1 if u == 0 else 0
+    disc[root] = low[root] = clock = 1
+    root_children = 0
+    cut: set[int] = set()
+    stack = [(root, -1, iter(g.adjacency[root]))]
+    while stack:
+        v, parent, neighbors = stack[-1]
+        for w in neighbors:
+            if w == u:
                 continue
-            for anchor in (u, v):
-                yield comp | {anchor}
+            if disc[w]:
+                low[v] = min(low[v], disc[w])
+            else:
+                clock += 1
+                disc[w] = low[w] = clock
+                stack.append((w, v, iter(g.adjacency[w])))
+                break
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent != -1:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    cut.add(parent)
+    assert clock == g.vertex_count - 1, "G - u is disconnected; G is not an r-graph"
+    if root_children >= 2:
+        cut.add(root)
+    return cut
+
+
+def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
+    """Even components K of G - u - v, as shores K + u and K + v.
+
+    G - u is connected, so {u, v} separates G exactly when v is a cut vertex
+    of G - u; one DFS per u replaces a component search per pair.  Pairs are
+    visited in lexicographic order.
+    """
+    for u in range(g.vertex_count - 1):
+        for v in sorted(w for w in _cut_vertices_without(g, u) if w > u):
+            for comp in components_without(g, (u, v)):
+                if len(comp) % 2 != 0:
+                    continue
+                for anchor in (u, v):
+                    yield comp | {anchor}
 
 
 def find_nontrivial_tight_cut(g: MultiGraph) -> Optional[Cut]:
@@ -370,7 +423,11 @@ def petersen_embedding(g: MultiGraph) -> Optional[tuple[int, ...]]:
 
 
 def classify_leaf(g: MultiGraph) -> LeafClass:
-    """Brace if bipartite, PetersenBrick if the simple graph is Petersen, else OtherBrick."""
+    """Brace if bipartite, PetersenBrick if the simple graph is Petersen, else OtherBrick.
+
+    This is the class G has as a leaf; only a Petersen graph is known to be
+    a leaf before the tight-cut search.
+    """
     if bipartition(g) is not None:
         return LeafClass.BRACE
     if petersen_embedding(g) is not None:
@@ -384,7 +441,8 @@ def decompose(g: MultiGraph, *, checked: bool = False) -> DecompositionTree:
     The input is checked to be an r-graph unless ``checked`` says the caller
     has done so.  The recursion passes ``checked=True`` for every contracted
     child, which is an r-graph by construction, so one solve runs the r-graph
-    check once.
+    check once.  A node whose simple graph is Petersen is a brick whatever
+    its parallel edges, so it becomes a leaf without a search.
     """
     if not checked:
         check = is_r_graph(g)
@@ -395,9 +453,10 @@ def decompose(g: MultiGraph, *, checked: bool = False) -> DecompositionTree:
                 f"not an r-graph: odd cut of size {check.witness.size} at shore "
                 f"{sorted(check.witness.shore)}"
             )
-    cut = find_nontrivial_tight_cut(g)
+    kind = classify_leaf(g)
+    cut = None if kind is LeafClass.PETERSEN_BRICK else find_nontrivial_tight_cut(g)
     if cut is None:
-        return DecompositionTree(graph=g, leaf_class=classify_leaf(g))
+        return DecompositionTree(graph=g, leaf_class=kind)
     complement = frozenset(range(g.vertex_count)) - cut.shore
     left_graph, left_map = contract_shore(g, cut, cut.shore)
     right_graph, right_map = contract_shore(g, cut, complement)

@@ -151,7 +151,9 @@ class GallaiEdmonds(NamedTuple):
     c: frozenset[int]
 
 
-def gallai_edmonds(g: MultiGraph, removed: Iterable[int] = ()) -> GallaiEdmonds:
+def gallai_edmonds(
+    g: MultiGraph, removed: Iterable[int] = (), matching: Optional[Sequence[int]] = None
+) -> GallaiEdmonds:
     """The Gallai-Edmonds decomposition of G minus the given vertices.
 
     One maximum matching, then one alternating forest grown from every
@@ -159,10 +161,17 @@ def gallai_edmonds(g: MultiGraph, removed: Iterable[int] = ()) -> GallaiEdmonds:
     With the matching maximum, no edge joins outer vertices of two trees, and
     the outer vertices (those at even distance from an exposed vertex along
     some alternating path, blossoms included) are exactly D.
+
+    ``matching``, a mate array of a matching of G, replaces the matching
+    search: its edges at removed vertices are dropped, and the rest must be
+    a maximum matching of G minus ``removed``, or an AssertionError is raised.
     """
     gone = frozenset(removed)
     adjacency = _filtered_adjacency(g, gone)
-    mate = maximum_matching(g.vertex_count, adjacency)
+    if matching is None:
+        mate = maximum_matching(g.vertex_count, adjacency)
+    else:
+        mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
     exposed = [v for v in range(g.vertex_count) if v not in gone and mate[v] == -1]
     outer = _grow_forest(adjacency, mate, exposed)
     if outer is None:

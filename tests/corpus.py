@@ -98,6 +98,15 @@ def double_petersen_splice() -> MultiGraph:
     return build_graph(22, pairs)
 
 
+def k4_pair_two_cut() -> MultiGraph:
+    """Two K4s, each joined to u = 8 and v = 9 by two edges: a 4-regular
+    bicritical r-graph whose only tight cuts come from the 2-cut {u, v}."""
+    block = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    pairs = list(block) + [(a + 4, b + 4) for a, b in block]
+    pairs += [(0, 8), (1, 8), (2, 9), (3, 9), (4, 8), (5, 8), (6, 9), (7, 9)]
+    return build_graph(10, pairs)
+
+
 def bridged_cubic() -> MultiGraph:
     """Cubic with a bridge: min odd cut 1, not an r-graph."""
     block = [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4), (3, 4)]
@@ -122,6 +131,7 @@ def structured_instances() -> list[tuple[str, MultiGraph]]:
         ("pet_splice", k33_petersen_splice()),
         ("brick_splice", k33_brick_splice()),
         ("double_splice", double_petersen_splice()),
+        ("k4_pair", k4_pair_two_cut()),
     ]
 
 

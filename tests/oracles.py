@@ -2,8 +2,9 @@
 
 Perfect matchings are enumerated here by pairing vertices (not by walking
 edge ids), tight cuts by checking every matching against the definition,
-minimum odd cuts by sweeping all odd shores, and the Gallai-Edmonds sets
-by removing one vertex at a time.  Everything is exponential and only meant
+minimum odd cuts by sweeping all odd shores, 2-separations by a component
+search per vertex pair, and the Gallai-Edmonds sets by removing one vertex
+at a time.  Everything is exponential and only meant
 for small graphs.  Rank is computed in Fractions, not by the library's
 fraction-free integer elimination.  The determinant, used only
 to check that an HNF transform is unimodular, is computed fraction-free.
@@ -33,7 +34,7 @@ from pmcover import (
     regular_degree,
     terms_independent,
 )
-from pmcover.graphs import cut_from_shore
+from pmcover.graphs import components_without, cut_from_shore
 
 
 def vertex_pairings(g: MultiGraph) -> list[tuple[tuple[int, int], ...]]:
@@ -94,6 +95,20 @@ def exhaustive_tight_shores(g: MultiGraph) -> list[frozenset[int]]:
         cut = cut_from_shore(g, shore)
         if is_tight(g, cut, matchings):
             out.append(shore)
+    return out
+
+
+def two_separation_shores(g: MultiGraph) -> list[frozenset[int]]:
+    """Shores K + u and K + v of even components K of G - u - v, for every
+    separating pair {u, v} in lexicographic order, by a search per pair."""
+    out = []
+    for u, v in combinations(range(g.vertex_count), 2):
+        comps = components_without(g, (u, v))
+        if len(comps) < 2:
+            continue
+        for comp in comps:
+            if len(comp) % 2 == 0:
+                out.extend(comp | {anchor} for anchor in (u, v))
     return out
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -28,6 +29,19 @@ import corpus
 def _certificate(g):
     sol, tree = solve_r_graph(g)
     return build_certificate(g, sol, tree), sol, tree
+
+
+# sha256 over the serialized certificates of the structured corpus and
+# corpus.random_instances(), in that order.  A change that alters any
+# certificate byte must say so and update this digest.
+CORPUS_CERTIFICATES_SHA256 = "8ec8186f9be32149f2284418502e6b004836600487b6c6eb1ebd6586ed3c4b0d"
+
+
+def test_corpus_certificates_are_pinned():
+    digest = hashlib.sha256()
+    for _, g in corpus.structured_instances() + corpus.random_instances():
+        digest.update(serialize(_certificate(g)[0]).encode())
+    assert digest.hexdigest() == CORPUS_CERTIFICATES_SHA256
 
 
 def test_verify_cover_petersen_frozen():

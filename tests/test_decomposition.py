@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from pmcover import build_graph
+from pmcover import build_graph, solve_r_graph, verify_cover
+from pmcover import decomposition
 from pmcover.decomposition import (
     LeafClass,
+    _nonbipartite_barrier_shores,
+    _two_separation_shores,
     canonical_petersen,
     classify_leaf,
     contract_shore,
@@ -68,6 +71,51 @@ def test_bricks_and_braces_have_no_nontrivial_tight_cut():
     for g in (corpus.petersen(), corpus.k4(), corpus.k33(), corpus.prism(),
               corpus.cube(), corpus.triangle_expanded_petersen()):
         assert find_nontrivial_tight_cut(g) is None
+
+
+def test_two_separation_shores_match_the_pair_sweep():
+    instances = corpus.structured_instances() + corpus.random_instances()
+    for name, g in instances:
+        assert list(_two_separation_shores(g)) == oracles.two_separation_shores(g), name
+
+
+def test_two_cut_graph_takes_the_two_separation_route():
+    g = corpus.k4_pair_two_cut()
+    assert list(_nonbipartite_barrier_shores(g)) == []
+    cut = find_nontrivial_tight_cut(g)
+    assert cut is not None
+    assert cut.shore == frozenset({0, 1, 2, 3, 8})
+    assert cut.shore in set(_two_separation_shores(g))
+    tree = decompose(g)
+    assert [(leaf.leaf_class, leaf.graph.vertex_count) for leaf in tree.leaves()] == [
+        (LeafClass.OTHER_BRICK, 6),
+        (LeafClass.OTHER_BRICK, 6),
+    ]
+    sol, tree = solve_r_graph(g)
+    assert verify_cover(g, sol, tree).mandatory_ok
+    assert oracles.assert_solved_tree(tree) == 1
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_petersen_node_is_a_leaf_without_a_search(monkeypatch, copies):
+    spokes = [(i, i + 5) for i in range(5)]
+    g = build_graph(10, list(corpus.PETERSEN_PAIRS) + spokes * copies)
+    assert regular_degree(g) == 3 + copies
+
+    def no_search(_):
+        raise AssertionError("a Petersen node was searched for a tight cut")
+
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return petersen_embedding(h)
+
+    monkeypatch.setattr(decomposition, "find_nontrivial_tight_cut", no_search)
+    monkeypatch.setattr(decomposition, "petersen_embedding", counted)
+    tree = decompose(g)
+    assert tree.leaf_class is LeafClass.PETERSEN_BRICK
+    assert len(calls) == 1
 
 
 def test_contract_shore_c6_frozen():

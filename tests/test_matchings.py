@@ -161,3 +161,29 @@ def test_gallai_edmonds_decides_every_pair():
             for v in range(g.vertex_count):
                 if v != u:
                     assert (v in d) == has_perfect_matching(g, (u, v)), (name, u, v)
+
+
+def test_gallai_edmonds_from_a_perfect_matching_matches_oracle():
+    instances = corpus.structured_instances() + corpus.random_instances(
+        ns=(6, 8, 10), rs=(2, 3, 4), seeds=range(2)
+    )
+    failing_pairs = 0
+    for name, g in instances:
+        if g.vertex_count > 12:
+            continue
+        mate = maximum_matching(g.vertex_count, g.adjacency)
+        assert -1 not in mate, name
+        for u in range(g.vertex_count):
+            got = gallai_edmonds(g, (u,), mate)
+            assert tuple(got) == oracles.gallai_edmonds(g, frozenset({u})), (name, u)
+            for v in range(g.vertex_count):
+                if v == u or v in got.d:
+                    continue
+                failing_pairs += 1
+                pair = gallai_edmonds(g, (u, v), mate)
+                assert tuple(pair) == oracles.gallai_edmonds(g, frozenset({u, v})), (
+                    name, u, v,
+                )
+    assert failing_pairs >= 100, failing_pairs
+    with pytest.raises(AssertionError):  # the matching is not maximum
+        gallai_edmonds(corpus.c4(), (), [1, 0, -1, -1])
