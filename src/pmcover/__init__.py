@@ -26,13 +26,12 @@ from .decomposition import (
     ContractionMap,
     DecompositionTree,
     LeafClass,
-    canonical_petersen,
     classify_leaf,
     contract_shore,
     decompose,
     find_nontrivial_tight_cut,
+    is_petersen,
     is_tight_cut,
-    petersen_embedding,
 )
 from .graphs import (
     Cut,
@@ -85,7 +84,6 @@ __all__ = [
     "brick_solve",
     "build_certificate",
     "build_graph",
-    "canonical_petersen",
     "certificate_solution",
     "classify_leaf",
     "contract_shore",
@@ -98,12 +96,12 @@ __all__ = [
     "graph_fingerprint",
     "has_perfect_matching",
     "improved_merge",
+    "is_petersen",
     "is_r_graph",
     "is_tight_cut",
     "iter_pms",
     "min_odd_cut",
     "pair_sequences",
-    "petersen_embedding",
     "petersen_solve",
     "pm_containing_edges",
     "regular_degree",

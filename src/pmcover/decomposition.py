@@ -17,8 +17,9 @@ matching-covered check on every node of solved trees (``tests/oracles.py``).
 Finding a nontrivial tight cut does not sweep all odd shores.  A node whose
 underlying simple graph is Petersen is a brick whatever its parallel edges
 (bicritical and 3-connected), so ``decompose`` makes it a leaf before any
-search.  For other nodes, candidates come from two classical sources, each
-validated by the definitional check before being returned:
+search; ``is_petersen`` recognises it by its strongly regular parameters,
+with no labelling.  For other nodes, candidates come from two classical
+sources, each validated by the definitional check before being returned:
 
 * barriers: a vertex set B such that G - B has exactly |B| odd components.
   Every perfect matching must match each odd component to B through a single
@@ -83,7 +84,6 @@ class ContractionMap:
 
     child_to_parent: tuple[int, ...]
     contracted_vertex: int
-    shore: frozenset[int]
     kept_vertices: tuple[int, ...]
 
     def lift_edges(self, child_edge_ids: Iterable[int]) -> frozenset[int]:
@@ -366,60 +366,25 @@ def contract_shore(
     return child, ContractionMap(
         child_to_parent=tuple(child_to_parent),
         contracted_vertex=new_vertex,
-        shore=collapsed,
         kept_vertices=kept,
     )
 
 
-_PETERSEN_EDGES: tuple[tuple[int, int], ...] = (
-    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-)
+def is_petersen(g: MultiGraph) -> bool:
+    """Whether the underlying simple graph of g is the Petersen graph.
 
-
-def canonical_petersen() -> MultiGraph:
-    """The Petersen graph in a fixed labeling: outer 5-cycle, spokes, pentagram."""
-    return build_graph(10, _PETERSEN_EDGES)
-
-
-def petersen_embedding(g: MultiGraph) -> Optional[tuple[int, ...]]:
-    """A vertex map from the canonical Petersen onto g's underlying simple graph.
-
-    Entry i is the g-vertex playing canonical vertex i.  Backtracking assigns
-    vertices in canonical order, pruning on adjacency and non-adjacency; with
-    both graphs 3-regular on 15 vertex pairs this is an isomorphism test.
+    Petersen is the only strongly regular graph with parameters (10, 3, 0, 1)
+    (Hoffman-Singleton, 1960): ten vertices, cubic, no common neighbour for
+    adjacent vertices and exactly one for non-adjacent ones.
     """
-    if g.vertex_count != 10 or len(g.simple_pairs) != 15:
-        return None
-    if any(len(nbrs) != 3 for nbrs in g.adjacency):
-        return None
-    canon = canonical_petersen()
-    canon_adj = [set(a) for a in canon.adjacency]
-    graph_adj = [set(a) for a in g.adjacency]
-    assignment: list[int] = []
-    used = [False] * 10
-
-    def extend() -> bool:
-        i = len(assignment)
-        if i == 10:
-            return True
-        for candidate in range(10):
-            if used[candidate]:
-                continue
-            if all(
-                (j in canon_adj[i]) == (assignment[j] in graph_adj[candidate])
-                for j in range(i)
-            ):
-                assignment.append(candidate)
-                used[candidate] = True
-                if extend():
-                    return True
-                assignment.pop()
-                used[candidate] = False
+    if g.vertex_count != 10 or any(len(nbrs) != 3 for nbrs in g.adjacency):
         return False
-
-    return tuple(assignment) if extend() else None
+    adj = [set(nbrs) for nbrs in g.adjacency]
+    return all(
+        len(adj[u] & adj[v]) == (0 if v in adj[u] else 1)
+        for u in range(10)
+        for v in range(u + 1, 10)
+    )
 
 
 def classify_leaf(g: MultiGraph) -> LeafClass:
@@ -430,7 +395,7 @@ def classify_leaf(g: MultiGraph) -> LeafClass:
     """
     if bipartition(g) is not None:
         return LeafClass.BRACE
-    if petersen_embedding(g) is not None:
+    if is_petersen(g):
         return LeafClass.PETERSEN_BRICK
     return LeafClass.OTHER_BRICK
 

@@ -7,7 +7,9 @@ Three solvers, one per leaf class:
   giving an all-ones cover that partitions the edge ids.
 * Petersen bricks: the six perfect matchings of the Petersen graph are
   linearly independent, every edge lies in exactly two of them, and any two
-  share exactly one edge.  So a multiplicity vector w in their span has the
+  share exactly one edge.  None of this depends on a labelling, so the
+  matchings are enumerated on the host's own 15 simple pairs, in
+  ``simple_pairs`` order.  A multiplicity vector w in their span has the
   closed-form representation 2 alpha_k = (5 w(M_k) - w(E)) / 10, where
   w(M_k) is the weight on the edges of M_k and w(E) the total weight.  Its
   entries are all integral or all half-integral; the integral case expands
@@ -28,12 +30,11 @@ per-edge sums are rechecked exactly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .cover import CoverSolution, exact_cover, terms_independent
-from .decomposition import canonical_petersen, petersen_embedding
-from .graphs import MultiGraph, bipartition, regular_degree
+from .decomposition import is_petersen
+from .graphs import MultiGraph, bipartition, build_graph, regular_degree
 from .linalg import hnf_solve
 from .matchings import (
     enumerate_pms,
@@ -84,62 +85,46 @@ def brace_solve(g: MultiGraph) -> CoverSolution:
     return exact_cover(g, terms)
 
 
-@lru_cache(maxsize=1)
-def petersen_matchings() -> tuple[frozenset[int], ...]:
-    """The six perfect matchings of the canonical Petersen graph, enumeration order."""
-    matchings = tuple(enumerate_pms(canonical_petersen()))
-    assert len(matchings) == 6
-    return matchings
-
-
-def _petersen_weight_alpha(weights: Sequence[int]) -> tuple[int, ...]:
+def _petersen_weight_alpha(
+    weights: Sequence[int], mats: Sequence[frozenset[int]]
+) -> tuple[int, ...]:
     """The unique alpha with sum_k alpha_k chi(M_k) = weights, doubled.
 
-    Every edge lies in two of the matchings, so w(E) = 5 sum(alpha), and any
-    two share one edge, so w(M_k) = 4 alpha_k + sum(alpha); hence
-    2 alpha_k = (5 w(M_k) - w(E)) / 10, which must divide exactly.
-    Rebuilding the weights from alpha catches a vector outside the span.
-    Checks the shape the solvers rely on: nonnegative, and all six entries
-    integral or all six half-integral.
+    ``mats`` are the six perfect matchings of the Petersen graph on edge ids
+    0..14 and ``weights`` an integer vector on the same ids.  Every edge lies
+    in two of the matchings, so w(E) = 5 sum(alpha), and any two share one
+    edge, so w(M_k) = 4 alpha_k + sum(alpha); hence
+    2 alpha_k = (5 w(M_k) - w(E)) / 10.  Rebuilding the weights from alpha
+    catches a vector outside the span, and nothing else needs checking:
+
+    * if the rebuilt weights equal 2w, then w is in the span, so the closed
+      form holds and the division was exact;
+    * the edge shared by M_i and M_j has weight alpha_i + alpha_j, so integer
+      weights force all six entries integral or all six half-integral.
     """
-    mats = petersen_matchings()
     total = sum(weights)
-    parts = [divmod(5 * sum(weights[e] for e in mk) - total, 10) for mk in mats]
-    twice_alpha = [twice for twice, _ in parts]
+    twice_alpha = [(5 * sum(weights[e] for e in mk) - total) // 10 for mk in mats]
     rebuilt = [sum(t for t, mk in zip(twice_alpha, mats) if e in mk) for e in range(15)]
-    if any(remainder for _, remainder in parts) or rebuilt != [2 * w for w in weights]:
+    if rebuilt != [2 * w for w in weights]:
         raise ValueError("weights are outside the span of the six matchings")
     if any(t < 0 for t in twice_alpha):
         raise ValueError(f"negative entry in doubled alpha {twice_alpha}")
-    if len({t % 2 for t in twice_alpha}) != 1:
-        raise ValueError(
-            f"alpha must be all integral or all half-integral: doubled {twice_alpha}"
-        )
     return tuple(twice_alpha)
-
-
-def _canonical_pair_copies(g: MultiGraph) -> list[list[int]]:
-    """Per canonical edge id, the host's parallel copy ids for that pair, ascending."""
-    embedding = petersen_embedding(g)
-    if embedding is None:
-        raise ValueError("the underlying simple graph is not the Petersen graph")
-    copies = []
-    for i, j in canonical_petersen().edges:
-        a, b = embedding[i], embedding[j]
-        copies.append(list(g.pair_ids[(min(a, b), max(a, b))]))
-    return copies
 
 
 def petersen_solve(g: MultiGraph) -> CoverSolution:
     """Cover a Petersen brick: either all-integer terms or exactly six at +1/2.
 
-    Parallel copies of each underlying edge are consumed in ascending edge id
-    order; in the half case the six +1/2 matchings live on the lowest copy of
-    every underlying edge and the remainder expands integrally.
+    Pair i is ``g.simple_pairs[i]``.  Parallel copies of each pair are
+    consumed in ascending edge id order; in the half case the six +1/2
+    matchings live on the lowest copy of every pair and the remainder
+    expands integrally.
     """
-    copies = _canonical_pair_copies(g)
-    twice_alpha = _petersen_weight_alpha([len(ids) for ids in copies])
-    mats = petersen_matchings()
+    if not is_petersen(g):
+        raise ValueError("the underlying simple graph is not the Petersen graph")
+    copies = [g.pair_ids[pair] for pair in g.simple_pairs]
+    mats = enumerate_pms(build_graph(10, g.simple_pairs))
+    twice_alpha = _petersen_weight_alpha([len(ids) for ids in copies], mats)
     consumed = [0] * 15
     terms: list[tuple[frozenset[int], int]] = []
     if twice_alpha[0] % 2:
@@ -182,7 +167,7 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     """All-integer cover of a non-Petersen brick by independent matchings."""
     if bipartition(g) is not None:
         raise ValueError("bipartite graphs are solved by peeling, not the brick path")
-    if petersen_embedding(g) is not None:
+    if is_petersen(g):
         raise ValueError("the Petersen brick requires the half-integral solver")
     columns = [pm for pm, _ in greedy_basis(g)]
     known = set(columns)

@@ -80,7 +80,9 @@ def _grow_forest(
             if seen[y]:
                 return y
             if mate[y] == -1:
-                raise AssertionError("outer vertices of two trees are adjacent")
+                raise AssertionError(
+                    "outer vertices of two trees are adjacent; the matching is not maximum"
+                )
             y = parent[mate[y]]
 
     def mark_path(v: int, b: int, child: int) -> None:
@@ -164,7 +166,10 @@ def gallai_edmonds(
 
     ``matching``, a mate array of a matching of G, replaces the matching
     search: its edges at removed vertices are dropped, and the rest must be
-    a maximum matching of G minus ``removed``, or an AssertionError is raised.
+    a maximum matching of G minus ``removed``.  Every exposed vertex is a
+    root, so the forest never augments; a matching that is not maximum shows
+    up as adjacent outer vertices of two trees, and an AssertionError is
+    raised.
     """
     gone = frozenset(removed)
     adjacency = _filtered_adjacency(g, gone)
@@ -174,8 +179,7 @@ def gallai_edmonds(
         mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
     exposed = [v for v in range(g.vertex_count) if v not in gone and mate[v] == -1]
     outer = _grow_forest(adjacency, mate, exposed)
-    if outer is None:
-        raise AssertionError("an augmenting path exists; the matching is not maximum")
+    assert outer is not None  # every exposed vertex is a root: nothing to augment to
     d = frozenset(v for v in range(g.vertex_count) if outer[v])
     a = frozenset(w for v in d for w in adjacency[v] if not outer[w])
     c = frozenset(range(g.vertex_count)) - gone - d - a

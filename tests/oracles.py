@@ -3,11 +3,12 @@
 Perfect matchings are enumerated here by pairing vertices (not by walking
 edge ids), tight cuts by checking every matching against the definition,
 minimum odd cuts by sweeping all odd shores, 2-separations by a component
-search per vertex pair, and the Gallai-Edmonds sets by removing one vertex
-at a time.  Everything is exponential and only meant
-for small graphs.  Rank is computed in Fractions, not by the library's
-fraction-free integer elimination.  The determinant, used only
-to check that an HNF transform is unimodular, is computed fraction-free.
+search per vertex pair, the Gallai-Edmonds sets by removing one vertex at
+a time, and the Petersen graph by a backtracking isomorphism search.
+Everything is exponential and only meant for small graphs.  Rank is
+computed in Fractions, not by the library's fraction-free integer
+elimination.  The determinant, used only to check that an HNF transform is
+unimodular, is computed fraction-free.
 
 The merge oracles at the end re-check a solved decomposition tree node by
 node with the library's public checks (r-graph test, perfect-matching
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 
 from pmcover import (
     ContractionMap,
@@ -29,12 +31,15 @@ from pmcover import (
     Cut,
     DecompositionTree,
     MultiGraph,
+    build_graph,
     is_r_graph,
     pm_containing_edges,
     regular_degree,
     terms_independent,
 )
 from pmcover.graphs import components_without, cut_from_shore
+
+from corpus import PETERSEN_PAIRS
 
 
 def vertex_pairings(g: MultiGraph) -> list[tuple[tuple[int, int], ...]]:
@@ -150,6 +155,41 @@ def gallai_edmonds(
     )
     a = frozenset(y for w in d for y in g.adjacency[w] if y not in d and y not in gone)
     return d, a, frozenset(range(g.vertex_count)) - gone - d - a
+
+
+def petersen_embedding(g: MultiGraph) -> Optional[tuple[int, ...]]:
+    """A vertex map from ``corpus.petersen()`` onto g's simple graph, or None.
+
+    Entry i is the g-vertex playing Petersen vertex i.  Backtracking assigns
+    vertices in order, pruning on adjacency and non-adjacency; with both
+    graphs cubic on 15 vertex pairs this is an isomorphism test.
+    """
+    if g.vertex_count != 10 or len(g.simple_pairs) != 15:
+        return None
+    if any(len(nbrs) != 3 for nbrs in g.adjacency):
+        return None
+    canon_adj = [set(a) for a in build_graph(10, PETERSEN_PAIRS).adjacency]
+    graph_adj = [set(a) for a in g.adjacency]
+    assignment: list[int] = []
+
+    def extend() -> bool:
+        i = len(assignment)
+        if i == 10:
+            return True
+        for candidate in range(10):
+            if candidate in assignment:
+                continue
+            if all(
+                (j in canon_adj[i]) == (assignment[j] in graph_adj[candidate])
+                for j in range(i)
+            ):
+                assignment.append(candidate)
+                if extend():
+                    return True
+                assignment.pop()
+        return False
+
+    return tuple(assignment) if extend() else None
 
 
 def fraction_rank(rows: list[list[int]]) -> int:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pmcover import build_graph, solve_r_graph, verify_cover
@@ -8,13 +10,12 @@ from pmcover.decomposition import (
     LeafClass,
     _nonbipartite_barrier_shores,
     _two_separation_shores,
-    canonical_petersen,
     classify_leaf,
     contract_shore,
     decompose,
     find_nontrivial_tight_cut,
+    is_petersen,
     is_tight_cut,
-    petersen_embedding,
 )
 from pmcover.graphs import cut_from_shore, is_r_graph, regular_degree
 
@@ -109,10 +110,10 @@ def test_petersen_node_is_a_leaf_without_a_search(monkeypatch, copies):
 
     def counted(h):
         calls.append(h)
-        return petersen_embedding(h)
+        return is_petersen(h)
 
     monkeypatch.setattr(decomposition, "find_nontrivial_tight_cut", no_search)
-    monkeypatch.setattr(decomposition, "petersen_embedding", counted)
+    monkeypatch.setattr(decomposition, "is_petersen", counted)
     tree = decompose(g)
     assert tree.leaf_class is LeafClass.PETERSEN_BRICK
     assert len(calls) == 1
@@ -144,31 +145,75 @@ def test_contract_shore_rejections():
         contract_shore(g8, loose, keep_side=frozenset({0, 1, 2}))
 
 
-def test_petersen_embedding():
-    assert petersen_embedding(canonical_petersen()) is not None
-    assert petersen_embedding(corpus.prism()) is None
-    assert petersen_embedding(corpus.cube()) is None
-    # relabeled copy still embeds
+def _relabelled(pairs, rng, extra_copies=0):
+    """The pairs under a random vertex permutation, with some pairs repeated
+    and the edge order shuffled; the simple graph is only relabelled."""
+    perm = list(range(10))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in pairs]
+    edges += [rng.choice(edges) for _ in range(extra_copies)]
+    rng.shuffle(edges)
+    return build_graph(10, edges)
+
+
+def _edge_switches(pairs, rng, steps):
+    """Cubic simple graphs reached from ``pairs`` by random degree-preserving
+    switches ab, cd -> ac, bd that keep the graph simple."""
+    edges = list(pairs)
+    for _ in range(steps):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], rng.choice([edges[j], edges[j][::-1]])
+        present = {frozenset(e) for e in edges}
+        if len({a, b, c, d}) < 4 or {frozenset((a, c)), frozenset((b, d))} & present:
+            continue
+        edges[i], edges[j] = (a, c), (b, d)
+    return edges
+
+
+def test_is_petersen():
+    assert is_petersen(corpus.petersen())
+    assert not is_petersen(corpus.prism())
+    assert not is_petersen(corpus.cube())
+    assert not is_petersen(corpus.triangle_expanded_petersen())
+    # the star K1,9 also gives adjacent pairs 0 and other pairs 1 common
+    # neighbour; only the degree test rejects it
+    assert not is_petersen(build_graph(10, [(0, v) for v in range(1, 10)]))
+    # relabeled copy is still recognised, and the oracle maps every edge
     relabel = {v: (v * 3) % 10 for v in range(10)}
     pairs = [(relabel[u], relabel[v]) for u, v in corpus.PETERSEN_PAIRS]
     host = build_graph(10, pairs)
-    mapped = petersen_embedding(host)
+    assert is_petersen(host)
+    mapped = oracles.petersen_embedding(host)
     assert mapped is not None
     host_pairs = {frozenset(p) for p in host.edges}
-    for u, v in canonical_petersen().edges:
+    for u, v in corpus.PETERSEN_PAIRS:
         assert frozenset((mapped[u], mapped[v])) in host_pairs
 
 
-def test_petersen_embedding_with_parallel_edges():
+def test_is_petersen_with_parallel_edges():
     pairs = list(corpus.PETERSEN_PAIRS) + list(corpus.PETERSEN_PAIRS[:3])
     g = build_graph(10, pairs)
-    assert petersen_embedding(g) is not None
+    assert is_petersen(g)
+
+
+def test_is_petersen_agrees_with_the_embedding_oracle():
+    rng = random.Random(13)
+    verdicts = []
+    for trial in range(300):
+        pairs = _edge_switches(corpus.PETERSEN_PAIRS, rng, steps=trial % 4)
+        g = _relabelled(pairs, rng, extra_copies=rng.randint(0, 3))
+        verdict = is_petersen(g)
+        assert verdict == (oracles.petersen_embedding(g) is not None), (trial, g.edges)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_classify_leaf():
     assert classify_leaf(corpus.k33()) is LeafClass.BRACE
     assert classify_leaf(corpus.cube()) is LeafClass.BRACE
     assert classify_leaf(corpus.petersen()) is LeafClass.PETERSEN_BRICK
+    host = _relabelled(corpus.PETERSEN_PAIRS, random.Random(3), extra_copies=2)
+    assert classify_leaf(host) is LeafClass.PETERSEN_BRICK
     assert classify_leaf(corpus.k4()) is LeafClass.OTHER_BRICK
     assert classify_leaf(corpus.prism()) is LeafClass.OTHER_BRICK
     assert classify_leaf(corpus.triangle_expanded_petersen()) is LeafClass.OTHER_BRICK

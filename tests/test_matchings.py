@@ -185,5 +185,5 @@ def test_gallai_edmonds_from_a_perfect_matching_matches_oracle():
                     name, u, v,
                 )
     assert failing_pairs >= 100, failing_pairs
-    with pytest.raises(AssertionError):  # the matching is not maximum
+    with pytest.raises(AssertionError, match="not maximum"):
         gallai_edmonds(corpus.c4(), (), [1, 0, -1, -1])
