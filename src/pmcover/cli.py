@@ -31,6 +31,7 @@ from .certificate import (
 )
 from .decomposition import DecompositionTree, decompose
 from .graphs import MultiGraph, build_graph, is_connected, is_r_graph, regular_degree
+from .leaf_solvers import ClassificationError
 from .matchings import EnumerationOverflow, enumerate_pms
 from .merge import solve_r_graph
 
@@ -360,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, ClassificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

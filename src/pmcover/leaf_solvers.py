@@ -21,6 +21,11 @@ Three solvers, one per leaf class:
   uncovered edge id), a Hermite-normal-form solve finds an integer solution;
   further matchings are enumerated into the column set, eight at a time,
   until the solve yields one whose support columns are linearly independent.
+  The columns also grow an exact ``Echelon``, and the Hermite solve runs only
+  once they span the all-ones vector over Q.  The lattice of the columns lies
+  inside their rational span (Lovasz 1987), so every skipped solve would have
+  returned None; the same matchings are pulled and the same solves run, and
+  the cover does not change.
 
 Coefficients are doubled ints, as everywhere in the package: a brace term
 is 2, a brick term 2x for the integer x of the lattice solve, a Petersen
@@ -35,7 +40,7 @@ from typing import Sequence
 from .cover import CoverSolution, exact_cover, terms_independent
 from .decomposition import is_petersen
 from .graphs import MultiGraph, bipartition, build_graph, regular_degree
-from .linalg import hnf_solve
+from .linalg import Echelon, hnf_solve
 from .matchings import (
     enumerate_pms,
     incidence_rows,
@@ -164,25 +169,40 @@ def greedy_basis(g: MultiGraph) -> list[tuple[frozenset[int], int]]:
 
 
 def brick_solve(g: MultiGraph) -> CoverSolution:
-    """All-integer cover of a non-Petersen brick by independent matchings."""
+    """All-integer cover of a non-Petersen brick by independent matchings.
+
+    Each round solves M x = 1 over the integers, M the incidence columns of
+    the matchings so far, and pulls eight more matchings when there is no
+    solution or its support is dependent.  Every column also enters an
+    ``Echelon``, and a round whose columns do not span the all-ones vector
+    over Q skips the Hermite solve: the lattice of the columns lies inside
+    their rational span, so that solve could only have returned None.  The
+    skipped rounds pull the same matchings, so the cover is the same.
+    """
     if bipartition(g) is not None:
         raise ValueError("bipartite graphs are solved by peeling, not the brick path")
     if is_petersen(g):
         raise ValueError("the Petersen brick requires the half-integral solver")
     columns = [pm for pm, _ in greedy_basis(g)]
     known = set(columns)
+    span = Echelon(g.m)
+    for pm in columns:
+        span.add([1 if e in pm else 0 for e in range(g.m)])
+    ones = [1] * g.m
     source = iter_pms(g)
     while True:
-        x = hnf_solve(incidence_rows(g, columns), [1] * g.m)
-        if x is not None:
-            support = [j for j, c in enumerate(x) if c != 0]
-            if terms_independent(g, [columns[j] for j in support]):
-                return exact_cover(g, [(columns[j], 2 * x[j]) for j in support])
+        if ones in span:
+            x = hnf_solve(incidence_rows(g, columns), ones)
+            if x is not None:
+                support = [j for j, c in enumerate(x) if c != 0]
+                if terms_independent(g, [columns[j] for j in support]):
+                    return exact_cover(g, [(columns[j], 2 * x[j]) for j in support])
         added = 0
         for pm in source:
             if pm not in known:
                 known.add(pm)
                 columns.append(pm)
+                span.add([1 if e in pm else 0 for e in range(g.m)])
                 added += 1
                 if added == 8:
                     break

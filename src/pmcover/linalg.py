@@ -5,29 +5,96 @@ cover coefficients are doubled ints; no rational or float type appears.
 Matrices are dense; the package operates at desk scale where dense exact
 elimination is the simple, predictable choice.
 
-* ``rank`` takes integer rows and eliminates fraction-free (Bareiss); it is
-  the one rank routine, used by every linear independence check.
+* ``Echelon`` is the one elimination routine: an echelon of primitive
+  integer rows, grown one row at a time.  ``add`` reports whether a row
+  raised the rank, and ``vector in echelon`` whether a vector lies in the
+  rational span of the rows added so far.  ``rank`` counts its pivots and is
+  used by every linear independence check.
 * The integer lattice side is a column-style Hermite normal form with the
   unimodular transform recorded, which answers "is b an integer combination
   of these columns".  Pivot choice is deterministic: smallest nonzero
-  absolute value, then lowest column index.
+  absolute value, then lowest column index.  A lattice lies inside its
+  rational span, so a vector outside the span of an ``Echelon`` is outside
+  the lattice too.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from math import gcd
 from operator import index
 from typing import Optional, Sequence
 
 
-def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
+class Echelon:
+    """Row echelon form over the integers, with every stored row primitive.
 
-    After k pivots, each entry below the pivot rows equals the (k+1)-minor of
-    the input on the pivot rows and columns plus that entry's own row and
-    column, up to sign; Sylvester's identity then makes every division by the
-    previous pivot exact.  A column with no nonzero entry at or below the
-    next pivot row is skipped and the divisor kept, since it contributes no
-    row or column to those minors.
+    ``rows`` holds the stored rows as (pivot, row) pairs in pivot order, and
+    each row is zero left of its pivot.  A new row is reduced against them in
+    that order: at pivot p it becomes a * row - f * stored, with a and f the
+    stored pivot and the row's entry at p over their gcd, and is then divided
+    by the gcd of its entries.  A nonzero entry left of the next pivot, or
+    past the last one, is one no stored row can cancel, so the row is
+    independent and is stored with that entry as its pivot.
+
+    Reduced against the rows on pivots p_1 < ... < p_k, a row is, up to
+    scale, the one combination of itself and the input rows behind them that
+    vanishes on p_1 ... p_k, so by Cramer's rule its entry in column j is the
+    (k+1)-minor of those input rows on p_1 ... p_k and j.  Divided by their
+    gcd, every reduced entry is such a minor over the gcd of the minors, and
+    the entries stay polynomially bounded (Hadamard), as with Bareiss.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def __len__(self) -> int:
+        """The rank of the rows added so far."""
+        return len(self.rows)
+
+    def _reduce(self, row: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+        """The pivot and primitive remainder of an independent row, else None."""
+        v = [index(x) for x in row]
+        if len(v) != self.width:
+            raise ValueError("ragged rows: all rows must have the same length")
+        start = 0
+        for p, stored in self.rows:
+            if any(v[start:p]):
+                break
+            f = v[p]
+            if f:
+                a = stored[p]
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                tail = [a * x - f * y for x, y in zip(v[p:], stored[p:])]
+                g = gcd(*tail)
+                v[p:] = [x // g for x in tail] if g > 1 else tail
+            start = p + 1
+        lead = next((j for j in range(start, self.width) if v[j]), None)
+        if lead is None:
+            return None
+        g = gcd(*v)
+        return lead, [x // g for x in v] if g > 1 else v
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Store the reduced row if it is independent; whether the rank rose."""
+        reduced = self._reduce(row)
+        if reduced is None:
+            return False
+        insort(self.rows, reduced, key=lambda item: item[0])
+        return True
+
+    def __contains__(self, vector: Sequence[int]) -> bool:
+        """Whether the vector lies in the rational span of the stored rows."""
+        return self._reduce(vector) is None
+
+
+def rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix: the pivots of its rows' ``Echelon``.
+
+    Rows are reduced one at a time against an echelon of primitive rows, whose
+    entries are minors of the input divided by their gcd (see ``Echelon``).
     """
     ncols = len(matrix[0]) if matrix else 0
     if any(len(row) != ncols for row in matrix):
@@ -36,25 +103,10 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
         # rank(M) = rank(M^T), and few long rows keep the per-row loop short
         matrix = list(zip(*matrix))
         ncols = len(matrix[0]) if matrix else 0
-    a = [[index(x) for x in row] for row in matrix]
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        tail = a[r][c + 1:]
-        for i in range(r + 1, len(a)):
-            row = a[i]
-            f = row[c]
-            row[c + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-        prev = pivot
-        r += 1
-        if r == len(a):
-            break
-    return r
+    echelon = Echelon(ncols)
+    for row in matrix:
+        echelon.add(row)
+    return len(echelon)
 
 
 def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pmcover
-from pmcover import build_graph, graphs, is_r_graph
+from pmcover import ClassificationError, build_graph, graphs, is_r_graph
 from pmcover.cli import (
     GraphParseError,
     format_graph,
@@ -179,6 +179,18 @@ def test_solve_rejects_non_r_graph(tmp_path, capsys):
     graph_path = _write_graph(tmp_path, corpus.bridged_cubic())
     assert main(["solve", "-i", graph_path]) == 1
     assert "odd cut of size 1" in capsys.readouterr().err
+
+
+def test_solve_reports_a_classification_error(tmp_path, capsys, monkeypatch):
+    def fail(graph):
+        raise ClassificationError("no independent integral cover")
+
+    monkeypatch.setattr(pmcover.merge, "brick_solve", fail)
+    graph_path = _write_graph(tmp_path, corpus.k4())
+    assert main(["solve", "-i", graph_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no independent integral cover\n"
 
 
 def test_solve_and_decompose_reject_irregular_graph(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,12 +9,14 @@ import pytest
 from pmcover import (
     LeafClass,
     build_graph,
+    decompose,
     enumerate_pms,
     leaf_solvers,
     solve_r_graph,
     terms_independent,
     verify_cover,
 )
+from pmcover.cli import gen_r_graph
 from pmcover.leaf_solvers import (
     ClassificationError,
     _petersen_weight_alpha,
@@ -255,6 +259,28 @@ def test_brick_solve_adds_matchings_when_the_support_is_dependent(monkeypatch):
     assert solves == [3, 4]
     assert sol.coverage() == [2] * g.m
     assert terms_independent(g, sol.matchings)
+
+
+def test_brick_solve_skips_solves_outside_the_rational_span(monkeypatch):
+    # Before the span gate this leaf took 41 Hermite solves, 40 of them on
+    # columns that did not span the all-ones vector over Q; the cover is the
+    # one those 41 solves found.
+    tree = decompose(gen_r_graph(28, 5, seed=1))
+    (leaf,) = [leaf for leaf in tree.leaves() if leaf.leaf_class is LeafClass.OTHER_BRICK]
+    solves = []
+    real_solve = leaf_solvers.hnf_solve
+
+    def counted_solve(matrix, b):
+        solves.append(len(matrix[0]))
+        return real_solve(matrix, b)
+
+    monkeypatch.setattr(leaf_solvers, "hnf_solve", counted_solve)
+    sol = brick_solve(leaf.graph)
+    assert solves == [347]
+    text = json.dumps([[sorted(m), c] for m, c in sol.terms])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cb062da14ac7f8a42689dd5991b975d18d71799ec2e3702381176022683f6f5b"
+    )
 
 
 def test_brick_solve_raises_when_no_support_is_independent(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmcover.linalg import hnf, hnf_solve, rank
+from pmcover.linalg import Echelon, hnf, hnf_solve, rank
 from pmcover.matchings import incidence_rows
 
 import corpus
@@ -108,6 +109,57 @@ def test_rank_matches_fraction_elimination_on_sign_matrices():
         rows, cols = rng.randint(3, 6), rng.randint(3, 6)
         matrix = [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)]
         assert rank(matrix) == oracles.fraction_rank(matrix), matrix
+
+
+@given(dependent_matrix(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_echelon_tracks_the_rank_and_the_span(matrix, data):
+    width = len(matrix[0])
+    echelon = Echelon(width)
+    for k, row in enumerate(matrix):
+        rose = oracles.fraction_rank(matrix[: k + 1]) > oracles.fraction_rank(matrix[:k])
+        assert echelon.add(row) is rose
+        assert len(echelon) == oracles.fraction_rank(matrix[: k + 1])
+        vector = data.draw(
+            st.one_of(
+                st.lists(int_matrix, min_size=width, max_size=width),
+                st.sampled_from(matrix).map(lambda r: [3 * x for x in r]),
+            )
+        )
+        in_span = oracles.fraction_rank(matrix[: k + 1] + [vector]) == len(echelon)
+        assert (vector in echelon) is in_span
+    pivots = [p for p, _ in echelon.rows]
+    assert pivots == sorted(set(pivots))
+    for p, stored in echelon.rows:
+        # each stored row starts at its pivot and is primitive
+        assert not any(stored[:p]) and stored[p] != 0
+        assert math.gcd(*stored) == 1
+
+
+def test_echelon_rejects_a_row_of_the_wrong_width():
+    echelon = Echelon(2)
+    with pytest.raises(ValueError, match="ragged"):
+        echelon.add([1, 0, 0])
+    with pytest.raises(TypeError):
+        echelon.add([Fraction(1, 2), 0])
+
+
+@given(dependent_matrix(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_echelon_gate_is_sound_for_the_lattice_solve(matrix, data):
+    # a lattice lies inside its rational span, so a vector the echelon of the
+    # columns does not span has no integer solution either
+    echelon = Echelon(len(matrix))
+    for column in zip(*matrix):
+        echelon.add(column)
+    b = data.draw(
+        st.one_of(
+            st.just([1] * len(matrix)),
+            st.lists(int_matrix, min_size=len(matrix), max_size=len(matrix)),
+        )
+    )
+    if b not in echelon:
+        assert hnf_solve(matrix, b) is None
 
 
 @given(small_matrix())
