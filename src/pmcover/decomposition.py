@@ -43,18 +43,30 @@ cut exists: a connected bipartite r-graph evading the surplus sweep satisfies
 the brace condition, and a non-bipartite one evading both non-bipartite
 routes is bicritical and 3-connected, hence a brick.  Tests cross-check the
 verdict against an exhaustive odd-shore sweep at small orders.
+
+Each piece of work is done once per barrier.  A barrier with k nontrivial
+odd components K1..Kk gives k tight cuts that do not cross one another.
+When K1 wins, the contraction that keeps K2..Kk receives them, relabelled,
+as carried shores: a tight cut that does not cross the contracted cut stays
+tight in the contraction that keeps it (Lovasz 1987).  The child tries
+them in order before any search, and each still passes the search's own
+checks (nontrivial, odd, ``is_tight_cut``); the search runs only when none
+is accepted.  ``is_tight_cut`` tests each disjoint pair of cut edges from a
+warm start, one perfect matching per cut (the node's own during a search),
+so a pair costs a few alternating searches, not a matching search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cover import CoverSolution
 from .graphs import (
     Cut,
     MultiGraph,
+    _flow_network,
     _max_flow,
     bipartition,
     build_graph,
@@ -132,15 +144,21 @@ class DecompositionTree:
         return sum(1 for leaf in self.leaves() if leaf.leaf_class is LeafClass.PETERSEN_BRICK)
 
 
-def is_tight_cut(g: MultiGraph, cut: Cut) -> bool:
+def is_tight_cut(
+    g: MultiGraph, cut: Cut, matching: Optional[Sequence[int]] = None
+) -> bool:
     """Whether no perfect matching crosses the odd cut more than once.
 
     Two cut edges can only appear in one matching if they are vertex-disjoint,
     so it suffices to test, per disjoint pair, whether the graph minus the
-    four endpoints still has a perfect matching.
+    four endpoints still has a perfect matching.  Every test warm-starts
+    ``has_perfect_matching`` from one matching of G: ``matching``, a mate
+    array such as the node's own perfect matching, or else one maximum
+    matching found here, once per cut.
     """
     if not cut.odd:
         raise ValueError("tightness is defined for odd cuts only")
+    mate = matching
     ids = sorted(cut.edge_ids)
     for a in range(len(ids)):
         u1, v1 = g.edges[ids[a]]
@@ -148,7 +166,9 @@ def is_tight_cut(g: MultiGraph, cut: Cut) -> bool:
             u2, v2 = g.edges[ids[b]]
             if len({u1, v1, u2, v2}) < 4:
                 continue
-            if has_perfect_matching(g, (u1, v1, u2, v2)):
+            if mate is None:
+                mate = maximum_matching(g.vertex_count, g.adjacency)
+            if has_perfect_matching(g, (u1, v1, u2, v2), mate):
                 return False
     return True
 
@@ -169,8 +189,11 @@ def _low_surplus_sets(
     For each excluded vertex w and forced vertex u, a unit-capacity flow
     network realizes min |N(X)| - |X| over X containing u and avoiding w in
     its neighborhood; the minimal source side of a minimum cut recovers X.
-    In a connected regular bipartite graph the surplus of a proper subset is
-    at least 1, so any witness of the non-brace condition is found this way.
+    Its arcs are directed (source to U', U' to N(U'), N(U') to sink), and one
+    network serves every forced vertex of an excluded one: only the forced
+    vertex's source arc changes capacity.  In a connected regular bipartite
+    graph the surplus of a proper subset is at least 1, so any witness of
+    the non-brace condition is found this way.
     """
     u_list = sorted(u_side)
     if len(u_list) < 3:
@@ -182,14 +205,15 @@ def _low_surplus_sets(
     seen: set[frozenset[int]] = set()
     for w_excl in sorted(w_side):
         u_prime = [u for u in u_list if w_excl not in neighbor_sets[u]]
-        for u_keep in u_prime:
-            capacity: list[dict[int, int]] = [dict() for _ in range(g.vertex_count + 2)]
-            for u in u_prime:
-                capacity[source][u] = infinite if u == u_keep else 1
-                for w in g.adjacency[u]:
-                    capacity[u][w] = infinite
-                    capacity[w][sink] = 1
-            _, side = _max_flow(capacity, source, sink)
+        reached = sorted({w for u in u_prime for w in g.adjacency[u]})
+        arc_pairs = [(source, u, 1, 0) for u in u_prime]  # arc 2i leaves for u_prime[i]
+        arc_pairs += [(u, w, infinite, 0) for u in u_prime for w in g.adjacency[u]]
+        arc_pairs += [(w, sink, 1, 0) for w in reached]
+        net = _flow_network(g.vertex_count + 2, arc_pairs)
+        for i in range(len(u_prime)):
+            capacity = list(net.capacity)
+            capacity[2 * i] = infinite
+            _, side = _max_flow(net._replace(capacity=capacity), source, sink)
             x = frozenset(u for u in u_prime if u in side)
             if x in seen:
                 continue
@@ -198,42 +222,48 @@ def _low_surplus_sets(
                 yield x
 
 
-def _bipartite_barrier_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
+def _odd_components(g: MultiGraph, barrier: frozenset[int]) -> list[frozenset[int]]:
+    """The odd components of G - barrier with at least three vertices."""
+    return [
+        comp for comp in components_without(g, barrier) if len(comp) >= 3 and len(comp) % 2 == 1
+    ]
+
+
+def _bipartite_barrier_shores(g: MultiGraph) -> Iterator[list[frozenset[int]]]:
     sides = bipartition(g)
     assert sides is not None
     for u_side, w_side in (sides, (sides[1], sides[0])):
         for x in _low_surplus_sets(g, u_side, w_side):
-            barrier = _neighborhood(g, x)
-            for comp in components_without(g, barrier):
-                if len(comp) >= 3 and len(comp) % 2 == 1:
-                    yield comp
+            yield _odd_components(g, _neighborhood(g, x))
 
 
-def _nonbipartite_barrier_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
+def _nonbipartite_barrier_shores(
+    g: MultiGraph, mate: Sequence[int]
+) -> Iterator[list[frozenset[int]]]:
     """Odd components left by the barrier of each pair {u, v} with no perfect matching.
 
     G has a perfect matching, so G - u misses exactly one vertex in a maximum
     matching, and G - u - v has a perfect matching exactly when v is in
     D(G - u).  For a failing pair, {u, v} + A(G - u - v) leaves exactly as
     many odd components as it has vertices, so it is a barrier.  Pairs are
-    visited in lexicographic order.
+    visited in lexicographic order, and each barrier's odd components with
+    at least three vertices come as one list, when there are any.
 
-    One perfect matching M of G serves every decomposition.  M minus the edge
-    at u is maximum in G - u, which has odd order.  For a failing pair, M
-    minus the edges at u and v is maximum in G - u - v, which has even order
-    and no perfect matching.  So each decomposition grows one alternating
-    forest and runs no matching search.
+    One perfect matching M of G, ``mate``, serves every decomposition.  M
+    minus the edge at u is maximum in G - u, which has odd order.  For a
+    failing pair, M minus the edges at u and v is maximum in G - u - v, which
+    has even order and no perfect matching.  So each decomposition grows one
+    alternating forest and runs no matching search.
     """
-    mate = maximum_matching(g.vertex_count, g.adjacency)
     for u in range(g.vertex_count - 1):
         matchable = gallai_edmonds(g, (u,), mate).d
         for v in range(u + 1, g.vertex_count):
             if v in matchable:
                 continue
             barrier = frozenset((u, v)) | gallai_edmonds(g, (u, v), mate).a
-            for comp in components_without(g, barrier):
-                if len(comp) >= 3 and len(comp) % 2 == 1:
-                    yield comp
+            comps = _odd_components(g, barrier)
+            if comps:
+                yield comps
 
 
 def _cut_vertices_without(g: MultiGraph, u: int) -> set[int]:
@@ -291,31 +321,47 @@ def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
                     yield comp | {anchor}
 
 
-def find_nontrivial_tight_cut(g: MultiGraph) -> Optional[Cut]:
+def find_nontrivial_tight_cut(
+    g: MultiGraph, *, siblings: Optional[list[frozenset[int]]] = None
+) -> Optional[Cut]:
     """A verified nontrivial tight cut, or None when G is a brick or brace.
 
     G must already be an r-graph (``decompose`` checks its input once); this
     is not re-checked.  Candidate shores are generated deterministically (see
     module docstring) and each is validated with is_tight_cut; the first
-    survivor wins.
+    survivor wins.  A non-bipartite node finds one perfect matching of G,
+    which serves both its barrier sweep and every tightness check.
+
+    When the winner is an odd component of a barrier and ``siblings`` is a
+    list, the odd components of that barrier listed after it, each with at
+    least three vertices, are appended to it.  Their cuts are tight and do
+    not cross the winner's.
     """
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
+    mate: Optional[list[int]] = None  # bipartite: is_tight_cut finds one per cut
     if bipartition(g) is not None:
-        routes: Iterable[Iterator[frozenset[int]]] = (_bipartite_barrier_shores(g),)
+        routes: Iterable[Iterator[list[frozenset[int]]]] = (_bipartite_barrier_shores(g),)
     else:
-        routes = (_nonbipartite_barrier_shores(g), _two_separation_shores(g))
+        mate = maximum_matching(g.vertex_count, g.adjacency)
+        routes = (
+            _nonbipartite_barrier_shores(g, mate),
+            ([shore] for shore in _two_separation_shores(g)),
+        )
     tried: set[frozenset[int]] = set()
     for route in routes:
-        for shore in route:
-            if shore in tried:
-                continue
-            tried.add(shore)
-            if not 3 <= len(shore) <= g.vertex_count - 3:
-                continue
-            cut = cut_from_shore(g, shore)
-            if cut.odd and is_tight_cut(g, cut):
-                return cut
+        for group in route:
+            for i, shore in enumerate(group):
+                if shore in tried:
+                    continue
+                tried.add(shore)
+                if not 3 <= len(shore) <= g.vertex_count - 3:
+                    continue
+                cut = cut_from_shore(g, shore)
+                if cut.odd and is_tight_cut(g, cut, mate):
+                    if siblings is not None:
+                        siblings.extend(group[i + 1:])
+                    return cut
     return None
 
 
@@ -400,16 +446,48 @@ def classify_leaf(g: MultiGraph) -> LeafClass:
     return LeafClass.OTHER_BRICK
 
 
-def decompose(g: MultiGraph, *, checked: bool = False) -> DecompositionTree:
+def _carried_cut(
+    g: MultiGraph, carried: Sequence[frozenset[int]]
+) -> tuple[Optional[Cut], Sequence[frozenset[int]]]:
+    """The first carried shore that passes the search's own checks, and the shores after it."""
+    for i, shore in enumerate(carried):
+        if 3 <= len(shore) <= g.vertex_count - 3:
+            cut = cut_from_shore(g, shore)
+            if cut.odd and is_tight_cut(g, cut):
+                return cut, carried[i + 1:]
+    return None, ()
+
+
+def _kept_shores(
+    shores: Iterable[frozenset[int]], cmap: ContractionMap
+) -> tuple[frozenset[int], ...]:
+    """The shores inside a contraction's kept side, in the child's labels."""
+    index = {p: i for i, p in enumerate(cmap.kept_vertices)}
+    return tuple(
+        frozenset(index[v] for v in shore)
+        for shore in shores
+        if all(v in index for v in shore)
+    )
+
+
+def decompose(
+    g: MultiGraph, *, carried: Optional[Sequence[frozenset[int]]] = None
+) -> DecompositionTree:
     """Recursive tight cut decomposition down to classified brick/brace leaves.
 
-    The input is checked to be an r-graph unless ``checked`` says the caller
-    has done so.  The recursion passes ``checked=True`` for every contracted
-    child, which is an r-graph by construction, so one solve runs the r-graph
-    check once.  A node whose simple graph is Petersen is a brick whatever
-    its parallel edges, so it becomes a leaf without a search.
+    ``carried`` is None for an input graph, which is then checked to be an
+    r-graph once.  The recursion passes each contracted child, an r-graph by
+    construction, the shores it carries: the sibling odd components of the
+    barrier behind an ancestor's cut, relabelled.  Their cuts were tight and
+    do not cross the contracted cut, so they stay tight here (Lovasz 1987).
+    The node tries them in order, each still checked to be nontrivial, odd
+    and accepted by ``is_tight_cut``; the first accepted is its cut, the
+    rest go on to the child that keeps them, and only when none is accepted
+    does the node call ``find_nontrivial_tight_cut``.  A node whose simple
+    graph is Petersen is a brick whatever its parallel edges, so it becomes
+    a leaf without a search.
     """
-    if not checked:
+    if carried is None:
         check = is_r_graph(g)
         if not check.ok:
             if check.witness is None:
@@ -418,8 +496,15 @@ def decompose(g: MultiGraph, *, checked: bool = False) -> DecompositionTree:
                 f"not an r-graph: odd cut of size {check.witness.size} at shore "
                 f"{sorted(check.witness.shore)}"
             )
+        carried = ()
     kind = classify_leaf(g)
-    cut = None if kind is LeafClass.PETERSEN_BRICK else find_nontrivial_tight_cut(g)
+    if kind is LeafClass.PETERSEN_BRICK:
+        return DecompositionTree(graph=g, leaf_class=kind)
+    cut, onward = _carried_cut(g, carried)
+    if cut is None:
+        siblings: list[frozenset[int]] = []
+        cut = find_nontrivial_tight_cut(g, siblings=siblings)
+        onward = siblings
     if cut is None:
         return DecompositionTree(graph=g, leaf_class=kind)
     complement = frozenset(range(g.vertex_count)) - cut.shore
@@ -428,8 +513,8 @@ def decompose(g: MultiGraph, *, checked: bool = False) -> DecompositionTree:
     return DecompositionTree(
         graph=g,
         cut=cut,
-        left=decompose(left_graph, checked=True),
-        right=decompose(right_graph, checked=True),
+        left=decompose(left_graph, carried=_kept_shores(onward, left_map)),
+        right=decompose(right_graph, carried=_kept_shores(onward, right_map)),
         left_map=left_map,
         right_map=right_map,
     )

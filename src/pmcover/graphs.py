@@ -203,57 +203,94 @@ def cut_from_shore(g: MultiGraph, shore: Iterable[int]) -> Cut:
     return Cut(shore=s, edge_ids=ids, odd=odd)
 
 
-def _max_flow(capacity: list[dict[int, int]], source: int, sink: int) -> tuple[int, set[int]]:
-    """Edmonds-Karp on an undirected capacity graph; returns (value, source side).
+class _FlowNetwork(NamedTuple):
+    """Arc arrays of a flow network.
 
-    ``capacity`` is mutated; pass a fresh copy per call.
+    Arc a enters ``heads[a]``, and arc ``a ^ 1`` is its reverse, so the tail
+    of a is ``heads[a ^ 1]``.  ``arcs[v]`` lists the arcs leaving v, sorted by
+    head once, and ``capacity[a]`` is the capacity of arc a.
     """
+
+    heads: list[int]
+    arcs: list[list[int]]
+    capacity: list[int]
+
+
+def _flow_network(
+    vertex_count: int, arc_pairs: Iterable[tuple[int, int, int, int]]
+) -> _FlowNetwork:
+    """A network from (u, v, capacity u -> v, capacity v -> u) tuples.
+
+    An undirected edge gives both directions its capacity; a directed arc
+    gives its reverse capacity 0.
+    """
+    heads: list[int] = []
+    capacity: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v, forward, backward in arc_pairs:
+        arcs[u].append(len(heads))
+        heads.append(v)
+        capacity.append(forward)
+        arcs[v].append(len(heads))
+        heads.append(u)
+        capacity.append(backward)
+    for leaving in arcs:
+        leaving.sort(key=heads.__getitem__)
+    return _FlowNetwork(heads, arcs, capacity)
+
+
+def _max_flow(net: _FlowNetwork, source: int, sink: int) -> tuple[int, set[int]]:
+    """Edmonds-Karp over arc arrays; returns (value, source side).
+
+    The residual capacities live in one list, a copy of ``net.capacity``, so
+    the network can serve many flows.  The source side is the set reachable
+    from the source in the final residual graph.  That set is the same for
+    every maximum flow: it is the least source shore among all minimum cuts
+    (Ford-Fulkerson), so it does not depend on which augmenting paths the
+    search happened to take.
+    """
+    heads, arcs = net.heads, net.arcs
+    residual = list(net.capacity)
+    n = len(arcs)
     flow = 0
-    n = len(capacity)
     while True:
-        parent = [-1] * n
-        parent[source] = source
-        queue = deque([source])
-        while queue and parent[sink] == -1:
-            v = queue.popleft()
-            for w in sorted(capacity[v]):
-                if parent[w] == -1 and capacity[v][w] > 0:
-                    parent[w] = v
+        via = [-1] * n  # the arc that first reached each vertex
+        via[source] = -2
+        queue = [source]
+        for v in queue:
+            for a in arcs[v]:
+                w = heads[a]
+                if via[w] == -1 and residual[a] > 0:
+                    via[w] = a
                     queue.append(w)
-        if parent[sink] == -1:
-            break
-        # bottleneck along the path
-        bottleneck = None
+            if via[sink] != -1:
+                break
+        else:
+            return flow, set(queue)
+        bottleneck = residual[via[sink]]
         w = sink
         while w != source:
-            v = parent[w]
-            c = capacity[v][w]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            w = v
+            a = via[w]
+            bottleneck = min(bottleneck, residual[a])
+            w = heads[a ^ 1]
         w = sink
         while w != source:
-            v = parent[w]
-            capacity[v][w] -= bottleneck
-            capacity[w][v] = capacity[w].get(v, 0) + bottleneck
-            w = v
+            a = via[w]
+            residual[a] -= bottleneck
+            residual[a ^ 1] += bottleneck
+            w = heads[a ^ 1]
         flow += bottleneck
-    side = {v for v in range(n) if parent[v] != -1}
-    return flow, side
-
-
-def _capacity_lists(g: MultiGraph) -> list[dict[int, int]]:
-    cap: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
-    for (u, v), ids in g.pair_ids.items():
-        cap[u][v] = len(ids)
-        cap[v][u] = len(ids)
-    return cap
 
 
 def gomory_hu_tree(g: MultiGraph) -> tuple[list[int], list[int]]:
     """Gusfield's Gomory-Hu cut tree: (parent, weight) arrays rooted at 0.
 
     The fundamental partition of every tree edge realizes a minimum cut
-    between its endpoints, which is what the odd-cut extraction needs.
+    between its endpoints, which is what the odd-cut extraction needs.  The
+    n - 1 flows share one network, built once with one arc pair per
+    adjacent pair whose capacity counts its parallel copies.  Each flow's
+    source side is the least minimum-cut shore, which no choice of
+    augmenting paths changes, so neither does the tree.
     """
     if not is_connected(g):
         raise ValueError("Gomory-Hu tree requires a connected graph")
@@ -261,11 +298,10 @@ def gomory_hu_tree(g: MultiGraph) -> tuple[list[int], list[int]]:
     parent = [0] * n
     parent[0] = -1
     weight = [0] * n
-    base_cap = _capacity_lists(g)
+    net = _flow_network(n, ((u, v, len(ids), len(ids)) for (u, v), ids in g.pair_ids.items()))
     for i in range(1, n):
         t = parent[i]
-        cap = [dict(d) for d in base_cap]
-        value, side = _max_flow(cap, i, t)
+        value, side = _max_flow(net, i, t)
         weight[i] = value
         for j in range(n):
             if j != i and j in side and parent[j] == t:

@@ -136,15 +136,6 @@ def _filtered_adjacency(g: MultiGraph, removed: frozenset[int]) -> list[tuple[in
     ]
 
 
-def _matching_excluding(g: MultiGraph, removed: frozenset[int]) -> Optional[list[int]]:
-    """Mate array perfectly matching V minus ``removed``, or None."""
-    mate = maximum_matching(g.vertex_count, _filtered_adjacency(g, removed))
-    for v in range(g.vertex_count):
-        if v not in removed and mate[v] == -1:
-            return None
-    return mate
-
-
 class GallaiEdmonds(NamedTuple):
     """D: vertices missed by some maximum matching; A = N(D) - D; C: the rest."""
 
@@ -186,12 +177,32 @@ def gallai_edmonds(
     return GallaiEdmonds(d, a, c)
 
 
-def has_perfect_matching(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
-    """Whether G minus the given vertices has a perfect matching."""
+def has_perfect_matching(
+    g: MultiGraph, removed: Iterable[int] = (), matching: Optional[Sequence[int]] = None
+) -> bool:
+    """Whether G minus the given vertices has a perfect matching.
+
+    One alternating search grows from each vertex left exposed, starting
+    from the empty matching or, when ``matching`` (a mate array of any
+    matching of G) is given, from that matching minus its edges at removed
+    vertices, as in ``gallai_edmonds``.  The first search that cannot
+    augment settles the answer as no, since a vertex with no augmenting path
+    from it is missed by some maximum matching.  From a perfect matching of
+    G, removing k vertices leaves at most k exposed vertices, so the test
+    costs a few searches instead of a whole matching search.
+    """
     gone = frozenset(removed)
     if (g.vertex_count - len(gone)) % 2 != 0:
         return False
-    return _matching_excluding(g, gone) is not None
+    adjacency = _filtered_adjacency(g, gone)
+    if matching is None:
+        mate = [-1] * g.vertex_count
+    else:
+        mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
+    return all(
+        v in gone or mate[v] != -1 or _grow_forest(adjacency, mate, (v,)) is None
+        for v in range(g.vertex_count)
+    )
 
 
 def pm_containing_edges(g: MultiGraph, edge_ids: Iterable[int]) -> Optional[frozenset[int]]:
@@ -209,8 +220,8 @@ def pm_containing_edges(g: MultiGraph, edge_ids: Iterable[int]) -> Optional[froz
         if u in covered or v in covered:
             raise ValueError(f"forced edges are not a matching: vertex clash at edge {e}")
         covered.update((u, v))
-    mate = _matching_excluding(g, frozenset(covered))
-    if mate is None:
+    mate = maximum_matching(g.vertex_count, _filtered_adjacency(g, frozenset(covered)))
+    if any(v not in covered and mate[v] == -1 for v in range(g.vertex_count)):
         return None
     result = set(forced)
     for v in range(g.vertex_count):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 from pmcover import MultiGraph, build_graph
 from pmcover.cli import gen_r_graph
+from pmcover.graphs import is_connected
 
 PETERSEN_PAIRS = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -114,6 +117,33 @@ def bridged_cubic() -> MultiGraph:
     pairs += [(u + 5, v + 5) for u, v in block]
     pairs.append((0, 5))
     return build_graph(10, pairs)
+
+
+def barrier_blowup(k: int, seed: int) -> MultiGraph:
+    """A cubic r-graph on 10k vertices whose barrier leaves k Petersen pieces.
+
+    H is a cubic bipartite multigraph on sides A and B of k vertices each:
+    three random perfect matchings between them, redrawn until H is
+    connected.  Each vertex of A becomes a copy of Petersen minus a vertex
+    (``PETERSEN_STUB_PAIRS``, on 9 vertices) whose three degree-2 vertices
+    take over its three H-edges.  B is then a barrier with the k pieces as
+    its odd components, so every piece's cut is tight and contracts to a
+    Petersen brick.  Vertices get a seeded random labelling.  Not part of
+    ``structured_instances``, whose certificates are pinned.
+    """
+    rng = random.Random(f"barrier_blowup:{k}:{seed}")
+    while True:
+        h_pairs = [(a, b) for _ in range(3) for a, b in enumerate(rng.sample(range(k), k))]
+        if is_connected(build_graph(2 * k, [(a, k + b) for a, b in h_pairs])):
+            break
+    pairs = [(9 * a + u, 9 * a + v) for a in range(k) for u, v in PETERSEN_STUB_PAIRS]
+    stubs_used = [0] * k
+    for a, b in h_pairs:
+        pairs.append((9 * a + (0, 3, 4)[stubs_used[a]], 9 * k + b))
+        stubs_used[a] += 1
+    label = list(range(10 * k))
+    rng.shuffle(label)
+    return build_graph(10 * k, [(label[u], label[v]) for u, v in pairs])
 
 
 def structured_instances() -> list[tuple[str, MultiGraph]]:

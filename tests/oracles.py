@@ -2,9 +2,10 @@
 
 Perfect matchings are enumerated here by pairing vertices (not by walking
 edge ids), tight cuts by checking every matching against the definition,
-minimum odd cuts by sweeping all odd shores, 2-separations by a component
-search per vertex pair, the Gallai-Edmonds sets by removing one vertex at
-a time, and the Petersen graph by a backtracking isomorphism search.
+minimum odd cuts and minimum s-t cuts by sweeping shores, 2-separations by
+a component search per vertex pair, the Gallai-Edmonds sets by removing
+one vertex at a time, and the Petersen graph by a backtracking isomorphism
+search.
 Everything is exponential and only meant for small graphs.  Rank is
 computed in Fractions, not by the library's fraction-free integer
 elimination.  The determinant, used only to check that an HNF transform is
@@ -119,6 +120,27 @@ def two_separation_shores(g: MultiGraph) -> list[frozenset[int]]:
 
 def min_odd_cut_size(g: MultiGraph) -> int:
     return min(cut_from_shore(g, shore).size for shore in odd_shores(g))
+
+
+def min_st_cut_sizes(g: MultiGraph) -> dict[tuple[int, int], int]:
+    """Minimum s-t cut size for every pair s < t, by sweeping all shores.
+
+    The pair's value is the least cut over every shore holding s and not t;
+    a shore and its complement share a cut, so shores holding vertex 0
+    cover both orientations.
+    """
+    n = g.vertex_count
+    best: dict[tuple[int, int], int] = {}
+    for size in range(1, n):
+        for rest in combinations(range(1, n), size - 1):
+            shore = frozenset((0,) + rest)
+            value = cut_from_shore(g, shore).size
+            for s in shore:
+                for t in range(n):
+                    if t not in shore:
+                        key = (min(s, t), max(s, t))
+                        best[key] = min(best.get(key, value), value)
+    return best
 
 
 def max_matching_size(g: MultiGraph, removed: frozenset[int] = frozenset()) -> int:

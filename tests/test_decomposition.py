@@ -17,7 +17,8 @@ from pmcover.decomposition import (
     is_petersen,
     is_tight_cut,
 )
-from pmcover.graphs import cut_from_shore, is_r_graph, regular_degree
+from pmcover.graphs import bipartition, cut_from_shore, is_r_graph, regular_degree
+from pmcover.matchings import maximum_matching
 
 import corpus
 import oracles
@@ -82,7 +83,8 @@ def test_two_separation_shores_match_the_pair_sweep():
 
 def test_two_cut_graph_takes_the_two_separation_route():
     g = corpus.k4_pair_two_cut()
-    assert list(_nonbipartite_barrier_shores(g)) == []
+    mate = maximum_matching(g.vertex_count, g.adjacency)
+    assert list(_nonbipartite_barrier_shores(g, mate)) == []
     cut = find_nontrivial_tight_cut(g)
     assert cut is not None
     assert cut.shore == frozenset({0, 1, 2, 3, 8})
@@ -117,6 +119,39 @@ def test_petersen_node_is_a_leaf_without_a_search(monkeypatch, copies):
     tree = decompose(g)
     assert tree.leaf_class is LeafClass.PETERSEN_BRICK
     assert len(calls) == 1
+
+
+def _count_searches(monkeypatch):
+    """Record, per call of the search, whether its graph is non-bipartite."""
+    searched = []
+
+    def counted(h, **kwargs):
+        searched.append(bipartition(h) is None)
+        return find_nontrivial_tight_cut(h, **kwargs)
+
+    monkeypatch.setattr(decomposition, "find_nontrivial_tight_cut", counted)
+    return searched
+
+
+def test_double_petersen_splice_carries_the_second_piece(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    tree = decompose(corpus.double_petersen_splice())
+    assert tree.petersen_count == 2
+    assert len(searched) == 2  # the root and the K3,3 brace; the second piece is carried
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_barrier_blowup_searches_once_per_barrier(monkeypatch, k):
+    for seed in range(3):
+        searched = _count_searches(monkeypatch)
+        g = corpus.barrier_blowup(k, seed)
+        _, tree = solve_r_graph(g)
+        assert tree.petersen_count == k
+        oracles.assert_solved_tree(tree)
+        nonbipartite_internal = sum(
+            1 for node in tree.internal_nodes() if bipartition(node.graph) is None
+        )
+        assert sum(searched) == nonbipartite_internal - (k - 1), (k, seed)
 
 
 def test_contract_shore_c6_frozen():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pmcover.graphs import (
@@ -99,17 +101,33 @@ def _tree_path_min(parent, weight, s, t):
     return best
 
 
-def test_gomory_hu_tree_is_flow_equivalent():
-    from pmcover.graphs import _capacity_lists, _max_flow
+def _dropped_edge_graphs(instances, rng):
+    """Connected irregular graphs made by deleting edges, as ``pmcover validate`` accepts."""
+    out = []
+    for name, g in instances:
+        for trial in range(2):
+            edges = list(g.edges)
+            for _ in range(rng.randrange(1, 4)):
+                if len(edges) > g.vertex_count:
+                    edges.pop(rng.randrange(len(edges)))
+            h = build_graph(g.vertex_count, edges)
+            if is_connected(h) and regular_degree(h) is None:
+                out.append((f"{name}_dropped{trial}", h))
+    return out
 
-    for name, g in corpus.structured_instances():
-        if g.vertex_count > 10:
-            continue
+
+def test_gomory_hu_tree_is_flow_equivalent():
+    instances = [
+        (name, g)
+        for name, g in corpus.structured_instances() + corpus.random_instances()
+        if g.vertex_count <= 10
+    ]
+    irregular = _dropped_edge_graphs(instances, random.Random(3))
+    assert len(irregular) >= 40, len(irregular)
+    for name, g in instances + irregular:
         parent, weight = gomory_hu_tree(g)
-        for s in range(g.vertex_count):
-            for t in range(s + 1, g.vertex_count):
-                flow, _ = _max_flow(_capacity_lists(g), s, t)
-                assert _tree_path_min(parent, weight, s, t) == flow, (name, s, t)
+        for (s, t), value in oracles.min_st_cut_sizes(g).items():
+            assert _tree_path_min(parent, weight, s, t) == value, (name, s, t)
 
 
 def test_min_odd_cut_matches_brute_force():

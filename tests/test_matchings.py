@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -55,6 +56,50 @@ def test_has_perfect_matching():
     assert not has_perfect_matching(star)
     assert has_perfect_matching(corpus.petersen(), removed=(0, 5))
     assert not has_perfect_matching(corpus.petersen(), removed=(0,))
+
+
+def _greedy_matching_minus_one_edge(g, rng):
+    """A mate array that is not a maximum matching: greedy, then one edge dropped."""
+    mate = [-1] * g.vertex_count
+    order = list(range(g.vertex_count))
+    rng.shuffle(order)
+    for v in order:
+        for w in g.adjacency[v]:
+            if mate[v] == -1 and mate[w] == -1:
+                mate[v], mate[w] = w, v
+    v = next(v for v in order if mate[v] != -1)
+    mate[mate[v]] = -1
+    mate[v] = -1
+    return mate
+
+
+def test_has_perfect_matching_warm_start_agrees_with_the_cold_call():
+    rng = random.Random(2)
+    instances = corpus.structured_instances() + corpus.random_instances(
+        ns=(4, 6, 8, 10), seeds=range(2)
+    )
+    outcomes = {True: 0, False: 0}
+    for name, g in instances:
+        if g.vertex_count > 10:
+            continue
+        seeds = [
+            maximum_matching(g.vertex_count, g.adjacency),
+            _greedy_matching_minus_one_edge(g, rng),
+        ]
+        assert -1 not in seeds[0] and -1 in seeds[1], name
+        unchanged = [list(mate) for mate in seeds]
+        for size in (2, 4):
+            for removed in itertools.combinations(range(g.vertex_count), size):
+                cold = has_perfect_matching(g, removed)
+                left = g.vertex_count - size
+                assert cold == (2 * oracles.max_matching_size(g, frozenset(removed)) == left), (
+                    name, removed,
+                )
+                outcomes[cold] += 1
+                for mate in seeds:
+                    assert has_perfect_matching(g, removed, mate) == cold, (name, removed)
+        assert seeds == unchanged, name
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 def test_enumeration_counts_frozen():
