@@ -16,42 +16,46 @@ Three solvers, one per leaf class:
   into parallel copies directly, the half case first spends +1/2 on each of
   the six matchings over one chosen copy of every underlying edge and
   expands the integer remainder.
-* other bricks: the all-ones vector is an integer combination of perfect
-  matchings.  Starting from a greedy basis (each matching grabs the lowest
-  uncovered edge id), a Hermite-normal-form solve finds an integer solution;
-  further matchings are enumerated into the column set, eight at a time,
-  until the solve yields one whose support columns are linearly independent.
-  The columns also grow an exact ``Echelon``, and the Hermite solve runs only
-  once they span the all-ones vector over Q.  The lattice of the columns lies
-  inside their rational span (Lovasz 1987), so every skipped solve would have
-  returned None; the same matchings are pulled and the same solves run, and
-  the cover does not change.
+* other bricks: the all-ones vector is an integer combination of linearly
+  independent perfect matchings.  lin(PM) of a brick has dimension
+  m - n + 1 (Edmonds, Lovasz and Pulleyblank 1982), and off the Petersen
+  graph its matching lattice is the integer points of lin(PM) (Lovasz
+  1987), so for a basis B of perfect matchings the unique rational c with
+  B c = 1 is the cover whenever it is integral.  The basis comes from a
+  walk: the greedy basis (each matching grabs the lowest uncovered edge id),
+  then one matching through each vertex-disjoint edge pair in lexicographic
+  order, each kept only when it raises the rank.  When c is not integral
+  the walk goes on, and a later matching whose coordinate d_j in the basis
+  has 0 < |d_j| < 1 replaces basis matching j; that multiplies the index of
+  the basis lattice in the matching lattice by |d_j| < 1, so there are
+  finitely many swaps.  If the walk runs out first, ``ClassificationError``
+  says so.  The support is at most m - n + 1 by construction.
 
 Coefficients are doubled ints, as everywhere in the package: a brace term
-is 2, a brick term 2x for the integer x of the lattice solve, a Petersen
-half 1.  Every solver returns through the strict cover constructor, so
-per-edge sums are rechecked exactly.
+is 2, a brick term 2x for the integer coordinate x, a Petersen half 1.
+Every solver returns through the strict cover constructor, so per-edge sums
+are rechecked exactly.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .cover import CoverSolution, exact_cover, terms_independent
+from .cover import CoverSolution, exact_cover
 from .decomposition import is_petersen
 from .graphs import MultiGraph, bipartition, build_graph, regular_degree
-from .linalg import Echelon, hnf_solve
-from .matchings import (
-    enumerate_pms,
-    incidence_rows,
-    iter_pms,
-    maximum_matching,
-    pm_containing_edges,
-)
+from .linalg import Echelon, coordinates
+from .matchings import enumerate_pms, maximum_matching, pm_containing_edges
 
 
 class ClassificationError(RuntimeError):
-    """Exhaustive solving failed where brick structure guarantees success."""
+    """The brick solver failed where brick structure guarantees success.
+
+    Two causes: the pair walk ended below rank m - n + 1, or it ended before
+    the exchange brought the all-ones vector into the lattice of the basis.
+    On a regular non-Petersen brick either one is a shortfall of the walk,
+    not of the brick, which always has such a cover (Lovasz 1987).
+    """
 
 
 def brace_solve(g: MultiGraph) -> CoverSolution:
@@ -149,65 +153,89 @@ def petersen_solve(g: MultiGraph) -> CoverSolution:
     return exact_cover(g, terms)
 
 
-def greedy_basis(g: MultiGraph) -> list[tuple[frozenset[int], int]]:
-    """Matchings picked so each contains the lowest edge id its predecessors miss.
-
-    Returns (matching, private edge id) pairs; the private ids certify that
-    each matching added a previously uncovered edge, so no matching repeats.
-    """
+def greedy_basis(g: MultiGraph) -> list[frozenset[int]]:
+    """Matchings picked so each contains the lowest edge id its predecessors miss."""
     covered: set[int] = set()
-    basis: list[tuple[frozenset[int], int]] = []
+    basis: list[frozenset[int]] = []
     for e in range(g.m):
         if e in covered:
             continue
         pm = pm_containing_edges(g, (e,))
         if pm is None:
             raise ValueError(f"edge {e} lies in no perfect matching")
-        basis.append((pm, e))
+        basis.append(pm)
         covered.update(pm)
     return basis
+
+
+def _pair_walk(g: MultiGraph) -> Iterator[frozenset[int]]:
+    """The greedy basis, then one matching through each disjoint edge pair.
+
+    Pairs (e, f) with e < f and no shared end are taken in lexicographic
+    order; a pair that lies in no perfect matching yields nothing.
+    """
+    yield from greedy_basis(g)
+    for e in range(g.m):
+        u, v = g.edges[e]
+        for f in range(e + 1, g.m):
+            if u in g.edges[f] or v in g.edges[f]:
+                continue
+            pm = pm_containing_edges(g, (e, f))
+            if pm is not None:
+                yield pm
 
 
 def brick_solve(g: MultiGraph) -> CoverSolution:
     """All-integer cover of a non-Petersen brick by independent matchings.
 
-    Each round solves M x = 1 over the integers, M the incidence columns of
-    the matchings so far, and pulls eight more matchings when there is no
-    solution or its support is dependent.  Every column also enters an
-    ``Echelon``, and a round whose columns do not span the all-ones vector
-    over Q skips the Hermite solve: the lattice of the columns lies inside
-    their rational span, so that solve could only have returned None.  The
-    skipped rounds pull the same matchings, so the cover is the same.
+    The pair walk fills a basis of m - n + 1 matchings, keeping one only when
+    it raises the rank of an ``Echelon``.  The coordinates c of the all-ones
+    vector in the basis are the cover once they are integral.  Until then
+    the walk goes on: a candidate with coordinates d and some 0 < |d_j| < 1
+    replaces basis matching j (smallest |d_j|, then lowest j), which
+    multiplies the index of the basis lattice by |d_j|, and c is solved
+    again.
     """
     if bipartition(g) is not None:
         raise ValueError("bipartite graphs are solved by peeling, not the brick path")
     if is_petersen(g):
         raise ValueError("the Petersen brick requires the half-integral solver")
-    columns = [pm for pm, _ in greedy_basis(g)]
-    known = set(columns)
+
+    def incidence(pm: frozenset[int]) -> list[int]:
+        return [1 if e in pm else 0 for e in range(g.m)]
+
+    dim = g.m - g.vertex_count + 1
     span = Echelon(g.m)
-    for pm in columns:
-        span.add([1 if e in pm else 0 for e in range(g.m)])
+    basis: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()  # a repeat cannot raise the rank
+    walk = _pair_walk(g)
+    for pm in walk:
+        if pm not in seen and span.add(incidence(pm)):
+            basis.append(pm)
+            if len(basis) == dim:
+                break
+        seen.add(pm)
+    else:
+        raise ClassificationError(
+            f"the pair walk ended at rank {len(basis)}, below m - n + 1 = {dim}; "
+            "the graph is not a brick"
+        )
+    rows = [incidence(pm) for pm in basis]
     ones = [1] * g.m
-    source = iter_pms(g)
-    while True:
-        if ones in span:
-            x = hnf_solve(incidence_rows(g, columns), ones)
-            if x is not None:
-                support = [j for j, c in enumerate(x) if c != 0]
-                if terms_independent(g, [columns[j] for j in support]):
-                    return exact_cover(g, [(columns[j], 2 * x[j]) for j in support])
-        added = 0
-        for pm in source:
-            if pm not in known:
-                known.add(pm)
-                columns.append(pm)
-                span.add([1 if e in pm else 0 for e in range(g.m)])
-                added += 1
-                if added == 8:
-                    break
-        if added == 0:
+    solved = coordinates(rows, ones)
+    while solved is None or solved[1] != 1:
+        pm = next(walk, None)
+        if pm is None:
             raise ClassificationError(
-                "all perfect matchings enumerated without an independent integral "
-                "cover; the graph is not a non-Petersen brick"
+                "the pair walk ended before the exchange brought the all-ones vector "
+                "into the lattice of the basis; the graph is not a regular non-Petersen brick"
             )
+        # dim lin(PM) = m - n + 2 - b <= m - n + 1 on a non-bipartite matching
+        # covered graph, so the full-rank basis spans every perfect matching
+        d, den = coordinates(rows, incidence(pm))
+        shrinking = [j for j, x in enumerate(d) if 0 < abs(x) < den]
+        if shrinking:
+            swap = min(shrinking, key=lambda j: abs(d[j]))
+            basis[swap], rows[swap] = pm, incidence(pm)
+            solved = coordinates(rows, ones)
+    return exact_cover(g, [(pm, 2 * x) for pm, x in zip(basis, solved[0]) if x])

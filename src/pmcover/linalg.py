@@ -5,17 +5,17 @@ cover coefficients are doubled ints; no rational or float type appears.
 Matrices are dense; the package operates at desk scale where dense exact
 elimination is the simple, predictable choice.
 
-* ``Echelon`` is the one elimination routine: an echelon of primitive
-  integer rows, grown one row at a time.  ``add`` reports whether a row
-  raised the rank, and ``vector in echelon`` whether a vector lies in the
-  rational span of the rows added so far.  ``rank`` counts its pivots and is
-  used by every linear independence check.
-* The integer lattice side is a column-style Hermite normal form with the
-  unimodular transform recorded, which answers "is b an integer combination
-  of these columns".  Pivot choice is deterministic: smallest nonzero
-  absolute value, then lowest column index.  A lattice lies inside its
-  rational span, so a vector outside the span of an ``Echelon`` is outside
-  the lattice too.
+``Echelon`` is the one elimination routine: an echelon of primitive integer
+rows, grown one row at a time.
+
+* ``add`` reports whether a row raised the rank, and ``vector in echelon``
+  whether a vector lies in the rational span of the rows added so far.
+* ``rank`` counts its pivots and is used by every linear independence check.
+* ``coordinates`` writes a vector in independent rows as integer numerators
+  over one positive denominator: each row carries a unit tail through the
+  elimination, so the combination is read off the remainder.  The lattice
+  question "is b an integer combination of independent rows" is then
+  "is the denominator 1".
 """
 
 from __future__ import annotations
@@ -109,97 +109,39 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     return len(echelon)
 
 
-def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Column-style Hermite normal form: H = M U with U unimodular.
+def coordinates(
+    rows: Sequence[Sequence[int]], target: Sequence[int]
+) -> Optional[tuple[list[int], int]]:
+    """The target in independent rows: numerators and a positive common denominator.
 
-    H is a lower staircase: pivot columns come first, each pivot positive,
-    entries left of a pivot in its row reduced to [0, pivot), and all columns
-    after the last pivot identically zero (their U columns span the integer
-    kernel of M).
+    Returns (num, den) with sum_i num_i * rows_i = den * target and
+    gcd(num, den) = 1, or None when the target is outside the rows' rational
+    span; ragged or dependent rows raise ValueError.  Row i enters one
+    ``Echelon`` extended by the i-th unit vector and a 0, so each stored row
+    carries in its tail the combination of input rows it is.  Reducing
+    (target, 0...0, 1) leaves l * target + sum_i u_i * rows_i on the first
+    columns, u in the tail and l last.  That part vanishes exactly when the
+    target is in the span, and then target = sum_i (-u_i / l) rows_i; the
+    remainder is primitive, so the fraction is in lowest terms.  The answer
+    is checked exactly before it is returned.
     """
-    h = [[int(x) for x in row] for row in matrix]
-    nrows = len(h)
-    ncols = len(h[0]) if nrows else 0
-    if any(len(row) != ncols for row in h):
-        raise ValueError("ragged rows: all rows must have the same length")
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_cols(a: int, b: int) -> None:
-        if a == b:
-            return
-        for row in h:
-            row[a], row[b] = row[b], row[a]
-        for row in u:
-            row[a], row[b] = row[b], row[a]
-
-    def add_col(dst: int, src: int, factor: int) -> None:
-        for row in h:
-            row[dst] += factor * row[src]
-        for row in u:
-            row[dst] += factor * row[src]
-
-    def negate_col(c: int) -> None:
-        for row in h:
-            row[c] = -row[c]
-        for row in u:
-            row[c] = -row[c]
-
-    col = 0
-    for row_i in range(nrows):
-        if col == ncols:
-            break
-        while True:
-            active = [j for j in range(col, ncols) if h[row_i][j] != 0]
-            if not active:
-                break
-            best = min(active, key=lambda j: (abs(h[row_i][j]), j))
-            swap_cols(col, best)
-            done = True
-            for j in range(col + 1, ncols):
-                if h[row_i][j] != 0:
-                    q = h[row_i][j] // h[row_i][col]
-                    add_col(j, col, -q)
-                    if h[row_i][j] != 0:
-                        done = False
-            if done:
-                break
-        if col < ncols and h[row_i][col] != 0:
-            if h[row_i][col] < 0:
-                negate_col(col)
-            for j in range(col):
-                q = h[row_i][j] // h[row_i][col]
-                if q:
-                    add_col(j, col, -q)
-            col += 1
-    return h, u
-
-
-def hnf_solve(matrix: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[int]]:
-    """An integer solution x of M x = b, or None if b is outside the lattice.
-
-    Forward substitution over the staircase of the HNF, mapped back through
-    the unimodular transform.  The result is verified exactly before return.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if len(b) != nrows:
-        raise ValueError(f"dimension mismatch: {nrows} rows, {len(b)} rhs entries")
-    h, u = hnf(matrix)
-    y = [0] * ncols
-    next_pivot = 0
-    for i in range(nrows):
-        acc = sum(h[i][j] * y[j] for j in range(next_pivot))
-        residual = b[i] - acc
-        if next_pivot < ncols and h[i][next_pivot] != 0:
-            q, rem = divmod(residual, h[i][next_pivot])
-            if rem != 0:
-                return None
-            y[next_pivot] = q
-            next_pivot += 1
-        elif residual != 0:
-            return None
-    x = [sum(u[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
-    for i in range(nrows):
-        if sum(matrix[i][j] * x[j] for j in range(ncols)) != b[i]:
-            raise AssertionError("hnf_solve produced an inexact solution")
-    return x
+    k = len(rows)
+    width = len(target)
+    echelon = Echelon(width + k + 1)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError("ragged rows: all rows must have the same length as the target")
+        echelon.add([*row, *(1 if j == i else 0 for j in range(k)), 0])
+    if any(p >= width for p, _ in echelon.rows):
+        raise ValueError("dependent rows: coordinates need independent rows")
+    # no stored row reaches the last column, so the remainder is never zero
+    pivot, remainder = echelon._reduce([*target, *(0 for _ in range(k)), 1])
+    if pivot < width:
+        return None
+    *tail, last = remainder[width:]
+    sign = 1 if last > 0 else -1
+    num, den = [-sign * u for u in tail], sign * last
+    for col in range(width):
+        if sum(n * row[col] for n, row in zip(num, rows)) != den * target[col]:
+            raise AssertionError("coordinates produced an inexact combination")
+    return num, den

@@ -6,10 +6,9 @@ minimum odd cuts and minimum s-t cuts by sweeping shores, 2-separations by
 a component search per vertex pair, the Gallai-Edmonds sets by removing
 one vertex at a time, and the Petersen graph by a backtracking isomorphism
 search.
-Everything is exponential and only meant for small graphs.  Rank is
-computed in Fractions, not by the library's fraction-free integer
-elimination.  The determinant, used only to check that an HNF transform is
-unimodular, is computed fraction-free.
+Everything is exponential and only meant for small graphs.  Rank and
+coordinates are computed in Fractions, not by the library's fraction-free
+integer elimination.
 
 The merge oracles at the end re-check a solved decomposition tree node by
 node with the library's public checks (r-graph test, perfect-matching
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Optional
 
 from pmcover import (
@@ -230,27 +230,36 @@ def fraction_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def integer_det(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant requires a square matrix")
-    a = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+def fraction_coordinates(
+    rows: list[list[int]], target: list[int]
+) -> Optional[tuple[list[int], int]]:
+    """The target in independent rows by Gauss-Jordan elimination in Fractions.
+
+    Returns integer numerators over their least positive common denominator,
+    or None when the target is outside the span; ragged or dependent rows
+    raise ValueError.
+    """
+    width = len(target)
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged rows")
+    # one equation per column: sum_i c_i rows[i][col] = target[col]
+    a = [[Fraction(row[col]) for row in rows] + [Fraction(target[col])] for col in range(width)]
+    k = len(rows)
+    for c in range(k):
+        pivot = next((i for i in range(c, width) if a[i][c] != 0), None)
+        if pivot is None:
+            raise ValueError("dependent rows")
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(width):
+            if i != c and a[i][c] != 0:
+                factor = a[i][c]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[c])]
+    if any(a[i][k] != 0 for i in range(k, width)):
+        return None
+    coeffs = [a[i][k] for i in range(k)]
+    den = lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs], den
 
 
 def assert_matching_covered(g: MultiGraph) -> None:

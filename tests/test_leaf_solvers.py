@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcover import (
     LeafClass,
@@ -17,6 +19,7 @@ from pmcover import (
     verify_cover,
 )
 from pmcover.cli import gen_r_graph
+from pmcover.linalg import Echelon
 from pmcover.leaf_solvers import (
     ClassificationError,
     _petersen_weight_alpha,
@@ -200,11 +203,11 @@ def test_relabelled_petersen_roots_solve_and_verify():
 
 def test_greedy_basis_prism_frozen():
     basis = greedy_basis(corpus.prism())
-    assert [(sorted(m), e) for m, e in basis[:3]] == [
-        ([0, 3, 8], 0),
-        ([1, 4, 6], 1),
-        ([2, 5, 7], 2),
-    ]
+    assert [sorted(m) for m in basis[:3]] == [[0, 3, 8], [1, 4, 6], [2, 5, 7]]
+    # each matching holds the lowest edge id its predecessors miss
+    for k, pm in enumerate(basis):
+        missed = min(set(range(corpus.prism().m)) - set().union(*basis[:k]))
+        assert missed in pm
 
 
 def test_greedy_basis_names_uncoverable_edge():
@@ -236,57 +239,85 @@ def test_brick_solve_triangle_expanded():
     assert terms_independent(g, sol.matchings)
 
 
-def test_brick_solve_adds_matchings_when_the_support_is_dependent(monkeypatch):
-    g = corpus.prism()
-    assert len(greedy_basis(g)) == 3 and len(oracles.all_pms(g)) == 4
-    seen = []
+def _other_brick_leaf(n, r, seed):
+    tree = decompose(gen_r_graph(n, r, seed=seed))
+    return [leaf.graph for leaf in tree.leaves() if leaf.leaf_class is LeafClass.OTHER_BRICK]
 
-    def reject_first(graph, matchings):
-        seen.append(matchings)
-        return len(seen) > 1 and terms_independent(graph, matchings)
 
-    solves = []
-    real_solve = leaf_solvers.hnf_solve
+def test_brick_solve_exchange_pins_the_degree_7_leaf(monkeypatch):
+    # the greedy-and-pair basis of this leaf holds the all-ones vector only
+    # at denominator > 1; one swap brings it into the basis lattice
+    (g,) = _other_brick_leaf(20, 7, 1)
+    denominators = []
+    real_coordinates = leaf_solvers.coordinates
 
-    def counted_solve(matrix, b):
-        solves.append(len(matrix[0]))
-        return real_solve(matrix, b)
+    def recorded(rows, target):
+        solved = real_coordinates(rows, target)
+        if list(target) == [1] * g.m:
+            denominators.append(solved[1])
+        return solved
 
-    monkeypatch.setattr(leaf_solvers, "terms_independent", reject_first)
-    monkeypatch.setattr(leaf_solvers, "hnf_solve", counted_solve)
+    monkeypatch.setattr(leaf_solvers, "coordinates", recorded)
     sol = brick_solve(g)
-    # one solve over the greedy basis, one after the fourth matching is added
-    assert solves == [3, 4]
-    assert sol.coverage() == [2] * g.m
-    assert terms_independent(g, sol.matchings)
-
-
-def test_brick_solve_skips_solves_outside_the_rational_span(monkeypatch):
-    # Before the span gate this leaf took 41 Hermite solves, 40 of them on
-    # columns that did not span the all-ones vector over Q; the cover is the
-    # one those 41 solves found.
-    tree = decompose(gen_r_graph(28, 5, seed=1))
-    (leaf,) = [leaf for leaf in tree.leaves() if leaf.leaf_class is LeafClass.OTHER_BRICK]
-    solves = []
-    real_solve = leaf_solvers.hnf_solve
-
-    def counted_solve(matrix, b):
-        solves.append(len(matrix[0]))
-        return real_solve(matrix, b)
-
-    monkeypatch.setattr(leaf_solvers, "hnf_solve", counted_solve)
-    sol = brick_solve(leaf.graph)
-    assert solves == [347]
+    assert len(denominators) == 2 and denominators[0] > 1 and denominators[1] == 1
+    assert sol.support <= g.m - g.vertex_count + 1
     text = json.dumps([[sorted(m), c] for m, c in sol.terms])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "cb062da14ac7f8a42689dd5991b975d18d71799ec2e3702381176022683f6f5b"
+        "99a11b521cd8dc835848ac3faaa295b560b0153b582a9617bb934fda98e02fa2"
     )
 
 
-def test_brick_solve_raises_when_no_support_is_independent(monkeypatch):
-    monkeypatch.setattr(leaf_solvers, "terms_independent", lambda graph, matchings: False)
-    with pytest.raises(ClassificationError, match="all perfect matchings enumerated"):
-        brick_solve(corpus.k4())
+def test_brick_solve_raises_when_the_walk_ends_below_full_rank(monkeypatch):
+    # no pair lies in a perfect matching: the prism stops at its greedy
+    # basis, rank 3 of m - n + 1 = 4
+    real_pm = leaf_solvers.pm_containing_edges
+
+    def singles_only(g, edge_ids):
+        return real_pm(g, edge_ids) if len(edge_ids) == 1 else None
+
+    monkeypatch.setattr(leaf_solvers, "pm_containing_edges", singles_only)
+    with pytest.raises(ClassificationError, match="ended at rank 3, below m - n \\+ 1 = 4"):
+        brick_solve(corpus.prism())
+
+
+def test_brick_solve_raises_when_the_walk_ends_before_the_exchange_closes(monkeypatch):
+    # the walk stops at full rank, so the degree-7 leaf keeps its
+    # non-integral coordinates
+    (g,) = _other_brick_leaf(20, 7, 1)
+    real_pm = leaf_solvers.pm_containing_edges
+    seen = Echelon(g.m)
+
+    def until_full_rank(graph, edge_ids):
+        if len(seen) == g.m - g.vertex_count + 1:
+            return None
+        pm = real_pm(graph, edge_ids)
+        if pm is not None:
+            seen.add([1 if e in pm else 0 for e in range(g.m)])
+        return pm
+
+    monkeypatch.setattr(leaf_solvers, "pm_containing_edges", until_full_rank)
+    with pytest.raises(ClassificationError, match="before the exchange"):
+        brick_solve(g)
+
+
+@given(st.sampled_from([(18, 4), (36, 3)]), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_brick_solve_support_is_an_independent_basis_subset(family, seed):
+    # leaves of the benchmark's brick (n=18, r=4) and cubic (n=36, r=3)
+    # families: at most m - n + 1 terms, independent by an oracle's rank
+    n, r = family
+    for g in _other_brick_leaf(n, r, seed):
+        sol = brick_solve(g)
+        assert sol.support <= g.m - g.vertex_count + 1
+        rows = [[1 if e in pm else 0 for e in range(g.m)] for pm in sol.matchings]
+        assert oracles.fraction_rank(rows) == sol.support
+
+
+@pytest.mark.parametrize("n, r", [(32, 5), (40, 5), (20, 7), (80, 3)])
+def test_size_and_degree_cliffs_solve_and_verify(n, r):
+    g = gen_r_graph(n, r, seed=1)
+    sol, tree = solve_r_graph(g)
+    assert verify_cover(g, sol, tree).mandatory_ok
 
 
 def test_brick_solve_rejections():

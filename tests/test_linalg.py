@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmcover.linalg import Echelon, hnf, hnf_solve, rank
+from pmcover.linalg import Echelon, coordinates, rank
 from pmcover.matchings import incidence_rows
 
 import corpus
@@ -39,31 +39,7 @@ def test_rank_of_all_perfect_matchings(name, expected):
     assert rank(incidence_rows(g, oracles.all_pms(g))) == expected
 
 
-def test_integer_det():
-    # the oracle behind the unimodularity check in the HNF property below
-    assert oracles.integer_det([[2, 0], [0, 3]]) == 6
-    assert oracles.integer_det([[0, 1], [1, 0]]) == -1
-    assert oracles.integer_det([[1, 2], [2, 4]]) == 0
-    assert oracles.integer_det([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
-
-
-def test_hnf_solve_examples():
-    assert hnf_solve([[2]], [3]) is None
-    x = hnf_solve([[2, 3]], [1])
-    assert x is not None and 2 * x[0] + 3 * x[1] == 1
-    x = hnf_solve([[2, 0], [0, 3]], [4, 9])
-    assert x == [2, 3]
-    assert hnf_solve([[2, 4]], [3]) is None
-
-
 int_matrix = st.integers(-6, 6)
-
-
-@st.composite
-def small_matrix(draw):
-    rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(1, 4))
-    return [[draw(int_matrix) for _ in range(cols)] for _ in range(rows)]
 
 
 @st.composite
@@ -144,75 +120,54 @@ def test_echelon_rejects_a_row_of_the_wrong_width():
         echelon.add([Fraction(1, 2), 0])
 
 
-@given(dependent_matrix(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_echelon_gate_is_sound_for_the_lattice_solve(matrix, data):
-    # a lattice lies inside its rational span, so a vector the echelon of the
-    # columns does not span has no integer solution either
-    echelon = Echelon(len(matrix))
-    for column in zip(*matrix):
-        echelon.add(column)
-    b = data.draw(
+def test_coordinates_examples():
+    assert coordinates([[2, 0], [0, 3]], [1, 1]) == ([3, 2], 6)
+    assert coordinates([[1, 1, 0], [0, 1, 1]], [1, 2, 1]) == ([1, 1], 1)
+    assert coordinates([[1, 1, 0], [0, 1, 1]], [1, 0, 0]) is None
+    assert coordinates([[-2, 4]], [1, -2]) == ([-1], 2)
+    assert coordinates([], [0, 0]) == ([], 1)
+    assert coordinates([], [0, 1]) is None
+
+
+def test_coordinates_reject_ragged_and_dependent_rows():
+    for rows, target in (([[1, 0], [1]], [1, 0]), ([[1, 0]], [1, 0, 0])):
+        with pytest.raises(ValueError, match="ragged"):
+            coordinates(rows, target)
+        with pytest.raises(ValueError, match="ragged"):
+            oracles.fraction_coordinates(rows, target)
+    for rows in ([[1, 2], [2, 4]], [[0, 0]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="dependent"):
+            coordinates(rows, [1, 1])
+        with pytest.raises(ValueError, match="dependent"):
+            oracles.fraction_coordinates(rows, [1, 1])
+
+
+@given(dependent_matrix(), st.integers(1, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_coordinates_match_fraction_elimination(matrix, scale, data):
+    # the matrix's rows, kept greedily while independent and multiplied by
+    # the scale, against a target that is an integer combination of the
+    # unscaled rows (coordinates over the scale) or free (mostly outside the
+    # span); the full matrix is rejected when it is dependent
+    width = len(matrix[0])
+    kept: list[list[int]] = []
+    for row in matrix:
+        if oracles.fraction_rank(kept + [row]) > len(kept):
+            kept.append(row)
+    rows = [[scale * x for x in row] for row in kept]
+    target = data.draw(
         st.one_of(
-            st.just([1] * len(matrix)),
-            st.lists(int_matrix, min_size=len(matrix), max_size=len(matrix)),
+            st.lists(int_matrix, min_size=len(kept), max_size=len(kept)).map(
+                lambda c: [sum(x * row[j] for x, row in zip(c, kept)) for j in range(width)]
+            ),
+            st.lists(int_matrix, min_size=width, max_size=width),
         )
     )
-    if b not in echelon:
-        assert hnf_solve(matrix, b) is None
-
-
-@given(small_matrix())
-@settings(max_examples=200, deadline=None)
-def test_hnf_factorization_property(matrix):
-    h, u = hnf(matrix)
-    rows, cols = len(matrix), len(matrix[0])
-    # H = M U entry by entry
-    for i in range(rows):
-        for j in range(cols):
-            assert h[i][j] == sum(matrix[i][k] * u[k][j] for k in range(cols))
-    # U unimodular
-    assert oracles.integer_det(u) in (1, -1)
-
-
-@given(small_matrix())
-@settings(max_examples=200, deadline=None)
-@example([[1, 1, 1]])
-@example([[1, 0], [0, 1]])
-def test_integer_kernel_property(matrix):
-    # The integer kernel of M is read off its HNF: H has cols - rank zero
-    # columns, and the matching columns of U lie in the kernel of M.
-    h, u = hnf(matrix)
-    rows, cols = len(matrix), len(matrix[0])
-    zero = [j for j in range(cols) if all(h[i][j] == 0 for i in range(rows))]
-    assert len(zero) == cols - rank(matrix)
-    for j in zero:
-        for i in range(rows):
-            assert sum(matrix[i][k] * u[k][j] for k in range(cols)) == 0
-
-
-@given(small_matrix(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_hnf_solve_round_trip(matrix, data):
-    cols = len(matrix[0])
-    x = [data.draw(int_matrix) for _ in range(cols)]
-    b = [sum(row[k] * x[k] for k in range(cols)) for row in matrix]
-    y = hnf_solve(matrix, b)
-    assert y is not None
-    for row, target in zip(matrix, b):
-        assert sum(row[k] * y[k] for k in range(cols)) == target
-
-
-@given(small_matrix())
-@settings(max_examples=100, deadline=None)
-def test_rational_solve_consistency_with_hnf(matrix):
-    # M x = 1 is solvable over Q exactly when appending the all-ones column
-    # leaves the rank unchanged; an integer solution is a rational one
-    integral = hnf_solve(matrix, [1] * len(matrix))
-    rational = oracles.fraction_rank(matrix) == oracles.fraction_rank(
-        [row + [1] for row in matrix]
-    )
-    if not rational:
-        assert integral is None
-    if integral is not None:
-        assert rational
+    expected = oracles.fraction_coordinates(rows, target)
+    assert coordinates(rows, target) == expected
+    if expected is not None:
+        num, den = expected
+        assert den > 0 and math.gcd(den, *num) == 1
+    if len(kept) < len(matrix):
+        with pytest.raises(ValueError, match="dependent"):
+            coordinates(matrix, target)
