@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .graphs import MultiGraph
 from .linalg import rank
-from .matchings import incidence_rows, validate_perfect_matching
+from .matchings import incidence_row, validate_perfect_matching
 
 
 def in_class(twice: int) -> bool:
@@ -94,7 +94,7 @@ def terms_independent(graph: MultiGraph, matchings: Sequence[frozenset[int]]) ->
     """
     if not matchings:
         return True
-    return rank(incidence_rows(graph, matchings)) == len(matchings)
+    return rank([incidence_row(graph, pm) for pm in matchings]) == len(matchings)
 
 
 def exact_cover(

@@ -25,11 +25,17 @@ sources, each validated by the definitional check before being returned:
   Every perfect matching must match each odd component to B through a single
   edge, so the cut around any odd component is tight.  In the bipartite case
   barriers arise as neighborhoods N(X) of a side subset X with |N(X)| =
-  |X| + 1, found by a max-flow surplus sweep.  In the non-bipartite case
-  they come from the Gallai-Edmonds structure theorem (Lovasz-Plummer,
-  Matching Theory, 1986), with D, A and C as in ``matchings.gallai_edmonds``.
-  G - u - v has a perfect matching exactly when v is in D(G - u), so one
-  decomposition per vertex u settles every pair {u, v}; for a failing pair,
+  |X| + 1.  Given a perfect matching M, let D(M) be the digraph on one side
+  U with an arc u -> u' whenever u is adjacent to M(u').  Then |N(X)| =
+  |X| + |Out(X)|, where Out(X) holds the vertices outside X that X has arcs
+  to, so the brace condition |N(X)| >= |X| + 2 (Lovasz 1987) says that
+  D(M) - z is strongly connected for every z (Robertson, Seymour and Thomas
+  1999), and a witness X is one forward and at most one backward search in
+  D(M) - z away.  In the non-bipartite case barriers come from the
+  Gallai-Edmonds structure theorem (Lovasz-Plummer, Matching Theory, 1986),
+  with D, A and C as in ``matchings.gallai_edmonds``.  G - u - v has a
+  perfect matching exactly when v is in D(G - u), so one decomposition per
+  vertex u settles every pair {u, v}; for a failing pair,
   {u, v} + A(G - u - v) is a barrier.  One perfect matching of the node
   serves every decomposition, so each is one alternating forest: one per
   vertex plus one per failing pair, and one matching search per node.
@@ -39,7 +45,7 @@ sources, each validated by the definitional check before being returned:
   low-link depth-first search per vertex u finds every separating pair.
 
 For graphs where neither source produces a verified cut, no nontrivial tight
-cut exists: a connected bipartite r-graph evading the surplus sweep satisfies
+cut exists: a connected bipartite r-graph evading the digraph sweep satisfies
 the brace condition, and a non-bipartite one evading both non-bipartite
 routes is bicritical and 3-connected, hence a brick.  Tests cross-check the
 verdict against an exhaustive odd-shore sweep at small orders.
@@ -66,8 +72,6 @@ from .cover import CoverSolution
 from .graphs import (
     Cut,
     MultiGraph,
-    _flow_network,
-    _max_flow,
     bipartition,
     build_graph,
     components_without,
@@ -173,55 +177,6 @@ def is_tight_cut(
     return True
 
 
-def _neighborhood(g: MultiGraph, vertices: Iterable[int]) -> frozenset[int]:
-    inside = set(vertices)
-    out: set[int] = set()
-    for v in inside:
-        out.update(g.adjacency[v])
-    return frozenset(out - inside)
-
-
-def _low_surplus_sets(
-    g: MultiGraph, u_side: frozenset[int], w_side: frozenset[int]
-) -> Iterator[frozenset[int]]:
-    """Subsets X of u_side with |N(X)| = |X| + 1 and 1 <= |X| <= |u_side| - 2.
-
-    For each excluded vertex w and forced vertex u, a unit-capacity flow
-    network realizes min |N(X)| - |X| over X containing u and avoiding w in
-    its neighborhood; the minimal source side of a minimum cut recovers X.
-    Its arcs are directed (source to U', U' to N(U'), N(U') to sink), and one
-    network serves every forced vertex of an excluded one: only the forced
-    vertex's source arc changes capacity.  In a connected regular bipartite
-    graph the surplus of a proper subset is at least 1, so any witness of
-    the non-brace condition is found this way.
-    """
-    u_list = sorted(u_side)
-    if len(u_list) < 3:
-        return
-    neighbor_sets = [set(a) for a in g.adjacency]
-    source = g.vertex_count
-    sink = g.vertex_count + 1
-    infinite = 4 * g.vertex_count + 4
-    seen: set[frozenset[int]] = set()
-    for w_excl in sorted(w_side):
-        u_prime = [u for u in u_list if w_excl not in neighbor_sets[u]]
-        reached = sorted({w for u in u_prime for w in g.adjacency[u]})
-        arc_pairs = [(source, u, 1, 0) for u in u_prime]  # arc 2i leaves for u_prime[i]
-        arc_pairs += [(u, w, infinite, 0) for u in u_prime for w in g.adjacency[u]]
-        arc_pairs += [(w, sink, 1, 0) for w in reached]
-        net = _flow_network(g.vertex_count + 2, arc_pairs)
-        for i in range(len(u_prime)):
-            capacity = list(net.capacity)
-            capacity[2 * i] = infinite
-            _, side = _max_flow(net._replace(capacity=capacity), source, sink)
-            x = frozenset(u for u in u_prime if u in side)
-            if x in seen:
-                continue
-            seen.add(x)
-            if 1 <= len(x) <= len(u_list) - 2 and len(_neighborhood(g, x)) == len(x) + 1:
-                yield x
-
-
 def _odd_components(g: MultiGraph, barrier: frozenset[int]) -> list[frozenset[int]]:
     """The odd components of G - barrier with at least three vertices."""
     return [
@@ -229,12 +184,64 @@ def _odd_components(g: MultiGraph, barrier: frozenset[int]) -> list[frozenset[in
     ]
 
 
-def _bipartite_barrier_shores(g: MultiGraph) -> Iterator[list[frozenset[int]]]:
+def _reach(arcs: Sequence[Sequence[int]], root: int, avoid: int) -> set[int]:
+    """The vertices that ``root`` reaches along ``arcs`` without passing ``avoid``."""
+    seen = {root, avoid}
+    stack = [root]
+    while stack:
+        for w in arcs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    seen.discard(avoid)
+    return seen
+
+
+def _bipartite_barrier_shores(
+    g: MultiGraph, mate: Sequence[int]
+) -> Iterator[list[frozenset[int]]]:
+    """The odd components left by the barrier N(X) of each X with |N(X)| = |X| + 1.
+
+    U is the side of vertex 0 and M the perfect matching ``mate``.  The
+    digraph D on U has an arc u -> M(w) for each neighbour w != M(u) of u,
+    so N(X) = M(X) + M(Out(X)), where Out(X) is the set of vertices outside
+    X that X has arcs to, and |N(X)| = |X| + |Out(X)|.  For each z of U in
+    ascending order, with root the least vertex of U - z, X is the forward
+    reach of the root in D - z when that misses part of U - z, and otherwise
+    the vertices of U - z that cannot reach the root; either way nothing
+    leaves X in D - z, so Out(X) = {z} (G is connected), the barrier is
+    N(X) = M(X + z), and 1 <= |X| <= |U| - 2.  Conversely any such X leaves
+    D - z not strongly connected, so some X is found exactly when one exists.
+
+    That is enough.  A matching covered bipartite graph has |N(Y)| >= |Y| + 1
+    for every nonempty proper subset Y of U.  A nontrivial tight cut has a
+    shore S holding one more vertex of U than of the other side W.  No edge
+    joins S - U to U - S, for a perfect matching through it would cross the
+    cut at least three times, and every edge lies in one.  So X = U - S has N(X)
+    inside W - S, |N(X)| = |X| + 1 and 1 <= |X| <= |U| - 2, and one side is
+    enough.  G - N(X) has |X| + 1 odd components (Tutte): the vertices of X,
+    each alone, and exactly one more, O.  O is not a single vertex u, for
+    N(X + u) would have only |X + u| vertices.  So each X yields one
+    candidate shore.  Each z costs one forward and at most one backward
+    search.
+    """
     sides = bipartition(g)
     assert sides is not None
-    for u_side, w_side in (sides, (sides[1], sides[0])):
-        for x in _low_surplus_sets(g, u_side, w_side):
-            yield _odd_components(g, _neighborhood(g, x))
+    u_side = sorted(sides[0])
+    forward: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    backward: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u in u_side:
+        for w in g.adjacency[u]:
+            if w != mate[u]:
+                forward[u].append(mate[w])
+                backward[mate[w]].append(u)
+    for z in u_side:
+        root = u_side[1] if z == u_side[0] else u_side[0]
+        x = _reach(forward, root, z)
+        if len(x) == len(u_side) - 1:
+            x = set(u_side) - _reach(backward, root, z) - {z}
+        if x:
+            yield _odd_components(g, frozenset(mate[u] for u in x) | {mate[z]})
 
 
 def _nonbipartite_barrier_shores(
@@ -329,8 +336,8 @@ def find_nontrivial_tight_cut(
     G must already be an r-graph (``decompose`` checks its input once); this
     is not re-checked.  Candidate shores are generated deterministically (see
     module docstring) and each is validated with is_tight_cut; the first
-    survivor wins.  A non-bipartite node finds one perfect matching of G,
-    which serves both its barrier sweep and every tightness check.
+    survivor wins.  Every node finds one perfect matching of G, which serves
+    both its barrier sweep and every tightness check.
 
     When the winner is an odd component of a barrier and ``siblings`` is a
     list, the odd components of that barrier listed after it, each with at
@@ -339,11 +346,10 @@ def find_nontrivial_tight_cut(
     """
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
-    mate: Optional[list[int]] = None  # bipartite: is_tight_cut finds one per cut
+    mate = maximum_matching(g.vertex_count, g.adjacency)
     if bipartition(g) is not None:
-        routes: Iterable[Iterator[list[frozenset[int]]]] = (_bipartite_barrier_shores(g),)
+        routes: Iterable[Iterator[list[frozenset[int]]]] = (_bipartite_barrier_shores(g, mate),)
     else:
-        mate = maximum_matching(g.vertex_count, g.adjacency)
         routes = (
             _nonbipartite_barrier_shores(g, mate),
             ([shore] for shore in _two_separation_shores(g)),

@@ -203,54 +203,20 @@ def cut_from_shore(g: MultiGraph, shore: Iterable[int]) -> Cut:
     return Cut(shore=s, edge_ids=ids, odd=odd)
 
 
-class _FlowNetwork(NamedTuple):
-    """Arc arrays of a flow network.
-
-    Arc a enters ``heads[a]``, and arc ``a ^ 1`` is its reverse, so the tail
-    of a is ``heads[a ^ 1]``.  ``arcs[v]`` lists the arcs leaving v, sorted by
-    head once, and ``capacity[a]`` is the capacity of arc a.
-    """
-
-    heads: list[int]
-    arcs: list[list[int]]
-    capacity: list[int]
-
-
-def _flow_network(
-    vertex_count: int, arc_pairs: Iterable[tuple[int, int, int, int]]
-) -> _FlowNetwork:
-    """A network from (u, v, capacity u -> v, capacity v -> u) tuples.
-
-    An undirected edge gives both directions its capacity; a directed arc
-    gives its reverse capacity 0.
-    """
-    heads: list[int] = []
-    capacity: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v, forward, backward in arc_pairs:
-        arcs[u].append(len(heads))
-        heads.append(v)
-        capacity.append(forward)
-        arcs[v].append(len(heads))
-        heads.append(u)
-        capacity.append(backward)
-    for leaving in arcs:
-        leaving.sort(key=heads.__getitem__)
-    return _FlowNetwork(heads, arcs, capacity)
-
-
-def _max_flow(net: _FlowNetwork, source: int, sink: int) -> tuple[int, set[int]]:
+def _max_flow(
+    heads: list[int], arcs: list[list[int]], capacity: list[int], source: int, sink: int
+) -> tuple[int, set[int]]:
     """Edmonds-Karp over arc arrays; returns (value, source side).
 
-    The residual capacities live in one list, a copy of ``net.capacity``, so
-    the network can serve many flows.  The source side is the set reachable
-    from the source in the final residual graph.  That set is the same for
-    every maximum flow: it is the least source shore among all minimum cuts
-    (Ford-Fulkerson), so it does not depend on which augmenting paths the
-    search happened to take.
+    Arc a enters ``heads[a]``, and arc ``a ^ 1`` is its reverse, so the tail
+    of a is ``heads[a ^ 1]``; ``arcs[v]`` lists the arcs leaving v.  The
+    residual capacities live in a copy of ``capacity``, so the arrays serve
+    many flows.  The source side is the set reachable from the source in the
+    final residual graph.  That set is the same for every maximum flow: it is
+    the least source shore among all minimum cuts (Ford-Fulkerson), so it
+    does not depend on which augmenting paths the search happened to take.
     """
-    heads, arcs = net.heads, net.arcs
-    residual = list(net.capacity)
+    residual = list(capacity)
     n = len(arcs)
     flow = 0
     while True:
@@ -287,21 +253,31 @@ def gomory_hu_tree(g: MultiGraph) -> tuple[list[int], list[int]]:
 
     The fundamental partition of every tree edge realizes a minimum cut
     between its endpoints, which is what the odd-cut extraction needs.  The
-    n - 1 flows share one network, built once with one arc pair per
-    adjacent pair whose capacity counts its parallel copies.  Each flow's
+    n - 1 flows share one undirected network, built once: each adjacent
+    pair gives an arc and its reverse, both with capacity the pair's count
+    of parallel copies, and each vertex lists its arcs by head.  Each flow's
     source side is the least minimum-cut shore, which no choice of
     augmenting paths changes, so neither does the tree.
     """
     if not is_connected(g):
         raise ValueError("Gomory-Hu tree requires a connected graph")
     n = g.vertex_count
+    heads: list[int] = []
+    capacity: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), ids in g.pair_ids.items():
+        arcs[u].append(len(heads))
+        arcs[v].append(len(heads) + 1)
+        heads += [v, u]
+        capacity += [len(ids), len(ids)]
+    for leaving in arcs:
+        leaving.sort(key=heads.__getitem__)
     parent = [0] * n
     parent[0] = -1
     weight = [0] * n
-    net = _flow_network(n, ((u, v, len(ids), len(ids)) for (u, v), ids in g.pair_ids.items()))
     for i in range(1, n):
         t = parent[i]
-        value, side = _max_flow(net, i, t)
+        value, side = _max_flow(heads, arcs, capacity, i, t)
         weight[i] = value
         for j in range(n):
             if j != i and j in side and parent[j] == t:

@@ -45,7 +45,7 @@ from .cover import CoverSolution, exact_cover
 from .decomposition import is_petersen
 from .graphs import MultiGraph, bipartition, build_graph, regular_degree
 from .linalg import Echelon, coordinates
-from .matchings import enumerate_pms, maximum_matching, pm_containing_edges
+from .matchings import enumerate_pms, incidence_row, maximum_matching, pm_containing_edges
 
 
 class ClassificationError(RuntimeError):
@@ -201,16 +201,13 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     if is_petersen(g):
         raise ValueError("the Petersen brick requires the half-integral solver")
 
-    def incidence(pm: frozenset[int]) -> list[int]:
-        return [1 if e in pm else 0 for e in range(g.m)]
-
     dim = g.m - g.vertex_count + 1
     span = Echelon(g.m)
     basis: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()  # a repeat cannot raise the rank
     walk = _pair_walk(g)
     for pm in walk:
-        if pm not in seen and span.add(incidence(pm)):
+        if pm not in seen and span.add(incidence_row(g, pm)):
             basis.append(pm)
             if len(basis) == dim:
                 break
@@ -220,7 +217,7 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
             f"the pair walk ended at rank {len(basis)}, below m - n + 1 = {dim}; "
             "the graph is not a brick"
         )
-    rows = [incidence(pm) for pm in basis]
+    rows = [incidence_row(g, pm) for pm in basis]
     ones = [1] * g.m
     solved = coordinates(rows, ones)
     while solved is None or solved[1] != 1:
@@ -232,10 +229,10 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
             )
         # dim lin(PM) = m - n + 2 - b <= m - n + 1 on a non-bipartite matching
         # covered graph, so the full-rank basis spans every perfect matching
-        d, den = coordinates(rows, incidence(pm))
+        d, den = coordinates(rows, incidence_row(g, pm))
         shrinking = [j for j, x in enumerate(d) if 0 < abs(x) < den]
         if shrinking:
             swap = min(shrinking, key=lambda j: abs(d[j]))
-            basis[swap], rows[swap] = pm, incidence(pm)
+            basis[swap], rows[swap] = pm, incidence_row(g, pm)
             solved = coordinates(rows, ones)
     return exact_cover(g, [(pm, 2 * x) for pm, x in zip(basis, solved[0]) if x])

@@ -8,8 +8,7 @@ elimination is the simple, predictable choice.
 ``Echelon`` is the one elimination routine: an echelon of primitive integer
 rows, grown one row at a time.
 
-* ``add`` reports whether a row raised the rank, and ``vector in echelon``
-  whether a vector lies in the rational span of the rows added so far.
+* ``add`` reports whether a row raised the rank.
 * ``rank`` counts its pivots and is used by every linear independence check.
 * ``coordinates`` writes a vector in independent rows as integer numerators
   over one positive denominator: each row carries a unit tail through the
@@ -85,25 +84,15 @@ class Echelon:
         insort(self.rows, reduced, key=lambda item: item[0])
         return True
 
-    def __contains__(self, vector: Sequence[int]) -> bool:
-        """Whether the vector lies in the rational span of the stored rows."""
-        return self._reduce(vector) is None
-
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix: the pivots of its rows' ``Echelon``.
 
     Rows are reduced one at a time against an echelon of primitive rows, whose
-    entries are minors of the input divided by their gcd (see ``Echelon``).
+    entries are minors of the input divided by their gcd (see ``Echelon``),
+    which also rejects ragged rows.
     """
-    ncols = len(matrix[0]) if matrix else 0
-    if any(len(row) != ncols for row in matrix):
-        raise ValueError("ragged rows: all rows must have the same length")
-    if len(matrix) > ncols:
-        # rank(M) = rank(M^T), and few long rows keep the per-row loop short
-        matrix = list(zip(*matrix))
-        ncols = len(matrix[0]) if matrix else 0
-    echelon = Echelon(ncols)
+    echelon = Echelon(len(matrix[0]) if matrix else 0)
     for row in matrix:
         echelon.add(row)
     return len(echelon)

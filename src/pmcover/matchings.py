@@ -288,6 +288,6 @@ def validate_perfect_matching(g: MultiGraph, edge_ids: Iterable[int]) -> None:
             raise ValueError(f"vertex {v} is covered {t} times")
 
 
-def incidence_rows(g: MultiGraph, columns: Sequence[frozenset[int]]) -> list[list[int]]:
-    """Edge-by-column 0/1 integer rows; the columns are not validated."""
-    return [[1 if e in pm else 0 for pm in columns] for e in range(g.m)]
+def incidence_row(g: MultiGraph, edge_ids: frozenset[int]) -> list[int]:
+    """The 0/1 incidence vector of an edge set over the edge ids; not validated."""
+    return [1 if e in edge_ids else 0 for e in range(g.m)]

@@ -34,7 +34,7 @@ def _certificate(g):
 # sha256 over the serialized certificates of the structured corpus and
 # corpus.random_instances(), in that order.  A change that alters any
 # certificate byte must say so and update this digest.
-CORPUS_CERTIFICATES_SHA256 = "a595aa85a564f12d8471adf51fe51cc3bdb421d27ca4170abff72977379036d6"
+CORPUS_CERTIFICATES_SHA256 = "4eef4382ff6d291767c3855018421e48a46b24ae281f590343b0aff198593e11"
 
 
 def test_corpus_certificates_are_pinned():

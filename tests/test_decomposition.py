@@ -8,6 +8,7 @@ from pmcover import build_graph, solve_r_graph, verify_cover
 from pmcover import decomposition
 from pmcover.decomposition import (
     LeafClass,
+    _bipartite_barrier_shores,
     _nonbipartite_barrier_shores,
     _two_separation_shores,
     classify_leaf,
@@ -17,7 +18,7 @@ from pmcover.decomposition import (
     is_petersen,
     is_tight_cut,
 )
-from pmcover.graphs import bipartition, cut_from_shore, is_r_graph, regular_degree
+from pmcover.graphs import bipartition, cut_from_shore, is_connected, is_r_graph, regular_degree
 from pmcover.matchings import maximum_matching
 
 import corpus
@@ -50,8 +51,8 @@ def test_find_tight_cut_c6_frozen():
     cut = find_nontrivial_tight_cut(corpus.c6())
     assert cut is not None
     shore = cut.shore if 0 in cut.shore else frozenset(range(6)) - cut.shore
-    assert shore == frozenset({0, 1, 2})
-    assert cut.edge_ids == frozenset({2, 5})
+    assert shore == frozenset({0, 4, 5})
+    assert cut.edge_ids == frozenset({0, 3})
 
 
 def test_find_tight_cut_verdict_matches_exhaustive_sweep():
@@ -73,6 +74,66 @@ def test_bricks_and_braces_have_no_nontrivial_tight_cut():
     for g in (corpus.petersen(), corpus.k4(), corpus.k33(), corpus.prism(),
               corpus.cube(), corpus.triangle_expanded_petersen()):
         assert find_nontrivial_tight_cut(g) is None
+
+
+def _random_bipartite_r_graph(rng):
+    """A union of r random perfect matchings between two sides of 3 to 6
+    vertices, r from 2 to 4, randomly labelled and redrawn until connected."""
+    while True:
+        half, r = rng.randint(3, 6), rng.randint(2, 4)
+        bijections = [rng.sample(range(half), half) for _ in range(r)]
+        pairs = [(a, half + b) for bijection in bijections for a, b in enumerate(bijection)]
+        label = list(range(2 * half))
+        rng.shuffle(label)
+        g = build_graph(2 * half, [(label[u], label[v]) for u, v in pairs])
+        if is_connected(g):
+            return g
+
+
+def test_bipartite_route_matches_exhaustive_sweep():
+    rng = random.Random(17)
+    non_braces = 0
+    for trial in range(180):
+        g = _random_bipartite_r_graph(rng)
+        exhaustive = oracles.exhaustive_tight_shores(g)
+        non_braces += bool(exhaustive)
+        mate = maximum_matching(g.vertex_count, g.adjacency)
+        groups = list(_bipartite_barrier_shores(g, mate))
+        # every witness leaves exactly one nontrivial odd component, tight
+        assert all(len(group) == 1 for group in groups), (trial, g.edges)
+        for (shore,) in groups:
+            assert is_tight_cut(g, cut_from_shore(g, shore)), (trial, g.edges)
+        assert bool(groups) == bool(exhaustive), (trial, g.edges)
+        found = find_nontrivial_tight_cut(g)
+        assert (found is not None) == bool(exhaustive), (trial, g.edges)
+        if found is not None:
+            assert is_tight_cut(g, found), (trial, g.edges)
+            assert 3 <= len(found.shore) <= g.vertex_count - 3, (trial, g.edges)
+    assert 0 < non_braces < 180
+
+
+def _leaf_list(tree):
+    return sorted((leaf.leaf_class.value, leaf.graph.vertex_count, leaf.graph.m)
+                  for leaf in tree.leaves())
+
+
+def test_leaves_do_not_depend_on_the_labelling():
+    # the bricks and braces of the decomposition are the same whichever
+    # tight cuts it picks (Lovasz 1987), so relabelling cannot change them
+    rng = random.Random(19)
+    instances = corpus.structured_instances() + corpus.random_instances()
+    instances += [
+        (f"blowup_{k}_{seed}", corpus.barrier_blowup(k, seed))
+        for k in range(1, 5)
+        for seed in range(3)
+    ]
+    for name, g in instances:
+        expected = _leaf_list(decompose(g))
+        for _ in range(3):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            h = build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+            assert _leaf_list(decompose(h)) == expected, (name, perm)
 
 
 def test_two_separation_shores_match_the_pair_sweep():

@@ -54,3 +54,23 @@ def test_package_does_not_import_fractions():
         str(path.relative_to(ROOT)) for path in package if "fractions" in _imported_modules(path)
     ]
     assert offenders == []
+
+
+def _private_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "pmcover")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_package_modules_import_no_private_names_from_each_other():
+    # a module's underscore names are its own; another module that needs one
+    # needs it public, or not at all
+    package = sorted((ROOT / "src" / "pmcover").glob("*.py"))
+    assert len(package) > 5
+    assert [line for path in package for line in _private_imports(path)] == []

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmcover.linalg import Echelon, coordinates, rank
-from pmcover.matchings import incidence_rows
+from pmcover.matchings import incidence_row
 
 import corpus
 import oracles
@@ -36,7 +36,7 @@ def test_rank_of_all_perfect_matchings(name, expected):
     # dim lin(PM) is m - n + 1 for a brick and m - n + 2 for a brace
     # (Edmonds, Lovasz and Pulleyblank)
     g = getattr(corpus, name)()
-    assert rank(incidence_rows(g, oracles.all_pms(g))) == expected
+    assert rank([incidence_row(g, pm) for pm in oracles.all_pms(g)]) == expected
 
 
 int_matrix = st.integers(-6, 6)
@@ -87,23 +87,14 @@ def test_rank_matches_fraction_elimination_on_sign_matrices():
         assert rank(matrix) == oracles.fraction_rank(matrix), matrix
 
 
-@given(dependent_matrix(), st.data())
+@given(dependent_matrix())
 @settings(max_examples=300, deadline=None)
-def test_echelon_tracks_the_rank_and_the_span(matrix, data):
-    width = len(matrix[0])
-    echelon = Echelon(width)
+def test_echelon_tracks_the_rank(matrix):
+    echelon = Echelon(len(matrix[0]))
     for k, row in enumerate(matrix):
         rose = oracles.fraction_rank(matrix[: k + 1]) > oracles.fraction_rank(matrix[:k])
         assert echelon.add(row) is rose
         assert len(echelon) == oracles.fraction_rank(matrix[: k + 1])
-        vector = data.draw(
-            st.one_of(
-                st.lists(int_matrix, min_size=width, max_size=width),
-                st.sampled_from(matrix).map(lambda r: [3 * x for x in r]),
-            )
-        )
-        in_span = oracles.fraction_rank(matrix[: k + 1] + [vector]) == len(echelon)
-        assert (vector in echelon) is in_span
     pivots = [p for p, _ in echelon.rows]
     assert pivots == sorted(set(pivots))
     for p, stored in echelon.rows:
