@@ -265,21 +265,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
+    code = EXIT_OK
     try:
         matchings = enumerate_pms(g, limit=args.limit)
     except EnumerationOverflow as exc:
         print(f"limit {args.limit} exceeded; {len(exc.found)} matchings listed", file=sys.stderr)
-        for matching in exc.found:
-            print(" ".join(str(e) for e in sorted(matching)))
-        return EXIT_LIMIT
-    if args.format == "json":
-        payload = {"matchings": [sorted(m) for m in matchings], "count": len(matchings)}
-        print(json.dumps(payload, indent=2))
-    else:
-        for matching in matchings:
-            print(" ".join(str(e) for e in sorted(matching)))
-        print(f"count {len(matchings)}")
-    return EXIT_OK
+        matchings, code = exc.found, EXIT_LIMIT
+    lines = [" ".join(str(e) for e in sorted(m)) for m in matchings]
+    if code == EXIT_OK:
+        lines.append(f"count {len(matchings)}")
+    payload = {"matchings": [sorted(m) for m in matchings], "count": len(matchings)}
+    _emit(payload, lines, args.format, sys.stdout)
+    return code
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:

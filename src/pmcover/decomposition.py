@@ -36,9 +36,9 @@ sources, each validated by the definitional check before being returned:
   with D, A and C as in ``matchings.gallai_edmonds``.  G - u - v has a
   perfect matching exactly when v is in D(G - u), so one decomposition per
   vertex u settles every pair {u, v}; for a failing pair,
-  {u, v} + A(G - u - v) is a barrier.  One perfect matching of the node
-  serves every decomposition, so each is one alternating forest: one per
-  vertex plus one per failing pair, and one matching search per node.
+  {u, v} + A(G - u - v) is a barrier.  The node's perfect matching serves
+  every decomposition, so each is one alternating forest: one per vertex
+  plus one per failing pair.
 * 2-separations: if {u, v} disconnects G and K is an even component of
   G - u - v, the shore K + u gives a tight cut.  An r-graph is 2-connected,
   so {u, v} separates exactly when v is a cut vertex of G - u, and one
@@ -50,16 +50,20 @@ the brace condition, and a non-bipartite one evading both non-bipartite
 routes is bicritical and 3-connected, hence a brick.  Tests cross-check the
 verdict against an exhaustive odd-shore sweep at small orders.
 
-Each piece of work is done once per barrier.  A barrier with k nontrivial
-odd components K1..Kk gives k tight cuts that do not cross one another.
-When K1 wins, the contraction that keeps K2..Kk receives them, relabelled,
-as carried shores: a tight cut that does not cross the contracted cut stays
-tight in the contraction that keeps it (Lovasz 1987).  The child tries
-them in order before any search, and each still passes the search's own
-checks (nontrivial, odd, ``is_tight_cut``); the search runs only when none
-is accepted.  ``is_tight_cut`` tests each disjoint pair of cut edges from a
-warm start, one perfect matching per cut (the node's own during a search),
-so a pair costs a few alternating searches, not a matching search.
+Each piece of work is done once.  One matching search runs per
+decomposition, at the root; every tight cut is crossed once by every
+perfect matching, so the parent's matching, relabelled, is a perfect
+matching of each contraction, and every node inherits one.  Only the
+bipartite route searches again (see ``find_nontrivial_tight_cut``).
+``is_tight_cut`` tests each disjoint pair of cut edges from the node's
+matching, so a pair costs a few alternating searches, not a matching
+search.  A barrier with k nontrivial odd components K1..Kk gives k tight
+cuts that do not cross one another.  When K1 wins, the contraction that
+keeps K2..Kk receives them, relabelled, as carried shores: a tight cut that
+does not cross the contracted cut stays tight in the contraction that keeps
+it (Lovasz 1987).  The child tries them in order before any search, and
+each still passes the search's own checks (nontrivial, odd,
+``is_tight_cut``); the search runs only when none is accepted.
 """
 
 from __future__ import annotations
@@ -148,21 +152,18 @@ class DecompositionTree:
         return sum(1 for leaf in self.leaves() if leaf.leaf_class is LeafClass.PETERSEN_BRICK)
 
 
-def is_tight_cut(
-    g: MultiGraph, cut: Cut, matching: Optional[Sequence[int]] = None
-) -> bool:
+def is_tight_cut(g: MultiGraph, cut: Cut, matching: Sequence[int]) -> bool:
     """Whether no perfect matching crosses the odd cut more than once.
 
     Two cut edges can only appear in one matching if they are vertex-disjoint,
     so it suffices to test, per disjoint pair, whether the graph minus the
     four endpoints still has a perfect matching.  Every test warm-starts
-    ``has_perfect_matching`` from one matching of G: ``matching``, a mate
-    array such as the node's own perfect matching, or else one maximum
-    matching found here, once per cut.
+    ``has_perfect_matching`` from ``matching``, a mate array of a matching
+    of G; ``decompose`` passes the node's inherited perfect matching, so one
+    perfect matching serves every cut of a node.
     """
     if not cut.odd:
         raise ValueError("tightness is defined for odd cuts only")
-    mate = matching
     ids = sorted(cut.edge_ids)
     for a in range(len(ids)):
         u1, v1 = g.edges[ids[a]]
@@ -170,9 +171,7 @@ def is_tight_cut(
             u2, v2 = g.edges[ids[b]]
             if len({u1, v1, u2, v2}) < 4:
                 continue
-            if mate is None:
-                mate = maximum_matching(g.vertex_count, g.adjacency)
-            if has_perfect_matching(g, (u1, v1, u2, v2), mate):
+            if has_perfect_matching(g, (u1, v1, u2, v2), matching):
                 return False
     return True
 
@@ -329,15 +328,19 @@ def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
 
 
 def find_nontrivial_tight_cut(
-    g: MultiGraph, *, siblings: Optional[list[frozenset[int]]] = None
+    g: MultiGraph, matching: Sequence[int], *, siblings: Optional[list[frozenset[int]]] = None
 ) -> Optional[Cut]:
     """A verified nontrivial tight cut, or None when G is a brick or brace.
 
-    G must already be an r-graph (``decompose`` checks its input once); this
-    is not re-checked.  Candidate shores are generated deterministically (see
-    module docstring) and each is validated with is_tight_cut; the first
-    survivor wins.  Every node finds one perfect matching of G, which serves
-    both its barrier sweep and every tightness check.
+    G must already be an r-graph (``decompose`` checks its input once), and
+    ``matching`` is a perfect matching of G as a mate array, the node's
+    inherited one.  Candidate shores are generated deterministically (see
+    module docstring); the first that is_tight_cut accepts wins.  The
+    bipartite route alone runs its own ``maximum_matching``: its shores are
+    read off D(M), so which cut it finds first depends on M, while the
+    Gallai-Edmonds sets, the 2-separations and the verdicts of is_tight_cut
+    do not.  So the cut, and the certificate, do not depend on the matching
+    a node inherits.
 
     When the winner is an odd component of a barrier and ``siblings`` is a
     list, the odd components of that barrier listed after it, each with at
@@ -346,12 +349,12 @@ def find_nontrivial_tight_cut(
     """
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
-    mate = maximum_matching(g.vertex_count, g.adjacency)
     if bipartition(g) is not None:
-        routes: Iterable[Iterator[list[frozenset[int]]]] = (_bipartite_barrier_shores(g, mate),)
+        own = maximum_matching(g.vertex_count, g.adjacency)
+        routes: Iterable[Iterator[list[frozenset[int]]]] = (_bipartite_barrier_shores(g, own),)
     else:
         routes = (
-            _nonbipartite_barrier_shores(g, mate),
+            _nonbipartite_barrier_shores(g, matching),
             ([shore] for shore in _two_separation_shores(g)),
         )
     tried: set[frozenset[int]] = set()
@@ -364,7 +367,7 @@ def find_nontrivial_tight_cut(
                 if not 3 <= len(shore) <= g.vertex_count - 3:
                     continue
                 cut = cut_from_shore(g, shore)
-                if cut.odd and is_tight_cut(g, cut, mate):
+                if cut.odd and is_tight_cut(g, cut, matching):
                     if siblings is not None:
                         siblings.extend(group[i + 1:])
                     return cut
@@ -453,45 +456,52 @@ def classify_leaf(g: MultiGraph) -> LeafClass:
 
 
 def _carried_cut(
-    g: MultiGraph, carried: Sequence[frozenset[int]]
+    g: MultiGraph, mate: Sequence[int], carried: Sequence[frozenset[int]]
 ) -> tuple[Optional[Cut], Sequence[frozenset[int]]]:
     """The first carried shore that passes the search's own checks, and the shores after it."""
     for i, shore in enumerate(carried):
         if 3 <= len(shore) <= g.vertex_count - 3:
             cut = cut_from_shore(g, shore)
-            if cut.odd and is_tight_cut(g, cut):
+            if cut.odd and is_tight_cut(g, cut, mate):
                 return cut, carried[i + 1:]
     return None, ()
 
 
-def _kept_shores(
-    shores: Iterable[frozenset[int]], cmap: ContractionMap
-) -> tuple[frozenset[int], ...]:
-    """The shores inside a contraction's kept side, in the child's labels."""
+Carried = tuple[list[int], tuple[frozenset[int], ...]]
+
+
+def _handed_down(
+    mate: Sequence[int], shores: Iterable[frozenset[int]], cmap: ContractionMap
+) -> Carried:
+    """The parent's perfect matching and the shores inside the kept side, in the child's labels.
+
+    The matching crosses the contracted tight cut in exactly one edge, so the
+    kept vertex matched across the cut is matched to the contracted vertex;
+    every other pair keeps its partner.
+    """
     index = {p: i for i, p in enumerate(cmap.kept_vertices)}
-    return tuple(
-        frozenset(index[v] for v in shore)
-        for shore in shores
-        if all(v in index for v in shore)
+    child_mate = [index.get(mate[p], cmap.contracted_vertex) for p in cmap.kept_vertices]
+    child_mate.append(child_mate.index(cmap.contracted_vertex))
+    kept = tuple(
+        frozenset(index[v] for v in shore) for shore in shores if all(v in index for v in shore)
     )
+    return child_mate, kept
 
 
-def decompose(
-    g: MultiGraph, *, carried: Optional[Sequence[frozenset[int]]] = None
-) -> DecompositionTree:
+def decompose(g: MultiGraph, *, carried: Optional[Carried] = None) -> DecompositionTree:
     """Recursive tight cut decomposition down to classified brick/brace leaves.
 
     ``carried`` is None for an input graph, which is then checked to be an
-    r-graph once.  The recursion passes each contracted child, an r-graph by
-    construction, the shores it carries: the sibling odd components of the
-    barrier behind an ancestor's cut, relabelled.  Their cuts were tight and
-    do not cross the contracted cut, so they stay tight here (Lovasz 1987).
-    The node tries them in order, each still checked to be nontrivial, odd
-    and accepted by ``is_tight_cut``; the first accepted is its cut, the
-    rest go on to the child that keeps them, and only when none is accepted
-    does the node call ``find_nontrivial_tight_cut``.  A node whose simple
-    graph is Petersen is a brick whatever its parallel edges, so it becomes
-    a leaf without a search.
+    r-graph and given a perfect matching, once.  Each contracted child, an
+    r-graph by construction, carries from its parent, relabelled: that
+    perfect matching, which the tight cut restricts to one of the child, and
+    the sibling odd components of the barrier behind an ancestor's cut,
+    still tight here (Lovasz 1987).  The node tries those shores in order,
+    each still checked to be nontrivial, odd and accepted by
+    ``is_tight_cut``; the first accepted is its cut, the rest go on to the
+    child that keeps them, and only when none is accepted does the node call
+    ``find_nontrivial_tight_cut``.  A Petersen node is a leaf without a
+    search.
     """
     if carried is None:
         check = is_r_graph(g)
@@ -502,14 +512,15 @@ def decompose(
                 f"not an r-graph: odd cut of size {check.witness.size} at shore "
                 f"{sorted(check.witness.shore)}"
             )
-        carried = ()
+        carried = (maximum_matching(g.vertex_count, g.adjacency), ())
+    mate, shores = carried
     kind = classify_leaf(g)
     if kind is LeafClass.PETERSEN_BRICK:
         return DecompositionTree(graph=g, leaf_class=kind)
-    cut, onward = _carried_cut(g, carried)
+    cut, onward = _carried_cut(g, mate, shores)
     if cut is None:
         siblings: list[frozenset[int]] = []
-        cut = find_nontrivial_tight_cut(g, siblings=siblings)
+        cut = find_nontrivial_tight_cut(g, mate, siblings=siblings)
         onward = siblings
     if cut is None:
         return DecompositionTree(graph=g, leaf_class=kind)
@@ -519,8 +530,8 @@ def decompose(
     return DecompositionTree(
         graph=g,
         cut=cut,
-        left=decompose(left_graph, carried=_kept_shores(onward, left_map)),
-        right=decompose(right_graph, carried=_kept_shores(onward, right_map)),
+        left=decompose(left_graph, carried=_handed_down(mate, onward, left_map)),
+        right=decompose(right_graph, carried=_handed_down(mate, onward, right_map)),
         left_map=left_map,
         right_map=right_map,
     )

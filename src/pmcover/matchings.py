@@ -2,7 +2,8 @@
 
 Existence and extraction run on the simplified graph through an
 augmenting-path search with blossom contraction, so non-bipartite graphs are
-handled exactly.  Enumeration backtracks over the lowest-indexed uncovered
+handled exactly; G minus a vertex set is searched in place, never entering a
+removed vertex.  Enumeration backtracks over the lowest-indexed uncovered
 vertex, branching over incident edges in ascending edge-id order; parallel
 copies of a pair therefore yield distinct matchings, listed deterministically.
 
@@ -26,32 +27,36 @@ class EnumerationOverflow(RuntimeError):
         self.found = list(found)
 
 
-def maximum_matching(n: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
-    """Maximum cardinality matching on a simple graph; mate array, -1 = exposed.
+def maximum_matching(
+    n: int, adjacency: Sequence[Sequence[int]], removed: frozenset[int] = frozenset()
+) -> list[int]:
+    """Maximum matching of a simple graph minus ``removed``; mate array, -1 = exposed.
 
     Classic O(V^3) augmenting-path search with blossom contraction (bases are
-    tracked per vertex and collapsed at the least common base).  Deterministic
-    for a fixed adjacency order.
+    tracked per vertex and collapsed at the least common base).  Removed
+    vertices stay exposed and are never entered, so the search runs on
+    G - removed in place.  Deterministic for a fixed adjacency order.
     """
     mate = [-1] * n
     for v in range(n):  # cheap greedy seed
-        if mate[v] == -1:
+        if mate[v] == -1 and v not in removed:
             for w in adjacency[v]:
-                if mate[w] == -1:
+                if mate[w] == -1 and w not in removed:
                     mate[v] = w
                     mate[w] = v
                     break
     for v in range(n):
-        if mate[v] == -1:
-            _grow_forest(adjacency, mate, (v,))
+        if mate[v] == -1 and v not in removed:
+            _grow_forest(adjacency, mate, (v,), removed)
     return mate
 
 
 def _grow_forest(
-    adjacency: Sequence[Sequence[int]], mate: list[int], roots: Sequence[int]
+    adjacency: Sequence[Sequence[int]], mate: list[int], roots: Sequence[int], removed: frozenset[int]
 ) -> Optional[list[bool]]:
-    """Grow alternating trees from exposed roots, contracting blossoms.
+    """Grow alternating trees from exposed roots of G - removed, contracting blossoms.
 
+    Removed vertices are never entered, and ``mate`` must leave them exposed.
     As soon as an edge reaches an exposed vertex outside the forest, ``mate``
     is augmented along the path and None is returned.  Otherwise the forest
     is grown to the end and its outer flags are returned: the roots, the
@@ -96,7 +101,7 @@ def _grow_forest(
     while queue:
         v = queue.popleft()
         for to in adjacency[v]:
-            if base[v] == base[to] or mate[v] == to:
+            if base[v] == base[to] or mate[v] == to or to in removed:
                 continue
             if outer[to]:
                 # v and to are both outer: contract the blossom
@@ -127,15 +132,6 @@ def _grow_forest(
     return outer
 
 
-def _filtered_adjacency(g: MultiGraph, removed: frozenset[int]) -> list[tuple[int, ...]]:
-    return [
-        ()
-        if v in removed
-        else tuple(w for w in g.adjacency[v] if w not in removed)
-        for v in range(g.vertex_count)
-    ]
-
-
 class GallaiEdmonds(NamedTuple):
     """D: vertices missed by some maximum matching; A = N(D) - D; C: the rest."""
 
@@ -145,62 +141,50 @@ class GallaiEdmonds(NamedTuple):
 
 
 def gallai_edmonds(
-    g: MultiGraph, removed: Iterable[int] = (), matching: Optional[Sequence[int]] = None
+    g: MultiGraph, removed: Iterable[int], matching: Sequence[int]
 ) -> GallaiEdmonds:
     """The Gallai-Edmonds decomposition of G minus the given vertices.
 
-    One maximum matching, then one alternating forest grown from every
-    exposed vertex at once, contracting blossoms as in the matching search.
-    With the matching maximum, no edge joins outer vertices of two trees, and
-    the outer vertices (those at even distance from an exposed vertex along
-    some alternating path, blossoms included) are exactly D.
-
-    ``matching``, a mate array of a matching of G, replaces the matching
-    search: its edges at removed vertices are dropped, and the rest must be
-    a maximum matching of G minus ``removed``.  Every exposed vertex is a
-    root, so the forest never augments; a matching that is not maximum shows
-    up as adjacent outer vertices of two trees, and an AssertionError is
-    raised.
+    ``matching`` is a mate array of a matching of G, such as the perfect
+    matching a decomposition node inherits.  Its edges at removed vertices
+    are dropped, and the rest must be a maximum matching of G minus
+    ``removed``.  One alternating forest is grown from every exposed vertex
+    at once, contracting blossoms as in the matching search.  With the
+    matching maximum, no edge joins outer vertices of two trees, so the
+    forest never augments, and the outer vertices (those at even distance
+    from an exposed vertex along some alternating path, blossoms included)
+    are exactly D.  A matching that is not maximum shows up as adjacent
+    outer vertices of two trees, and an AssertionError is raised.
     """
     gone = frozenset(removed)
-    adjacency = _filtered_adjacency(g, gone)
-    if matching is None:
-        mate = maximum_matching(g.vertex_count, adjacency)
-    else:
-        mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
+    mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
     exposed = [v for v in range(g.vertex_count) if v not in gone and mate[v] == -1]
-    outer = _grow_forest(adjacency, mate, exposed)
+    outer = _grow_forest(g.adjacency, mate, exposed, gone)
     assert outer is not None  # every exposed vertex is a root: nothing to augment to
     d = frozenset(v for v in range(g.vertex_count) if outer[v])
-    a = frozenset(w for v in d for w in adjacency[v] if not outer[w])
+    a = frozenset(w for v in d for w in g.adjacency[v] if not outer[w] and w not in gone)
     c = frozenset(range(g.vertex_count)) - gone - d - a
     return GallaiEdmonds(d, a, c)
 
 
-def has_perfect_matching(
-    g: MultiGraph, removed: Iterable[int] = (), matching: Optional[Sequence[int]] = None
-) -> bool:
+def has_perfect_matching(g: MultiGraph, removed: Iterable[int], matching: Sequence[int]) -> bool:
     """Whether G minus the given vertices has a perfect matching.
 
-    One alternating search grows from each vertex left exposed, starting
-    from the empty matching or, when ``matching`` (a mate array of any
-    matching of G) is given, from that matching minus its edges at removed
-    vertices, as in ``gallai_edmonds``.  The first search that cannot
-    augment settles the answer as no, since a vertex with no augmenting path
-    from it is missed by some maximum matching.  From a perfect matching of
-    G, removing k vertices leaves at most k exposed vertices, so the test
-    costs a few searches instead of a whole matching search.
+    ``matching`` is a mate array of any matching of G: the node's perfect
+    matching during a decomposition, or ``[-1] * n`` for a cold start.  Its
+    edges at removed vertices are dropped, as in ``gallai_edmonds``, and one
+    alternating search grows from each vertex left exposed.  The first search
+    that cannot augment settles the answer as no, since a vertex with no
+    augmenting path from it is missed by some maximum matching.  From a
+    perfect matching of G, removing k vertices leaves at most k exposed
+    vertices, so the test costs a few searches, not a matching search.
     """
     gone = frozenset(removed)
     if (g.vertex_count - len(gone)) % 2 != 0:
         return False
-    adjacency = _filtered_adjacency(g, gone)
-    if matching is None:
-        mate = [-1] * g.vertex_count
-    else:
-        mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
+    mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
     return all(
-        v in gone or mate[v] != -1 or _grow_forest(adjacency, mate, (v,)) is None
+        v in gone or mate[v] != -1 or _grow_forest(g.adjacency, mate, (v,), gone) is None
         for v in range(g.vertex_count)
     )
 
@@ -220,7 +204,7 @@ def pm_containing_edges(g: MultiGraph, edge_ids: Iterable[int]) -> Optional[froz
         if u in covered or v in covered:
             raise ValueError(f"forced edges are not a matching: vertex clash at edge {e}")
         covered.update((u, v))
-    mate = maximum_matching(g.vertex_count, _filtered_adjacency(g, frozenset(covered)))
+    mate = maximum_matching(g.vertex_count, g.adjacency, frozenset(covered))
     if any(v not in covered and mate[v] == -1 for v in range(g.vertex_count)):
         return None
     result = set(forced)

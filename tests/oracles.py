@@ -10,6 +10,10 @@ Everything is exponential and only meant for small graphs.  Rank and
 coordinates are computed in Fractions, not by the library's fraction-free
 integer elimination.
 
+The library searches G minus a vertex set in place.  The reference for that
+is the library's ``maximum_matching`` on a filtered copy of the adjacency,
+where a removed vertex keeps its label but no edges.
+
 The merge oracles at the end re-check a solved decomposition tree node by
 node with the library's public checks (r-graph test, perfect-matching
 search, rank), plus the classical product rule for merging child covers,
@@ -39,6 +43,7 @@ from pmcover import (
     terms_independent,
 )
 from pmcover.graphs import components_without, cut_from_shore
+from pmcover.matchings import maximum_matching
 
 from corpus import PETERSEN_PAIRS
 
@@ -161,19 +166,49 @@ def max_matching_size(g: MultiGraph, removed: frozenset[int] = frozenset()) -> i
     return recurse(frozenset(range(g.vertex_count)) - removed)
 
 
+def filtered_adjacency(g: MultiGraph, removed: frozenset[int]) -> list[tuple[int, ...]]:
+    """G - removed as a copy on all n labels: a removed vertex keeps no edges."""
+    return [
+        () if v in removed else tuple(w for w in g.adjacency[v] if w not in removed)
+        for v in range(g.vertex_count)
+    ]
+
+
+def maximum_matching_on_copy(g: MultiGraph, removed: frozenset[int] = frozenset()) -> list[int]:
+    """The library's matching search on the filtered copy, nothing removed in place."""
+    return maximum_matching(g.vertex_count, filtered_adjacency(g, removed))
+
+
+def matching_size_on_copy(g: MultiGraph, removed: frozenset[int] = frozenset()) -> int:
+    return sum(1 for w in maximum_matching_on_copy(g, removed) if w != -1) // 2
+
+
+def pm_containing_edges_on_copy(g: MultiGraph, edge_ids) -> Optional[frozenset[int]]:
+    """``pm_containing_edges`` completed on the filtered copy; the edges must be a matching."""
+    forced = frozenset(edge_ids)
+    covered = frozenset(v for e in forced for v in g.edges[e])
+    mate = maximum_matching_on_copy(g, covered)
+    if any(v not in covered and mate[v] == -1 for v in range(g.vertex_count)):
+        return None
+    return forced | {
+        g.pair_ids[(v, w)][0] for v, w in enumerate(mate) if v not in covered and v < w
+    }
+
+
 def gallai_edmonds(
-    g: MultiGraph, removed: frozenset[int] = frozenset()
+    g: MultiGraph, removed: frozenset[int] = frozenset(), size=max_matching_size
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """(D, A, C) of G minus ``removed``, by definition.
 
     D holds the vertices w with nu(G - w) = nu(G), A = N(D) - D, and C is the
-    rest; matching sizes come from the branch-and-bound above.
+    rest; matching sizes come from ``size``, by default the branch-and-bound
+    above.
     """
     gone = frozenset(removed)
-    nu = max_matching_size(g, gone)
+    nu = size(g, gone)
     d = frozenset(
         w for w in range(g.vertex_count)
-        if w not in gone and max_matching_size(g, gone | {w}) == nu
+        if w not in gone and size(g, gone | {w}) == nu
     )
     a = frozenset(y for w in d for y in g.adjacency[w] if y not in d and y not in gone)
     return d, a, frozenset(range(g.vertex_count)) - gone - d - a

@@ -23,6 +23,7 @@ from pmcover import (
 )
 from pmcover.certificate import certificate_solution, deserialize
 from pmcover.cli import format_graph, gen_r_graph, main
+from pmcover.matchings import maximum_matching
 
 import corpus
 import oracles
@@ -139,15 +140,16 @@ def test_criterion_4_tightness_oracle_equivalence():
         if g.vertex_count > 12:
             continue
         matchings = oracles.all_pms(g)
+        mate = maximum_matching(g.vertex_count, g.adjacency)
         for shore in oracles.odd_shores(g):
             cut = cut_from_shore(g, shore)
-            assert is_tight_cut(g, cut) == oracles.is_tight(g, cut, matchings), (
+            assert is_tight_cut(g, cut, mate) == oracles.is_tight(g, cut, matchings), (
                 name,
                 sorted(shore),
             )
             cuts_checked += 1
         if is_r_graph(g).ok:
-            found = find_nontrivial_tight_cut(g)
+            found = find_nontrivial_tight_cut(g, mate)
             swept = oracles.exhaustive_tight_shores(g)
             assert (found is not None) == (len(swept) > 0), name
         graphs_checked += 1

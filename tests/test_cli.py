@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pmcover
-from pmcover import ClassificationError, build_graph, graphs, is_r_graph
+from pmcover import ClassificationError, build_graph, enumerate_pms, graphs, is_r_graph
 from pmcover.cli import (
     GraphParseError,
     format_graph,
@@ -208,7 +208,7 @@ def test_verify_report_for_a_coefficient_outside_the_class(tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     assert main(["solve", "-i", graph_path, "-o", cert_path]) == 0
     capsys.readouterr()
-    solved = json.loads(open(cert_path).read())
+    solved = json.loads(Path(cert_path).read_text())
 
     common = {
         "coverage_ok": False,
@@ -244,7 +244,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert main(["solve", "-i", graph_path, "-o", cert_path]) == 0
     capsys.readouterr()
 
-    data = json.loads(open(cert_path).read())
+    data = json.loads(Path(cert_path).read_text())
     data["terms"][0]["twice_value"] = 4  # coefficient 1 -> 2
     with open(cert_path, "w") as handle:
         json.dump(data, handle)
@@ -345,7 +345,7 @@ def test_verify_reports_a_term_that_is_not_a_perfect_matching(tmp_path, capsys):
     assert main(["solve", "-i", graph_path, "-o", cert_path]) == 0
     capsys.readouterr()
 
-    data = json.loads(open(cert_path).read())
+    data = json.loads(Path(cert_path).read_text())
     data["terms"][0]["edges"] = data["terms"][0]["edges"][1:]  # uncovers a vertex
     with open(cert_path, "w") as handle:
         json.dump(data, handle)
@@ -443,6 +443,13 @@ def test_enumerate_limit_overflow(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "limit 3 exceeded; 3 matchings listed" in captured.err
     assert len(captured.out.strip().splitlines()) == 3
+    # the partial list is still the success payload when JSON is asked for
+    assert main(["enumerate", "-i", path, "--limit", "3", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert "limit 3 exceeded; 3 matchings listed" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["count"] == 3
+    assert payload["matchings"] == [sorted(m) for m in enumerate_pms(corpus.petersen())[:3]]
 
 
 def test_enumerate_json(tmp_path, capsys):

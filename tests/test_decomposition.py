@@ -19,10 +19,15 @@ from pmcover.decomposition import (
     is_tight_cut,
 )
 from pmcover.graphs import bipartition, cut_from_shore, is_connected, is_r_graph, regular_degree
-from pmcover.matchings import maximum_matching
+from pmcover.matchings import maximum_matching, validate_perfect_matching
 
 import corpus
 import oracles
+
+
+def _mate(g):
+    """A maximum matching of g as a mate array; perfect when g has one."""
+    return maximum_matching(g.vertex_count, g.adjacency)
 
 
 def test_is_tight_cut_agrees_with_definition():
@@ -33,9 +38,10 @@ def test_is_tight_cut_agrees_with_definition():
         if g.vertex_count > 10:
             continue
         matchings = oracles.all_pms(g)
+        mate = _mate(g)
         for shore in oracles.odd_shores(g):
             cut = cut_from_shore(g, shore)
-            assert is_tight_cut(g, cut) == oracles.is_tight(g, cut, matchings), (
+            assert is_tight_cut(g, cut, mate) == oracles.is_tight(g, cut, matchings), (
                 name,
                 sorted(shore),
             )
@@ -44,11 +50,11 @@ def test_is_tight_cut_agrees_with_definition():
 def test_is_tight_cut_rejects_even_cut():
     g = corpus.c6()
     with pytest.raises(ValueError):
-        is_tight_cut(g, cut_from_shore(g, {0, 1}))
+        is_tight_cut(g, cut_from_shore(g, {0, 1}), _mate(g))
 
 
 def test_find_tight_cut_c6_frozen():
-    cut = find_nontrivial_tight_cut(corpus.c6())
+    cut = find_nontrivial_tight_cut(corpus.c6(), _mate(corpus.c6()))
     assert cut is not None
     shore = cut.shore if 0 in cut.shore else frozenset(range(6)) - cut.shore
     assert shore == frozenset({0, 4, 5})
@@ -63,17 +69,18 @@ def test_find_tight_cut_verdict_matches_exhaustive_sweep():
         if g.vertex_count > 12 or not is_r_graph(g).ok:
             continue
         exhaustive = oracles.exhaustive_tight_shores(g)
-        found = find_nontrivial_tight_cut(g)
+        mate = _mate(g)
+        found = find_nontrivial_tight_cut(g, mate)
         assert (found is not None) == (len(exhaustive) > 0), name
         if found is not None:
-            assert is_tight_cut(g, found), name
+            assert is_tight_cut(g, found, mate), name
             assert 3 <= len(found.shore) <= g.vertex_count - 3, name
 
 
 def test_bricks_and_braces_have_no_nontrivial_tight_cut():
     for g in (corpus.petersen(), corpus.k4(), corpus.k33(), corpus.prism(),
               corpus.cube(), corpus.triangle_expanded_petersen()):
-        assert find_nontrivial_tight_cut(g) is None
+        assert find_nontrivial_tight_cut(g, _mate(g)) is None
 
 
 def _random_bipartite_r_graph(rng):
@@ -97,17 +104,17 @@ def test_bipartite_route_matches_exhaustive_sweep():
         g = _random_bipartite_r_graph(rng)
         exhaustive = oracles.exhaustive_tight_shores(g)
         non_braces += bool(exhaustive)
-        mate = maximum_matching(g.vertex_count, g.adjacency)
+        mate = _mate(g)
         groups = list(_bipartite_barrier_shores(g, mate))
         # every witness leaves exactly one nontrivial odd component, tight
         assert all(len(group) == 1 for group in groups), (trial, g.edges)
         for (shore,) in groups:
-            assert is_tight_cut(g, cut_from_shore(g, shore)), (trial, g.edges)
+            assert is_tight_cut(g, cut_from_shore(g, shore), mate), (trial, g.edges)
         assert bool(groups) == bool(exhaustive), (trial, g.edges)
-        found = find_nontrivial_tight_cut(g)
+        found = find_nontrivial_tight_cut(g, mate)
         assert (found is not None) == bool(exhaustive), (trial, g.edges)
         if found is not None:
-            assert is_tight_cut(g, found), (trial, g.edges)
+            assert is_tight_cut(g, found, mate), (trial, g.edges)
             assert 3 <= len(found.shore) <= g.vertex_count - 3, (trial, g.edges)
     assert 0 < non_braces < 180
 
@@ -144,9 +151,9 @@ def test_two_separation_shores_match_the_pair_sweep():
 
 def test_two_cut_graph_takes_the_two_separation_route():
     g = corpus.k4_pair_two_cut()
-    mate = maximum_matching(g.vertex_count, g.adjacency)
+    mate = _mate(g)
     assert list(_nonbipartite_barrier_shores(g, mate)) == []
-    cut = find_nontrivial_tight_cut(g)
+    cut = find_nontrivial_tight_cut(g, mate)
     assert cut is not None
     assert cut.shore == frozenset({0, 1, 2, 3, 8})
     assert cut.shore in set(_two_separation_shores(g))
@@ -166,7 +173,7 @@ def test_petersen_node_is_a_leaf_without_a_search(monkeypatch, copies):
     g = build_graph(10, list(corpus.PETERSEN_PAIRS) + spokes * copies)
     assert regular_degree(g) == 3 + copies
 
-    def no_search(_):
+    def no_search(*_, **__):
         raise AssertionError("a Petersen node was searched for a tight cut")
 
     calls = []
@@ -183,12 +190,12 @@ def test_petersen_node_is_a_leaf_without_a_search(monkeypatch, copies):
 
 
 def _count_searches(monkeypatch):
-    """Record, per call of the search, whether its graph is non-bipartite."""
+    """Record the graph of each call of the search."""
     searched = []
 
-    def counted(h, **kwargs):
-        searched.append(bipartition(h) is None)
-        return find_nontrivial_tight_cut(h, **kwargs)
+    def counted(h, matching, **kwargs):
+        searched.append(h)
+        return find_nontrivial_tight_cut(h, matching, **kwargs)
 
     monkeypatch.setattr(decomposition, "find_nontrivial_tight_cut", counted)
     return searched
@@ -203,8 +210,16 @@ def test_double_petersen_splice_carries_the_second_piece(monkeypatch):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_barrier_blowup_searches_once_per_barrier(monkeypatch, k):
+    matching_searches = []
+
+    def counted_matching(n, adjacency, *args):
+        matching_searches.append(n)
+        return maximum_matching(n, adjacency, *args)
+
+    monkeypatch.setattr(decomposition, "maximum_matching", counted_matching)
     for seed in range(3):
         searched = _count_searches(monkeypatch)
+        matching_searches.clear()
         g = corpus.barrier_blowup(k, seed)
         _, tree = solve_r_graph(g)
         assert tree.petersen_count == k
@@ -212,7 +227,49 @@ def test_barrier_blowup_searches_once_per_barrier(monkeypatch, k):
         nonbipartite_internal = sum(
             1 for node in tree.internal_nodes() if bipartition(node.graph) is None
         )
-        assert sum(searched) == nonbipartite_internal - (k - 1), (k, seed)
+        nonbipartite_searched = sum(1 for h in searched if bipartition(h) is None)
+        assert nonbipartite_searched == nonbipartite_internal - (k - 1), (k, seed)
+        # one matching search at the root, and one per bipartite search (a
+        # search below six vertices returns before any)
+        bipartite_searched = sum(
+            1 for h in searched if h.vertex_count >= 6 and bipartition(h) is not None
+        )
+        assert len(matching_searches) == 1 + bipartite_searched, (k, seed)
+
+
+def test_every_node_inherits_a_perfect_matching(monkeypatch):
+    handed = []
+
+    def spied_search(h, matching, **kwargs):
+        handed.append((h, matching))
+        return find_nontrivial_tight_cut(h, matching, **kwargs)
+
+    real_carried_cut = decomposition._carried_cut
+
+    def spied_carried_cut(h, matching, carried):
+        handed.append((h, matching))
+        return real_carried_cut(h, matching, carried)
+
+    monkeypatch.setattr(decomposition, "find_nontrivial_tight_cut", spied_search)
+    monkeypatch.setattr(decomposition, "_carried_cut", spied_carried_cut)
+    instances = corpus.structured_instances() + corpus.random_instances()
+    instances += [
+        (f"blowup_{k}_{seed}", corpus.barrier_blowup(k, seed))
+        for k in range(1, 6)
+        for seed in range(3)
+    ]
+    contracted = 0
+    for name, g in instances:
+        if not is_r_graph(g).ok:
+            continue
+        handed.clear()
+        decompose(g)
+        for h, mate in handed:
+            assert len(mate) == h.vertex_count, name
+            edge_ids = [h.pair_ids[(v, w)][0] for v, w in enumerate(mate) if v < w]
+            validate_perfect_matching(h, edge_ids)
+            contracted += h is not g
+    assert contracted >= 100, contracted
 
 
 def test_contract_shore_c6_frozen():

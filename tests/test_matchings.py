@@ -17,8 +17,15 @@ from pmcover.matchings import (
     validate_perfect_matching,
 )
 
+from pmcover import matchings
+
 import corpus
 import oracles
+
+
+def _cold(g):
+    """The empty matching, a valid warm start for ``has_perfect_matching``."""
+    return [-1] * g.vertex_count
 
 
 def test_maximum_matching_small_cases():
@@ -50,12 +57,13 @@ def test_maximum_matching_agrees_with_brute_force():
 
 
 def test_has_perfect_matching():
-    assert has_perfect_matching(corpus.petersen())
-    assert has_perfect_matching(corpus.c6())
+    petersen = corpus.petersen()
+    assert has_perfect_matching(petersen, (), _cold(petersen))
+    assert has_perfect_matching(corpus.c6(), (), _cold(corpus.c6()))
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert not has_perfect_matching(star)
-    assert has_perfect_matching(corpus.petersen(), removed=(0, 5))
-    assert not has_perfect_matching(corpus.petersen(), removed=(0,))
+    assert not has_perfect_matching(star, (), _cold(star))
+    assert has_perfect_matching(petersen, (0, 5), _cold(petersen))
+    assert not has_perfect_matching(petersen, (0,), _cold(petersen))
 
 
 def _greedy_matching_minus_one_edge(g, rng):
@@ -90,7 +98,7 @@ def test_has_perfect_matching_warm_start_agrees_with_the_cold_call():
         unchanged = [list(mate) for mate in seeds]
         for size in (2, 4):
             for removed in itertools.combinations(range(g.vertex_count), size):
-                cold = has_perfect_matching(g, removed)
+                cold = has_perfect_matching(g, removed, _cold(g))
                 left = g.vertex_count - size
                 assert cold == (2 * oracles.max_matching_size(g, frozenset(removed)) == left), (
                     name, removed,
@@ -188,10 +196,11 @@ def test_gallai_edmonds_matches_oracle():
         cases.append((f"random {trial}", _random_multigraph(rng, n), removed))
     kinds = {"parallel": 0, "no_pm": 0, "removed": 0}
     for name, g, removed in cases:
-        got = gallai_edmonds(g, removed)
+        mate = maximum_matching(g.vertex_count, g.adjacency, frozenset(removed))
+        got = gallai_edmonds(g, removed, mate)
         assert tuple(got) == oracles.gallai_edmonds(g, frozenset(removed)), (name, removed)
         kinds["parallel"] += len(g.pair_ids) < g.m
-        kinds["no_pm"] += not has_perfect_matching(g, removed)
+        kinds["no_pm"] += not has_perfect_matching(g, removed, _cold(g))
         kinds["removed"] += bool(removed)
     assert min(kinds.values()) >= 20, kinds
 
@@ -202,10 +211,11 @@ def test_gallai_edmonds_decides_every_pair():
     )
     for name, g in instances:
         for u in range(g.vertex_count):
-            d = gallai_edmonds(g, (u,)).d
+            mate = maximum_matching(g.vertex_count, g.adjacency, frozenset({u}))
+            d = gallai_edmonds(g, (u,), mate).d
             for v in range(g.vertex_count):
                 if v != u:
-                    assert (v in d) == has_perfect_matching(g, (u, v)), (name, u, v)
+                    assert (v in d) == has_perfect_matching(g, (u, v), _cold(g)), (name, u, v)
 
 
 def test_gallai_edmonds_from_a_perfect_matching_matches_oracle():
@@ -232,3 +242,36 @@ def test_gallai_edmonds_from_a_perfect_matching_matches_oracle():
     assert failing_pairs >= 100, failing_pairs
     with pytest.raises(AssertionError, match="not maximum"):
         gallai_edmonds(corpus.c4(), (), [1, 0, -1, -1])
+
+
+def test_search_in_place_matches_the_search_on_a_copy(monkeypatch):
+    # removed vertices used to be cut out of a copy of the adjacency; the
+    # in-place search must give identical mate arrays, completions and sets
+    real_grow_forest = matchings._grow_forest
+
+    def no_removed_root(adjacency, mate, roots, removed):
+        assert not removed.intersection(roots), "a forest grew from a removed vertex"
+        return real_grow_forest(adjacency, mate, roots, removed)
+
+    monkeypatch.setattr(matchings, "_grow_forest", no_removed_root)
+    rng = random.Random(23)
+    completions = {True: 0, False: 0}
+    for trial in range(400):
+        n = rng.randrange(2, 17)
+        g = _random_multigraph(rng, n)
+        removed = frozenset(rng.sample(range(n), rng.randrange(0, min(4, n) + 1)))
+        mate = maximum_matching(n, g.adjacency, removed)
+        assert mate == oracles.maximum_matching_on_copy(g, removed), (trial, g.edges, removed)
+        assert tuple(gallai_edmonds(g, removed, mate)) == oracles.gallai_edmonds(
+            g, removed, oracles.matching_size_on_copy
+        ), (trial, g.edges, removed)
+        forced: list[int] = []
+        ends: set[int] = set()
+        for e in rng.sample(range(g.m), min(g.m, rng.randrange(0, 4))):
+            if ends.isdisjoint(g.edges[e]):
+                forced.append(e)
+                ends.update(g.edges[e])
+        pm = pm_containing_edges(g, forced)
+        assert pm == oracles.pm_containing_edges_on_copy(g, forced), (trial, g.edges, forced)
+        completions[pm is not None] += 1
+    assert min(completions.values()) >= 20, completions
