@@ -293,33 +293,37 @@ def gomory_hu_tree(g: MultiGraph) -> tuple[list[int], list[int]]:
 def min_odd_cut(g: MultiGraph) -> tuple[int, Cut]:
     """Minimum-size cut with both shores odd, with a witness shore.
 
-    Scans the fundamental cuts of a Gomory-Hu tree; cut sizes are recomputed
-    from the shore so correctness rests only on the tree's partition property.
+    Every fundamental cut of the Gomory-Hu tree is a minimum cut between the
+    ends of its tree edge, of size the edge's weight, and some fundamental
+    cut is a minimum odd cut (Padberg and Rao 1982).  So the sizes are read
+    off the weights: the witness is the first subtree, in vertex order, of
+    odd size and least weight, and only its cut is built, and checked to
+    have that size.
     """
     if g.vertex_count == 0 or g.vertex_count % 2 != 0:
         raise ValueError("odd cuts require an even, positive vertex count")
     if not is_connected(g):
         raise ValueError("min_odd_cut requires a connected graph")
-    parent, _ = gomory_hu_tree(g)
+    parent, weight = gomory_hu_tree(g)
     children: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for v in range(g.vertex_count):
-        if parent[v] != -1:
-            children[parent[v]].append(v)
-    best: Optional[Cut] = None
     for v in range(1, g.vertex_count):
-        # shore = subtree rooted at v once the edge to parent[v] is removed
-        shore = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            shore.add(x)
-            stack.extend(children[x])
-        if len(shore) % 2 == 1:
-            cut = cut_from_shore(g, shore)
-            if best is None or cut.size < best.size:
-                best = cut
-    assert best is not None  # a leaf edge of the tree always gives an odd split
-    return best.size, best
+        children[parent[v]].append(v)
+    order = [0]  # parents before children
+    for v in order:
+        order.extend(children[v])
+    size = [1] * g.vertex_count
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    # a leaf edge of the tree always gives an odd split
+    best = min((v for v in range(1, g.vertex_count) if size[v] % 2), key=weight.__getitem__)
+    # shore = subtree rooted at best once the edge to parent[best] is removed
+    shore = [best]
+    for x in shore:
+        shore.extend(children[x])
+    cut = cut_from_shore(g, shore)
+    if cut.size != weight[best]:
+        raise AssertionError("a fundamental cut differs from its Gomory-Hu weight")
+    return cut.size, cut
 
 
 def is_r_graph(g: MultiGraph) -> RGraphCheck:

@@ -23,13 +23,16 @@ Three solvers, one per leaf class:
   1987), so for a basis B of perfect matchings the unique rational c with
   B c = 1 is the cover whenever it is integral.  The basis comes from a
   walk: the greedy basis (each matching grabs the lowest uncovered edge id),
-  then one matching through each vertex-disjoint edge pair in lexicographic
-  order, each kept only when it raises the rank.  When c is not integral
-  the walk goes on, and a later matching whose coordinate d_j in the basis
-  has 0 < |d_j| < 1 replaces basis matching j; that multiplies the index of
-  the basis lattice in the matching lattice by |d_j| < 1, so there are
-  finitely many swaps.  If the walk runs out first, ``ClassificationError``
-  says so.  The support is at most m - n + 1 by construction.
+  then, in lexicographic order, one matching through each vertex-disjoint
+  edge pair that no earlier matching of the walk contains, each kept only
+  when it raises the rank.  The walk never repeats a matching.  When c is
+  not integral the walk goes on, and a later matching whose coordinate d_j
+  in the basis has 0 < |d_j| < 1 replaces basis matching j; that
+  multiplies the index of the basis lattice in the matching lattice by
+  |d_j| < 1, so there are finitely many swaps.  One ``linalg.Basis`` per
+  basis answers every coordinate query, and only a swap rebuilds it.  If
+  the walk runs out first, ``ClassificationError`` says so.  The support is
+  at most m - n + 1 by construction.
 
 Coefficients are doubled ints, as everywhere in the package: a brace term
 is 2, a brick term 2x for the integer coordinate x, a Petersen half 1.
@@ -44,7 +47,7 @@ from typing import Iterator, Sequence
 from .cover import CoverSolution, exact_cover
 from .decomposition import is_petersen
 from .graphs import MultiGraph, bipartition, build_graph, regular_degree
-from .linalg import Echelon, coordinates
+from .linalg import Basis, Echelon
 from .matchings import enumerate_pms, incidence_row, maximum_matching, pm_containing_edges
 
 
@@ -169,19 +172,34 @@ def greedy_basis(g: MultiGraph) -> list[frozenset[int]]:
 
 
 def _pair_walk(g: MultiGraph) -> Iterator[frozenset[int]]:
-    """The greedy basis, then one matching through each disjoint edge pair.
+    """The greedy basis, then one matching through each uncovered disjoint edge pair.
 
     Pairs (e, f) with e < f and no shared end are taken in lexicographic
-    order; a pair that lies in no perfect matching yields nothing.
+    order.  A pair that some earlier matching of the walk already contains
+    is skipped, and a pair that lies in no perfect matching yields nothing.
+    ``holders[e]`` has bit i set when the i-th yielded matching contains e,
+    so a pair is covered when its two masks meet.  Every disjoint pair that
+    lies in a perfect matching thus lies in some yielded matching, and no
+    matching comes twice: a greedy matching holds an edge its predecessors
+    miss, and a pair matching holds a pair none of them holds.
     """
-    yield from greedy_basis(g)
+    holders = [0] * g.m
+    bit = 1
+    for pm in greedy_basis(g):
+        for x in pm:
+            holders[x] |= bit
+        bit <<= 1
+        yield pm
     for e in range(g.m):
         u, v = g.edges[e]
         for f in range(e + 1, g.m):
-            if u in g.edges[f] or v in g.edges[f]:
+            if u in g.edges[f] or v in g.edges[f] or holders[e] & holders[f]:
                 continue
             pm = pm_containing_edges(g, (e, f))
             if pm is not None:
+                for x in pm:
+                    holders[x] |= bit
+                bit <<= 1
                 yield pm
 
 
@@ -189,11 +207,13 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     """All-integer cover of a non-Petersen brick by independent matchings.
 
     The pair walk fills a basis of m - n + 1 matchings, keeping one only when
-    it raises the rank of an ``Echelon``.  The coordinates c of the all-ones
-    vector in the basis are the cover once they are integral.  Until then
-    the walk goes on: a candidate with coordinates d and some 0 < |d_j| < 1
-    replaces basis matching j (smallest |d_j|, then lowest j), which
-    multiplies the index of the basis lattice by |d_j|, and c is solved
+    it raises the rank of an ``Echelon``; the walk never repeats a matching,
+    so each candidate costs one reduction.  The coordinates c of the all-ones
+    vector in a ``Basis`` of those matchings are the cover once they are
+    integral.  Until then the walk goes on, each candidate read off the same
+    ``Basis``: one with coordinates d and some 0 < |d_j| < 1 replaces basis
+    matching j (smallest |d_j|, then lowest j), which multiplies the index of
+    the basis lattice by |d_j|, and the ``Basis`` is rebuilt and c solved
     again.
     """
     if bipartition(g) is not None:
@@ -204,14 +224,12 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     dim = g.m - g.vertex_count + 1
     span = Echelon(g.m)
     basis: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()  # a repeat cannot raise the rank
     walk = _pair_walk(g)
     for pm in walk:
-        if pm not in seen and span.add(incidence_row(g, pm)):
+        if span.add(incidence_row(g, pm)):
             basis.append(pm)
             if len(basis) == dim:
                 break
-        seen.add(pm)
     else:
         raise ClassificationError(
             f"the pair walk ended at rank {len(basis)}, below m - n + 1 = {dim}; "
@@ -219,7 +237,8 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
         )
     rows = [incidence_row(g, pm) for pm in basis]
     ones = [1] * g.m
-    solved = coordinates(rows, ones)
+    lattice = Basis(rows)
+    solved = lattice.coordinates(ones)
     while solved is None or solved[1] != 1:
         pm = next(walk, None)
         if pm is None:
@@ -229,10 +248,12 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
             )
         # dim lin(PM) = m - n + 2 - b <= m - n + 1 on a non-bipartite matching
         # covered graph, so the full-rank basis spans every perfect matching
-        d, den = coordinates(rows, incidence_row(g, pm))
+        row = incidence_row(g, pm)
+        d, den = lattice.coordinates(row)
         shrinking = [j for j, x in enumerate(d) if 0 < abs(x) < den]
         if shrinking:
             swap = min(shrinking, key=lambda j: abs(d[j]))
-            basis[swap], rows[swap] = pm, incidence_row(g, pm)
-            solved = coordinates(rows, ones)
+            basis[swap], rows[swap] = pm, row
+            lattice = Basis(rows)
+            solved = lattice.coordinates(ones)
     return exact_cover(g, [(pm, 2 * x) for pm, x in zip(basis, solved[0]) if x])

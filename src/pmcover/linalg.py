@@ -10,11 +10,11 @@ rows, grown one row at a time.
 
 * ``add`` reports whether a row raised the rank.
 * ``rank`` counts its pivots and is used by every linear independence check.
-* ``coordinates`` writes a vector in independent rows as integer numerators
-  over one positive denominator: each row carries a unit tail through the
-  elimination, so the combination is read off the remainder.  The lattice
-  question "is b an integer combination of independent rows" is then
-  "is the denominator 1".
+* ``Basis`` eliminates independent rows once, each carrying a unit tail,
+  and its ``coordinates`` writes a vector in them as integer numerators
+  over one positive denominator, read off the vector's remainder.  The
+  lattice question "is b an integer combination of independent rows" is
+  then "is the denominator 1".
 """
 
 from __future__ import annotations
@@ -98,39 +98,51 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     return len(echelon)
 
 
-def coordinates(
-    rows: Sequence[Sequence[int]], target: Sequence[int]
-) -> Optional[tuple[list[int], int]]:
-    """The target in independent rows: numerators and a positive common denominator.
+class Basis:
+    """Independent integer rows, eliminated once, that write targets in them.
 
-    Returns (num, den) with sum_i num_i * rows_i = den * target and
-    gcd(num, den) = 1, or None when the target is outside the rows' rational
-    span; ragged or dependent rows raise ValueError.  Row i enters one
-    ``Echelon`` extended by the i-th unit vector and a 0, so each stored row
-    carries in its tail the combination of input rows it is.  Reducing
-    (target, 0...0, 1) leaves l * target + sum_i u_i * rows_i on the first
-    columns, u in the tail and l last.  That part vanishes exactly when the
-    target is in the span, and then target = sum_i (-u_i / l) rows_i; the
-    remainder is primitive, so the fraction is in lowest terms.  The answer
-    is checked exactly before it is returned.
+    Row i enters one ``Echelon`` extended by the i-th unit vector and a 0, so
+    each stored row carries in its tail the combination of input rows it is;
+    ragged or dependent rows raise ValueError.  ``coordinates`` then costs one
+    reduction and an exactness check, so one basis answers many targets.
     """
-    k = len(rows)
-    width = len(target)
-    echelon = Echelon(width + k + 1)
-    for i, row in enumerate(rows):
-        if len(row) != width:
+
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        self.rows = [list(row) for row in rows]
+        k = len(self.rows)
+        width = len(self.rows[0]) if self.rows else 0
+        self._echelon = Echelon(width + k + 1)  # its width rejects ragged rows
+        for i, row in enumerate(self.rows):
+            self._echelon.add([*row, *(1 if j == i else 0 for j in range(k)), 0])
+        if any(p >= width for p, _ in self._echelon.rows):
+            raise ValueError("dependent rows: a basis needs independent rows")
+
+    def coordinates(self, target: Sequence[int]) -> Optional[tuple[list[int], int]]:
+        """The target in the rows: numerators and a positive common denominator.
+
+        Returns (num, den) with sum_i num_i * rows_i = den * target and
+        gcd(num, den) = 1, or None when the target is outside the rows'
+        rational span; a target of another width raises ValueError.
+        Reducing (target, 0...0, 1) leaves l * target + sum_i u_i * rows_i on
+        the first columns, u in the tail and l last.  That part vanishes
+        exactly when the target is in the span, and then
+        target = sum_i (-u_i / l) rows_i; the remainder is primitive, so the
+        fraction is in lowest terms.  The answer is checked exactly before it
+        is returned.
+        """
+        width, k = len(target), len(self.rows)
+        if k and width != len(self.rows[0]):
             raise ValueError("ragged rows: all rows must have the same length as the target")
-        echelon.add([*row, *(1 if j == i else 0 for j in range(k)), 0])
-    if any(p >= width for p, _ in echelon.rows):
-        raise ValueError("dependent rows: coordinates need independent rows")
-    # no stored row reaches the last column, so the remainder is never zero
-    pivot, remainder = echelon._reduce([*target, *(0 for _ in range(k)), 1])
-    if pivot < width:
-        return None
-    *tail, last = remainder[width:]
-    sign = 1 if last > 0 else -1
-    num, den = [-sign * u for u in tail], sign * last
-    for col in range(width):
-        if sum(n * row[col] for n, row in zip(num, rows)) != den * target[col]:
-            raise AssertionError("coordinates produced an inexact combination")
-    return num, den
+        # no rows span only the zero vector, of whatever width the target has
+        echelon = self._echelon if k else Echelon(width + 1)
+        # no stored row reaches the last column, so the remainder is never zero
+        pivot, remainder = echelon._reduce([*target, *(0 for _ in range(k)), 1])
+        if pivot < width:
+            return None
+        *tail, last = remainder[width:]
+        sign = 1 if last > 0 else -1
+        num, den = [-sign * u for u in tail], sign * last
+        for col in range(width):
+            if sum(n * row[col] for n, row in zip(num, self.rows)) != den * target[col]:
+                raise AssertionError("coordinates produced an inexact combination")
+        return num, den

@@ -34,7 +34,7 @@ def _certificate(g):
 # sha256 over the serialized certificates of the structured corpus and
 # corpus.random_instances(), in that order.  A change that alters any
 # certificate byte must say so and update this digest.
-CORPUS_CERTIFICATES_SHA256 = "4eef4382ff6d291767c3855018421e48a46b24ae281f590343b0aff198593e11"
+CORPUS_CERTIFICATES_SHA256 = "d5e4a48d2bc3e773d69c9df45ad883108979bb8106e7858ee80bbb814563379f"
 
 
 def test_corpus_certificates_are_pinned():

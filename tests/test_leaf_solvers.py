@@ -19,9 +19,10 @@ from pmcover import (
     verify_cover,
 )
 from pmcover.cli import gen_r_graph
-from pmcover.linalg import Echelon
+from pmcover.linalg import Basis, Echelon
 from pmcover.leaf_solvers import (
     ClassificationError,
+    _pair_walk,
     _petersen_weight_alpha,
     brace_solve,
     brick_solve,
@@ -244,26 +245,62 @@ def _other_brick_leaf(n, r, seed):
     return [leaf.graph for leaf in tree.leaves() if leaf.leaf_class is LeafClass.OTHER_BRICK]
 
 
-def test_brick_solve_exchange_pins_the_degree_7_leaf(monkeypatch):
+def _small_bricks():
+    """The corpus bricks, then the brick leaves of seeded random r-graphs, n <= 12."""
+    bricks = [
+        pytest.param(corpus.k4(), id="k4"),
+        pytest.param(corpus.prism(), id="prism"),
+        pytest.param(corpus.petersen(), id="petersen"),
+        pytest.param(corpus.triangle_expanded_petersen(), id="tri_expanded"),
+    ]
+    rng = random.Random(19)
+    for _ in range(60):
+        n, r, seed = rng.choice((6, 8, 10, 12)), rng.randint(3, 5), rng.randrange(10**6)
+        for k, g in enumerate(_other_brick_leaf(n, r, seed)):
+            bricks.append(pytest.param(g, id=f"gen_n{n}_r{r}_s{seed}_leaf{k}"))
+    return bricks
+
+
+SMALL_BRICKS = _small_bricks()
+
+
+@pytest.mark.parametrize("g", SMALL_BRICKS)
+def test_pair_walk_never_repeats_a_matching(g):
+    # run to its end, the walk yields no matching twice
+    walk = list(_pair_walk(g))
+    assert len(set(walk)) == len(walk)
+
+
+@pytest.mark.parametrize("g", SMALL_BRICKS)
+def test_pair_walk_covers_every_pair_in_a_perfect_matching(g):
+    # every vertex-disjoint pair of edges that lies in some perfect matching
+    # (by brute force) lies in some matching of the walk
+    def pairs(pms):
+        return {(e, f) for pm in pms for e in pm for f in pm if e < f}
+
+    assert pairs(enumerate_pms(g)) <= pairs(_pair_walk(g))
+
+
+def test_brick_solve_exchange_pins_the_degree_4_leaf(monkeypatch):
     # the greedy-and-pair basis of this leaf holds the all-ones vector only
     # at denominator > 1; one swap brings it into the basis lattice
-    (g,) = _other_brick_leaf(20, 7, 1)
+    (g,) = _other_brick_leaf(18, 4, 7)
     denominators = []
-    real_coordinates = leaf_solvers.coordinates
+    real_coordinates = Basis.coordinates
 
-    def recorded(rows, target):
-        solved = real_coordinates(rows, target)
+    def recorded(self, target):
+        solved = real_coordinates(self, target)
         if list(target) == [1] * g.m:
             denominators.append(solved[1])
         return solved
 
-    monkeypatch.setattr(leaf_solvers, "coordinates", recorded)
+    monkeypatch.setattr(Basis, "coordinates", recorded)
     sol = brick_solve(g)
     assert len(denominators) == 2 and denominators[0] > 1 and denominators[1] == 1
     assert sol.support <= g.m - g.vertex_count + 1
     text = json.dumps([[sorted(m), c] for m, c in sol.terms])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "99a11b521cd8dc835848ac3faaa295b560b0153b582a9617bb934fda98e02fa2"
+        "5cee9eb40632b99d823a85e9903de95971e88edddb5131b89fe7a1dcff46ec7b"
     )
 
 
@@ -281,18 +318,18 @@ def test_brick_solve_raises_when_the_walk_ends_below_full_rank(monkeypatch):
 
 
 def test_brick_solve_raises_when_the_walk_ends_before_the_exchange_closes(monkeypatch):
-    # the walk stops at full rank, so the degree-7 leaf keeps its
+    # the walk stops at full rank, so the degree-4 leaf keeps its
     # non-integral coordinates
-    (g,) = _other_brick_leaf(20, 7, 1)
+    (g,) = _other_brick_leaf(18, 4, 7)
     real_pm = leaf_solvers.pm_containing_edges
-    seen = Echelon(g.m)
+    span = Echelon(g.m)
 
     def until_full_rank(graph, edge_ids):
-        if len(seen) == g.m - g.vertex_count + 1:
+        if len(span) == g.m - g.vertex_count + 1:
             return None
         pm = real_pm(graph, edge_ids)
         if pm is not None:
-            seen.add([1 if e in pm else 0 for e in range(g.m)])
+            span.add([1 if e in pm else 0 for e in range(g.m)])
         return pm
 
     monkeypatch.setattr(leaf_solvers, "pm_containing_edges", until_full_rank)

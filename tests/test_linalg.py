@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmcover.linalg import Echelon, coordinates, rank
+from pmcover.linalg import Basis, Echelon, rank
 from pmcover.matchings import incidence_row
 
 import corpus
@@ -112,53 +112,71 @@ def test_echelon_rejects_a_row_of_the_wrong_width():
 
 
 def test_coordinates_examples():
-    assert coordinates([[2, 0], [0, 3]], [1, 1]) == ([3, 2], 6)
-    assert coordinates([[1, 1, 0], [0, 1, 1]], [1, 2, 1]) == ([1, 1], 1)
-    assert coordinates([[1, 1, 0], [0, 1, 1]], [1, 0, 0]) is None
-    assert coordinates([[-2, 4]], [1, -2]) == ([-1], 2)
-    assert coordinates([], [0, 0]) == ([], 1)
-    assert coordinates([], [0, 1]) is None
+    assert Basis([[2, 0], [0, 3]]).coordinates([1, 1]) == ([3, 2], 6)
+    assert Basis([[1, 1, 0], [0, 1, 1]]).coordinates([1, 2, 1]) == ([1, 1], 1)
+    assert Basis([[1, 1, 0], [0, 1, 1]]).coordinates([1, 0, 0]) is None
+    assert Basis([[-2, 4]]).coordinates([1, -2]) == ([-1], 2)
+    assert Basis([]).coordinates([0, 0]) == ([], 1)
+    assert Basis([]).coordinates([0, 1]) is None
 
 
 def test_coordinates_reject_ragged_and_dependent_rows():
     for rows, target in (([[1, 0], [1]], [1, 0]), ([[1, 0]], [1, 0, 0])):
         with pytest.raises(ValueError, match="ragged"):
-            coordinates(rows, target)
+            Basis(rows).coordinates(target)
         with pytest.raises(ValueError, match="ragged"):
             oracles.fraction_coordinates(rows, target)
     for rows in ([[1, 2], [2, 4]], [[0, 0]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(ValueError, match="dependent"):
-            coordinates(rows, [1, 1])
+            Basis(rows)
         with pytest.raises(ValueError, match="dependent"):
             oracles.fraction_coordinates(rows, [1, 1])
+
+
+def _independent_rows(matrix):
+    """The matrix's rows, each kept when it raises the oracle's rank."""
+    kept: list[list[int]] = []
+    for row in matrix:
+        if oracles.fraction_rank(kept + [row]) > len(kept):
+            kept.append(row)
+    return kept
+
+
+def _targets(rows, width):
+    """Integer combinations of the rows, or free vectors (mostly outside their span)."""
+    return st.one_of(
+        st.lists(int_matrix, min_size=len(rows), max_size=len(rows)).map(
+            lambda c: [sum(x * row[j] for x, row in zip(c, rows)) for j in range(width)]
+        ),
+        st.lists(int_matrix, min_size=width, max_size=width),
+    )
 
 
 @given(dependent_matrix(), st.integers(1, 3), st.data())
 @settings(max_examples=300, deadline=None)
 def test_coordinates_match_fraction_elimination(matrix, scale, data):
-    # the matrix's rows, kept greedily while independent and multiplied by
-    # the scale, against a target that is an integer combination of the
-    # unscaled rows (coordinates over the scale) or free (mostly outside the
-    # span); the full matrix is rejected when it is dependent
-    width = len(matrix[0])
-    kept: list[list[int]] = []
-    for row in matrix:
-        if oracles.fraction_rank(kept + [row]) > len(kept):
-            kept.append(row)
+    # the independent rows multiplied by the scale, against a target drawn
+    # from the unscaled rows (coordinates over the scale); the full matrix
+    # is rejected when it is dependent
+    kept = _independent_rows(matrix)
     rows = [[scale * x for x in row] for row in kept]
-    target = data.draw(
-        st.one_of(
-            st.lists(int_matrix, min_size=len(kept), max_size=len(kept)).map(
-                lambda c: [sum(x * row[j] for x, row in zip(c, kept)) for j in range(width)]
-            ),
-            st.lists(int_matrix, min_size=width, max_size=width),
-        )
-    )
+    target = data.draw(_targets(kept, len(matrix[0])))
     expected = oracles.fraction_coordinates(rows, target)
-    assert coordinates(rows, target) == expected
+    assert Basis(rows).coordinates(target) == expected
     if expected is not None:
         num, den = expected
         assert den > 0 and math.gcd(den, *num) == 1
     if len(kept) < len(matrix):
         with pytest.raises(ValueError, match="dependent"):
-            coordinates(matrix, target)
+            Basis(matrix)
+
+
+@given(dependent_matrix(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_basis_answers_many_targets(matrix, data):
+    # one Basis, queried in turn, answers each target as a fresh Gauss-Jordan
+    # elimination does: a query leaves nothing behind for the next one
+    rows = _independent_rows(matrix)
+    basis = Basis(rows)
+    for target in data.draw(st.lists(_targets(rows, len(matrix[0])), min_size=2, max_size=6)):
+        assert basis.coordinates(target) == oracles.fraction_coordinates(rows, target)
