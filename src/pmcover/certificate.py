@@ -310,7 +310,7 @@ def deserialize(text: str) -> Certificate:
         leaf = _as_dict(raw, f"tree.leaves[{k}]")
         kind = leaf.get("class")
         _expect(
-            kind in {lc.value for lc in LeafClass},
+            isinstance(kind, str) and kind in {lc.value for lc in LeafClass},
             f"tree.leaves[{k}] has unknown class {kind!r}",
         )
         leaves.append(

@@ -94,6 +94,8 @@ def load_graph(path: str) -> MultiGraph:
             text = handle.read()
     except OSError as exc:
         raise GraphParseError(0, f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(0, f"{path} is not UTF-8 text: {exc.reason}") from None
     return parse_graph_text(text)
 
 
@@ -242,6 +244,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             cert = deserialize(handle.read())
     except OSError as exc:
         print(f"cannot read {args.certificate}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"certificate error: {args.certificate} is not UTF-8 text: {exc.reason}",
+              file=sys.stderr)
         return EXIT_PARSE
     try:
         report = verify_certificate(g, cert)

@@ -61,15 +61,17 @@ search.  A barrier with k nontrivial odd components K1..Kk gives k tight
 cuts that do not cross one another.  When K1 wins, the contraction that
 keeps K2..Kk receives them, relabelled, as carried shores: a tight cut that
 does not cross the contracted cut stays tight in the contraction that keeps
-it (Lovasz 1987).  The child tries them in order before any search, and
-each still passes the search's own checks (nontrivial, odd,
-``is_tight_cut``); the search runs only when none is accepted.
+it (Lovasz 1987).  They are the child's first group of candidates, ahead
+of every route, and pass the same acceptance rule as any other shore
+(nontrivial, odd, ``is_tight_cut``); a route is entered only when none of
+them is accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cover import CoverSolution
@@ -196,12 +198,11 @@ def _reach(arcs: Sequence[Sequence[int]], root: int, avoid: int) -> set[int]:
     return seen
 
 
-def _bipartite_barrier_shores(
-    g: MultiGraph, mate: Sequence[int]
-) -> Iterator[list[frozenset[int]]]:
+def _bipartite_barrier_shores(g: MultiGraph) -> Iterator[list[frozenset[int]]]:
     """The odd components left by the barrier N(X) of each X with |N(X)| = |X| + 1.
 
-    U is the side of vertex 0 and M the perfect matching ``mate``.  The
+    U is the side of vertex 0 and M the route's own ``maximum_matching``,
+    found on entry (see ``find_nontrivial_tight_cut``).  The
     digraph D on U has an arc u -> M(w) for each neighbour w != M(u) of u,
     so N(X) = M(X) + M(Out(X)), where Out(X) is the set of vertices outside
     X that X has arcs to, and |N(X)| = |X| + |Out(X)|.  For each z of U in
@@ -226,6 +227,7 @@ def _bipartite_barrier_shores(
     """
     sides = bipartition(g)
     assert sides is not None
+    mate = maximum_matching(g.vertex_count, g.adjacency)
     u_side = sorted(sides[0])
     forward: list[list[int]] = [[] for _ in range(g.vertex_count)]
     backward: list[list[int]] = [[] for _ in range(g.vertex_count)]
@@ -328,49 +330,43 @@ def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
 
 
 def find_nontrivial_tight_cut(
-    g: MultiGraph, matching: Sequence[int], *, siblings: Optional[list[frozenset[int]]] = None
-) -> Optional[Cut]:
-    """A verified nontrivial tight cut, or None when G is a brick or brace.
+    g: MultiGraph, matching: Sequence[int], carried: Sequence[frozenset[int]] = ()
+) -> Optional[tuple[Cut, Sequence[frozenset[int]]]]:
+    """A verified nontrivial tight cut and the shores after it, or None for a brick or brace.
 
     G must already be an r-graph (``decompose`` checks its input once), and
     ``matching`` is a perfect matching of G as a mate array, the node's
-    inherited one.  Candidate shores are generated deterministically (see
-    module docstring); the first that is_tight_cut accepts wins.  The
-    bipartite route alone runs its own ``maximum_matching``: its shores are
-    read off D(M), so which cut it finds first depends on M, while the
-    Gallai-Edmonds sets, the 2-separations and the verdicts of is_tight_cut
-    do not.  So the cut, and the certificate, do not depend on the matching
-    a node inherits.
-
-    When the winner is an odd component of a barrier and ``siblings`` is a
-    list, the odd components of that barrier listed after it, each with at
-    least three vertices, are appended to it.  Their cuts are tight and do
-    not cross the winner's.
+    inherited one.  Candidate shores come in groups: ``carried`` first, then
+    the routes of the module docstring, generated deterministically.  One
+    rule accepts a shore from any group: it is nontrivial, not tried
+    before, odd, and accepted by ``is_tight_cut``.  The first accepted wins,
+    and the shores after it in its group come back with it: the odd
+    components of one barrier, or the carried shores, all tight and none
+    crossing the winner's cut.  The bipartite route alone runs its own
+    ``maximum_matching``, and only once the carried shores are exhausted:
+    its shores are read off D(M), so which cut it finds first depends on M,
+    while the Gallai-Edmonds sets, the 2-separations and the verdicts of
+    ``is_tight_cut`` do not.  So the cut, and the certificate, do not depend
+    on the matching a node inherits.
     """
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
     if bipartition(g) is not None:
-        own = maximum_matching(g.vertex_count, g.adjacency)
-        routes: Iterable[Iterator[list[frozenset[int]]]] = (_bipartite_barrier_shores(g, own),)
+        routes: tuple[Iterator[Sequence[frozenset[int]]], ...] = (_bipartite_barrier_shores(g),)
     else:
         routes = (
             _nonbipartite_barrier_shores(g, matching),
             ([shore] for shore in _two_separation_shores(g)),
         )
     tried: set[frozenset[int]] = set()
-    for route in routes:
-        for group in route:
-            for i, shore in enumerate(group):
-                if shore in tried:
-                    continue
-                tried.add(shore)
-                if not 3 <= len(shore) <= g.vertex_count - 3:
-                    continue
-                cut = cut_from_shore(g, shore)
-                if cut.odd and is_tight_cut(g, cut, matching):
-                    if siblings is not None:
-                        siblings.extend(group[i + 1:])
-                    return cut
+    for group in chain((carried,), *routes):
+        for i, shore in enumerate(group):
+            if not 3 <= len(shore) <= g.vertex_count - 3 or shore in tried:
+                continue
+            tried.add(shore)
+            cut = cut_from_shore(g, shore)
+            if cut.odd and is_tight_cut(g, cut, matching):
+                return cut, group[i + 1:]
     return None
 
 
@@ -455,18 +451,6 @@ def classify_leaf(g: MultiGraph) -> LeafClass:
     return LeafClass.OTHER_BRICK
 
 
-def _carried_cut(
-    g: MultiGraph, mate: Sequence[int], carried: Sequence[frozenset[int]]
-) -> tuple[Optional[Cut], Sequence[frozenset[int]]]:
-    """The first carried shore that passes the search's own checks, and the shores after it."""
-    for i, shore in enumerate(carried):
-        if 3 <= len(shore) <= g.vertex_count - 3:
-            cut = cut_from_shore(g, shore)
-            if cut.odd and is_tight_cut(g, cut, mate):
-                return cut, carried[i + 1:]
-    return None, ()
-
-
 Carried = tuple[list[int], tuple[frozenset[int], ...]]
 
 
@@ -496,12 +480,10 @@ def decompose(g: MultiGraph, *, carried: Optional[Carried] = None) -> Decomposit
     r-graph by construction, carries from its parent, relabelled: that
     perfect matching, which the tight cut restricts to one of the child, and
     the sibling odd components of the barrier behind an ancestor's cut,
-    still tight here (Lovasz 1987).  The node tries those shores in order,
-    each still checked to be nontrivial, odd and accepted by
-    ``is_tight_cut``; the first accepted is its cut, the rest go on to the
-    child that keeps them, and only when none is accepted does the node call
-    ``find_nontrivial_tight_cut``.  A Petersen node is a leaf without a
-    search.
+    still tight here (Lovasz 1987).  Every other node calls
+    ``find_nontrivial_tight_cut`` once, with those shores as its first
+    group; the shores after the winner go on to the child that keeps them.
+    A Petersen node is a leaf without a search.
     """
     if carried is None:
         check = is_r_graph(g)
@@ -517,13 +499,10 @@ def decompose(g: MultiGraph, *, carried: Optional[Carried] = None) -> Decomposit
     kind = classify_leaf(g)
     if kind is LeafClass.PETERSEN_BRICK:
         return DecompositionTree(graph=g, leaf_class=kind)
-    cut, onward = _carried_cut(g, mate, shores)
-    if cut is None:
-        siblings: list[frozenset[int]] = []
-        cut = find_nontrivial_tight_cut(g, mate, siblings=siblings)
-        onward = siblings
-    if cut is None:
+    found = find_nontrivial_tight_cut(g, mate, shores)
+    if found is None:
         return DecompositionTree(graph=g, leaf_class=kind)
+    cut, onward = found
     complement = frozenset(range(g.vertex_count)) - cut.shore
     left_graph, left_map = contract_shore(g, cut, cut.shore)
     right_graph, right_map = contract_shore(g, cut, complement)

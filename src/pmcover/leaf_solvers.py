@@ -22,12 +22,15 @@ Three solvers, one per leaf class:
   graph its matching lattice is the integer points of lin(PM) (Lovasz
   1987), so for a basis B of perfect matchings the unique rational c with
   B c = 1 is the cover whenever it is integral.  The basis comes from a
-  walk: the greedy basis (each matching grabs the lowest uncovered edge id),
-  then, in lexicographic order, one matching through each vertex-disjoint
-  edge pair that no earlier matching of the walk contains, each kept only
-  when it raises the rank.  The walk never repeats a matching.  When c is
-  not integral the walk goes on, and a later matching whose coordinate d_j
-  in the basis has 0 < |d_j| < 1 replaces basis matching j; that
+  walk that completes a perfect matching through every edge, then through
+  every vertex-disjoint edge pair, in lexicographic order, and never
+  repeats a matching.  Its first pass skips the edges and pairs that an
+  earlier matching of the walk holds, so it opens with the greedy basis
+  (each matching grabs the lowest uncovered edge id); its second pass, run
+  only when the first falls short, skips nothing.  A matching is kept only
+  when it raises the rank.  When c is not integral the walk goes on, and a
+  later matching whose coordinate d_j in the basis has 0 < |d_j| < 1
+  replaces basis matching j; that
   multiplies the index of the basis lattice in the matching lattice by
   |d_j| < 1, so there are finitely many swaps.  One ``linalg.Basis`` per
   basis answers every coordinate query, and only a swap rebuilds it.  If
@@ -42,7 +45,7 @@ are rechecked exactly.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cover import CoverSolution, exact_cover
 from .decomposition import is_petersen
@@ -156,65 +159,70 @@ def petersen_solve(g: MultiGraph) -> CoverSolution:
     return exact_cover(g, terms)
 
 
-def greedy_basis(g: MultiGraph) -> list[frozenset[int]]:
-    """Matchings picked so each contains the lowest edge id its predecessors miss."""
-    covered: set[int] = set()
-    basis: list[frozenset[int]] = []
-    for e in range(g.m):
-        if e in covered:
-            continue
-        pm = pm_containing_edges(g, (e,))
-        if pm is None:
-            raise ValueError(f"edge {e} lies in no perfect matching")
-        basis.append(pm)
-        covered.update(pm)
-    return basis
+def _forced_sets(
+    g: MultiGraph, holders: Sequence[int], skip_held: bool
+) -> Iterator[tuple[int, ...]]:
+    """Every edge, then every vertex-disjoint edge pair (e, f), e < f, in lexicographic order.
 
-
-def _pair_walk(g: MultiGraph) -> Iterator[frozenset[int]]:
-    """The greedy basis, then one matching through each uncovered disjoint edge pair.
-
-    Pairs (e, f) with e < f and no shared end are taken in lexicographic
-    order.  A pair that some earlier matching of the walk already contains
-    is skipped, and a pair that lies in no perfect matching yields nothing.
-    ``holders[e]`` has bit i set when the i-th yielded matching contains e,
-    so a pair is covered when its two masks meet.  Every disjoint pair that
-    lies in a perfect matching thus lies in some yielded matching, and no
-    matching comes twice: a greedy matching holds an edge its predecessors
-    miss, and a pair matching holds a pair none of them holds.
+    With ``skip_held`` a set is left out when its ``holders`` masks meet,
+    read as the walk updates them.
     """
-    holders = [0] * g.m
-    bit = 1
-    for pm in greedy_basis(g):
-        for x in pm:
-            holders[x] |= bit
-        bit <<= 1
-        yield pm
+    for e in range(g.m):
+        if not (skip_held and holders[e]):
+            yield (e,)
     for e in range(g.m):
         u, v = g.edges[e]
         for f in range(e + 1, g.m):
-            if u in g.edges[f] or v in g.edges[f] or holders[e] & holders[f]:
+            if u in g.edges[f] or v in g.edges[f] or skip_held and holders[e] & holders[f]:
                 continue
-            pm = pm_containing_edges(g, (e, f))
-            if pm is not None:
-                for x in pm:
-                    holders[x] |= bit
-                bit <<= 1
-                yield pm
+            yield (e, f)
+
+
+def _pair_walk(g: MultiGraph) -> Iterator[frozenset[int]]:
+    """A perfect matching through each edge and each disjoint edge pair, none twice.
+
+    Two passes over ``_forced_sets``, each set completed by
+    ``pm_containing_edges``: the first skips held sets, the second, run only
+    when the caller asks for more, skips none.  ``holders[e]`` has bit i set
+    when the i-th yielded matching contains e, and a completion is yielded
+    only when the AND of its edges' masks is 0: a matching holding all its
+    edges would equal it.  So the first pass is the greedy basis (each
+    matching holds the lowest edge id its predecessors miss) and one
+    matching through each pair none of them holds, and after the second the
+    completion of every edge and disjoint pair in a perfect matching has
+    been yielded.
+    """
+    holders = [0] * g.m
+    bit = 1
+    for skip_held in (True, False):
+        for forced in _forced_sets(g, holders, skip_held):
+            pm = pm_containing_edges(g, forced)
+            if pm is None:
+                continue
+            common = -1
+            for x in pm:
+                common &= holders[x]
+            if common:
+                continue
+            for x in pm:
+                holders[x] |= bit
+            bit <<= 1
+            yield pm
 
 
 def brick_solve(g: MultiGraph) -> CoverSolution:
     """All-integer cover of a non-Petersen brick by independent matchings.
 
-    The pair walk fills a basis of m - n + 1 matchings, keeping one only when
-    it raises the rank of an ``Echelon``; the walk never repeats a matching,
-    so each candidate costs one reduction.  The coordinates c of the all-ones
-    vector in a ``Basis`` of those matchings are the cover once they are
-    integral.  Until then the walk goes on, each candidate read off the same
-    ``Basis``: one with coordinates d and some 0 < |d_j| < 1 replaces basis
-    matching j (smallest |d_j|, then lowest j), which multiplies the index of
-    the basis lattice by |d_j|, and the ``Basis`` is rebuilt and c solved
-    again.
+    One loop over the pair walk.  Below rank m - n + 1 a matching joins the
+    basis when it raises the rank of an ``Echelon``; the walk never repeats
+    a matching, so each candidate costs one reduction.  From full rank on,
+    each candidate is read off a ``Basis`` of the basis: one with
+    coordinates d and some 0 < |d_j| < 1 replaces basis matching j
+    (smallest |d_j|, then lowest j), which multiplies the index of the basis
+    lattice by |d_j|.  At full rank and after each swap the ``Basis`` is
+    built and the coordinates c of the all-ones vector read off it; the
+    first integral c is the cover.  A walk that ends first raises
+    ``ClassificationError``, naming the rank when it stayed short.
     """
     if bipartition(g) is not None:
         raise ValueError("bipartite graphs are solved by peeling, not the brick path")
@@ -224,36 +232,35 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     dim = g.m - g.vertex_count + 1
     span = Echelon(g.m)
     basis: list[frozenset[int]] = []
-    walk = _pair_walk(g)
-    for pm in walk:
-        if span.add(incidence_row(g, pm)):
-            basis.append(pm)
-            if len(basis) == dim:
-                break
-    else:
-        raise ClassificationError(
-            f"the pair walk ended at rank {len(basis)}, below m - n + 1 = {dim}; "
-            "the graph is not a brick"
-        )
-    rows = [incidence_row(g, pm) for pm in basis]
+    rows: list[list[int]] = []
     ones = [1] * g.m
-    lattice = Basis(rows)
-    solved = lattice.coordinates(ones)
-    while solved is None or solved[1] != 1:
-        pm = next(walk, None)
-        if pm is None:
-            raise ClassificationError(
-                "the pair walk ended before the exchange brought the all-ones vector "
-                "into the lattice of the basis; the graph is not a regular non-Petersen brick"
-            )
-        # dim lin(PM) = m - n + 2 - b <= m - n + 1 on a non-bipartite matching
-        # covered graph, so the full-rank basis spans every perfect matching
+    lattice: Optional[Basis] = None
+    for pm in _pair_walk(g):
         row = incidence_row(g, pm)
-        d, den = lattice.coordinates(row)
-        shrinking = [j for j, x in enumerate(d) if 0 < abs(x) < den]
-        if shrinking:
+        if lattice is None:
+            if not span.add(row):
+                continue
+            basis.append(pm)
+            rows.append(row)
+            if len(basis) < dim:
+                continue
+        else:
+            # dim lin(PM) = m - n + 2 - b <= m - n + 1 on a non-bipartite matching
+            # covered graph, so the full-rank basis spans every perfect matching
+            d, den = lattice.coordinates(row)
+            shrinking = [j for j, x in enumerate(d) if 0 < abs(x) < den]
+            if not shrinking:
+                continue
             swap = min(shrinking, key=lambda j: abs(d[j]))
             basis[swap], rows[swap] = pm, row
-            lattice = Basis(rows)
-            solved = lattice.coordinates(ones)
-    return exact_cover(g, [(pm, 2 * x) for pm, x in zip(basis, solved[0]) if x])
+        lattice = Basis(rows)
+        solved = lattice.coordinates(ones)
+        if solved is not None and solved[1] == 1:
+            return exact_cover(g, [(pm, 2 * x) for pm, x in zip(basis, solved[0]) if x])
+    raise ClassificationError(
+        f"the pair walk ended at rank {len(basis)}, below m - n + 1 = {dim}; "
+        "the graph is not a brick"
+        if len(basis) < dim
+        else "the pair walk ended before the exchange brought the all-ones vector "
+        "into the lattice of the basis; the graph is not a regular non-Petersen brick"
+    )

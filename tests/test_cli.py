@@ -386,6 +386,25 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
 
     assert main(["validate", "-i", str(tmp_path / "nope.txt")]) == 2
 
+    # a leaf class that is not a string, hashable or not
+    cert_path = tmp_path / "k4.json"
+    assert main(["solve", "-i", graph_path, "-o", str(cert_path)]) == 0
+    capsys.readouterr()
+    for kind in ([], {}, 7):
+        cert = json.loads(cert_path.read_text())
+        cert["tree"]["leaves"][0]["class"] = kind
+        bad_cert.write_text(json.dumps(cert))
+        assert main(["verify", "-i", graph_path, str(bad_cert)]) == 2, kind
+        assert "unknown class" in capsys.readouterr().err, kind
+
+    # files that are not UTF-8 text
+    bad_graph.write_bytes(b"rgraph 4 1\n\xff\n")
+    assert main(["validate", "-i", str(bad_graph)]) == 2
+    assert "parse error" in capsys.readouterr().err
+    bad_cert.write_bytes(b"{\"graph\": \"\xff\"}")
+    assert main(["verify", "-i", graph_path, str(bad_cert)]) == 2
+    assert "certificate error" in capsys.readouterr().err
+
 
 def test_decompose_tree_output(tmp_path, capsys):
     path = _write_graph(tmp_path, corpus.double_petersen_splice())

@@ -54,8 +54,8 @@ def test_is_tight_cut_rejects_even_cut():
 
 
 def test_find_tight_cut_c6_frozen():
-    cut = find_nontrivial_tight_cut(corpus.c6(), _mate(corpus.c6()))
-    assert cut is not None
+    cut, onward = find_nontrivial_tight_cut(corpus.c6(), _mate(corpus.c6()))
+    assert onward == []
     shore = cut.shore if 0 in cut.shore else frozenset(range(6)) - cut.shore
     assert shore == frozenset({0, 4, 5})
     assert cut.edge_ids == frozenset({0, 3})
@@ -73,8 +73,12 @@ def test_find_tight_cut_verdict_matches_exhaustive_sweep():
         found = find_nontrivial_tight_cut(g, mate)
         assert (found is not None) == (len(exhaustive) > 0), name
         if found is not None:
-            assert is_tight_cut(g, found, mate), name
-            assert 3 <= len(found.shore) <= g.vertex_count - 3, name
+            cut, onward = found
+            assert is_tight_cut(g, cut, mate), name
+            assert 3 <= len(cut.shore) <= g.vertex_count - 3, name
+            # the rest of the winning barrier's odd components are tight too
+            for shore in onward:
+                assert is_tight_cut(g, cut_from_shore(g, shore), mate), name
 
 
 def test_bricks_and_braces_have_no_nontrivial_tight_cut():
@@ -105,7 +109,7 @@ def test_bipartite_route_matches_exhaustive_sweep():
         exhaustive = oracles.exhaustive_tight_shores(g)
         non_braces += bool(exhaustive)
         mate = _mate(g)
-        groups = list(_bipartite_barrier_shores(g, mate))
+        groups = list(_bipartite_barrier_shores(g))
         # every witness leaves exactly one nontrivial odd component, tight
         assert all(len(group) == 1 for group in groups), (trial, g.edges)
         for (shore,) in groups:
@@ -114,8 +118,9 @@ def test_bipartite_route_matches_exhaustive_sweep():
         found = find_nontrivial_tight_cut(g, mate)
         assert (found is not None) == bool(exhaustive), (trial, g.edges)
         if found is not None:
-            assert is_tight_cut(g, found, mate), (trial, g.edges)
-            assert 3 <= len(found.shore) <= g.vertex_count - 3, (trial, g.edges)
+            cut, _ = found
+            assert is_tight_cut(g, cut, mate), (trial, g.edges)
+            assert 3 <= len(cut.shore) <= g.vertex_count - 3, (trial, g.edges)
     assert 0 < non_braces < 180
 
 
@@ -153,8 +158,8 @@ def test_two_cut_graph_takes_the_two_separation_route():
     g = corpus.k4_pair_two_cut()
     mate = _mate(g)
     assert list(_nonbipartite_barrier_shores(g, mate)) == []
-    cut = find_nontrivial_tight_cut(g, mate)
-    assert cut is not None
+    cut, onward = find_nontrivial_tight_cut(g, mate)
+    assert onward == []
     assert cut.shore == frozenset({0, 1, 2, 3, 8})
     assert cut.shore in set(_two_separation_shores(g))
     tree = decompose(g)
@@ -190,14 +195,26 @@ def test_petersen_node_is_a_leaf_without_a_search(monkeypatch, copies):
 
 
 def _count_searches(monkeypatch):
-    """Record the graph of each call of the search."""
+    """Record the graph of each entry into a barrier route of the search.
+
+    A node whose carried shores give its cut enters no route, and a node of
+    fewer than six vertices none either.
+    """
     searched = []
 
-    def counted(h, matching, **kwargs):
-        searched.append(h)
-        return find_nontrivial_tight_cut(h, matching, **kwargs)
+    def entered(route):
+        def counted(h, *args):
+            searched.append(h)
+            yield from route(h, *args)
 
-    monkeypatch.setattr(decomposition, "find_nontrivial_tight_cut", counted)
+        return counted
+
+    monkeypatch.setattr(
+        decomposition, "_bipartite_barrier_shores", entered(_bipartite_barrier_shores)
+    )
+    monkeypatch.setattr(
+        decomposition, "_nonbipartite_barrier_shores", entered(_nonbipartite_barrier_shores)
+    )
     return searched
 
 
@@ -240,18 +257,11 @@ def test_barrier_blowup_searches_once_per_barrier(monkeypatch, k):
 def test_every_node_inherits_a_perfect_matching(monkeypatch):
     handed = []
 
-    def spied_search(h, matching, **kwargs):
+    def spied_search(h, matching, carried):
         handed.append((h, matching))
-        return find_nontrivial_tight_cut(h, matching, **kwargs)
-
-    real_carried_cut = decomposition._carried_cut
-
-    def spied_carried_cut(h, matching, carried):
-        handed.append((h, matching))
-        return real_carried_cut(h, matching, carried)
+        return find_nontrivial_tight_cut(h, matching, carried)
 
     monkeypatch.setattr(decomposition, "find_nontrivial_tight_cut", spied_search)
-    monkeypatch.setattr(decomposition, "_carried_cut", spied_carried_cut)
     instances = corpus.structured_instances() + corpus.random_instances()
     instances += [
         (f"blowup_{k}_{seed}", corpus.barrier_blowup(k, seed))

@@ -26,9 +26,9 @@ from pmcover.leaf_solvers import (
     _petersen_weight_alpha,
     brace_solve,
     brick_solve,
-    greedy_basis,
     petersen_solve,
 )
+from pmcover.matchings import pm_containing_edges
 
 import corpus
 import oracles
@@ -202,19 +202,29 @@ def test_relabelled_petersen_roots_solve_and_verify():
         assert oracles.assert_solved_tree(tree) == 0, trial
 
 
-def test_greedy_basis_prism_frozen():
-    basis = greedy_basis(corpus.prism())
-    assert [sorted(m) for m in basis[:3]] == [[0, 3, 8], [1, 4, 6], [2, 5, 7]]
-    # each matching holds the lowest edge id its predecessors miss
-    for k, pm in enumerate(basis):
-        missed = min(set(range(corpus.prism().m)) - set().union(*basis[:k]))
-        assert missed in pm
+def test_pair_walk_prism_frozen():
+    g = corpus.prism()
+    walk = list(_pair_walk(g))
+    assert [sorted(m) for m in walk[:3]] == [[0, 3, 8], [1, 4, 6], [2, 5, 7]]
+    # until every edge is held, each matching holds the lowest edge id its
+    # predecessors miss: the walk opens with the greedy basis
+    k = 0
+    while set().union(*walk[:k]) != set(range(g.m)):
+        assert min(set(range(g.m)) - set().union(*walk[:k])) in walk[k]
+        k += 1
+    assert k == 3
 
 
-def test_greedy_basis_names_uncoverable_edge():
+def test_brick_solve_rejects_an_uncoverable_edge():
+    # edge 4 = (0, 2) lies in no perfect matching; the two matchings give
+    # rank 2 = m - n + 1, but the all-ones vector is outside their span
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    with pytest.raises(ValueError, match="edge 4"):
-        greedy_basis(g)
+    with pytest.raises(ClassificationError, match="before the exchange"):
+        brick_solve(g)
+    # a second copy of the edge leaves the rank at 2, below m - n + 1 = 3
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 2)])
+    with pytest.raises(ClassificationError, match="ended at rank 2, below m - n \\+ 1 = 3"):
+        brick_solve(g)
 
 
 def test_brick_solve_k4():
@@ -263,15 +273,32 @@ def _small_bricks():
 
 SMALL_BRICKS = _small_bricks()
 
+# inputs whose brick leaf the first pass of the walk alone cannot solve: it
+# ends at rank 10 of 11 on the first, before the exchange closes on the others
+SHORTFALL_INPUTS = [(24, 3, 2266), (24, 3, 10936), (36, 3, 6345)]
 
-@pytest.mark.parametrize("g", SMALL_BRICKS)
+WALK_GRAPHS = SMALL_BRICKS + [
+    pytest.param(g, id=f"gen_n{n}_r{r}_s{seed}_leaf{k}")
+    for n, r, seed in SHORTFALL_INPUTS
+    for k, g in enumerate(_other_brick_leaf(n, r, seed))
+]
+
+
+@pytest.mark.parametrize("n, r, seed", SHORTFALL_INPUTS)
+def test_walk_shortfall_inputs_solve_and_verify(n, r, seed):
+    g = gen_r_graph(n, r, seed=seed)
+    sol, tree = solve_r_graph(g)
+    assert verify_cover(g, sol, tree).mandatory_ok
+
+
+@pytest.mark.parametrize("g", WALK_GRAPHS)
 def test_pair_walk_never_repeats_a_matching(g):
     # run to its end, the walk yields no matching twice
     walk = list(_pair_walk(g))
     assert len(set(walk)) == len(walk)
 
 
-@pytest.mark.parametrize("g", SMALL_BRICKS)
+@pytest.mark.parametrize("g", WALK_GRAPHS)
 def test_pair_walk_covers_every_pair_in_a_perfect_matching(g):
     # every vertex-disjoint pair of edges that lies in some perfect matching
     # (by brute force) lies in some matching of the walk
@@ -279,6 +306,23 @@ def test_pair_walk_covers_every_pair_in_a_perfect_matching(g):
         return {(e, f) for pm in pms for e in pm for f in pm if e < f}
 
     assert pairs(enumerate_pms(g)) <= pairs(_pair_walk(g))
+
+
+@pytest.mark.parametrize("g", WALK_GRAPHS)
+def test_pair_walk_holds_every_completion_at_full_rank(g):
+    # the walk yields the completion of every edge and every disjoint edge
+    # pair that lies in a perfect matching, and spans lin(PM), of dimension
+    # m - n + 1 on a brick
+    walk = set(_pair_walk(g))
+    for e in range(g.m):
+        for f in range(e, g.m):
+            forced = (e,) if e == f else (e, f)
+            if e != f and set(g.edges[e]) & set(g.edges[f]):
+                continue
+            pm = pm_containing_edges(g, forced)
+            assert pm is None or pm in walk, forced
+    rows = [[1 if e in pm else 0 for e in range(g.m)] for pm in walk]
+    assert oracles.fraction_rank(rows) == g.m - g.vertex_count + 1
 
 
 def test_brick_solve_exchange_pins_the_degree_4_leaf(monkeypatch):
@@ -305,8 +349,8 @@ def test_brick_solve_exchange_pins_the_degree_4_leaf(monkeypatch):
 
 
 def test_brick_solve_raises_when_the_walk_ends_below_full_rank(monkeypatch):
-    # no pair lies in a perfect matching: the prism stops at its greedy
-    # basis, rank 3 of m - n + 1 = 4
+    # no pair lies in a perfect matching, and every edge's completion is one
+    # of the prism's greedy basis: both passes stop at rank 3 of m - n + 1 = 4
     real_pm = leaf_solvers.pm_containing_edges
 
     def singles_only(g, edge_ids):
