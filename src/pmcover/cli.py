@@ -1,8 +1,9 @@
 """Command-line front-end: graph files, pipeline commands, and reports.
 
 Commands: validate, solve, decompose, verify, gen, enumerate.  Exit codes
-are a stable contract: 0 ok, 1 check failure, 2 parse or usage error,
-3 fingerprint mismatch, 4 enumeration limit overflow.
+are a stable contract: 0 ok, 1 check failure, 2 parse or usage error or
+an output path that cannot be written, 3 fingerprint mismatch,
+4 enumeration limit overflow.
 
 Graph files are line-oriented text: a header "rgraph <n> <m>", then exactly
 m lines "e <u> <v>" with 0-based endpoints.  Repeated lines denote parallel
@@ -133,6 +134,17 @@ def gen_r_graph(n: int, r: int, seed: int, attempts: int = 64) -> MultiGraph:
     raise ValueError(f"no connected union of {r} matchings found in {attempts} attempts")
 
 
+def _write_output(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure say why on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _emit(payload: dict, lines: Sequence[str], fmt: str, out: TextIO) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2), file=out)
@@ -185,8 +197,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cert = build_certificate(g, solution, tree)
     text = serialize(cert)
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if not _write_output(args.output, text):
+            return EXIT_PARSE
         _emit(_report_payload(cert.report), _report_lines(cert.report), args.format, sys.stdout)
     else:
         sys.stdout.write(text)
@@ -262,8 +274,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     g = gen_r_graph(args.n, args.r, args.seed)
     text = format_graph(g, comment=f"gen n={args.n} r={args.r} seed={args.seed}")
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if not _write_output(args.output, text):
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     return EXIT_OK

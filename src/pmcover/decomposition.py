@@ -34,21 +34,49 @@ sources, each validated by the definitional check before being returned:
   D(M) - z away.  In the non-bipartite case barriers come from the
   Gallai-Edmonds structure theorem (Lovasz-Plummer, Matching Theory, 1986),
   with D, A and C as in ``matchings.gallai_edmonds``.  G - u - v has a
-  perfect matching exactly when v is in D(G - u), so one decomposition per
-  vertex u settles every pair {u, v}; for a failing pair,
-  {u, v} + A(G - u - v) is a barrier.  The node's perfect matching serves
-  every decomposition, so each is one alternating forest: one per vertex
-  plus one per failing pair.
+  perfect matching exactly when v is in D(G - u), so one alternating forest
+  per vertex u settles every pair {u, v}: ``matchings.perfect_partners``
+  grows it from the partner of u in the node's perfect matching and reads
+  the flags off it, building no sets.  Only a failing pair needs its full
+  decomposition, from ``gallai_edmonds``: {u, v} + A(G - u - v) is a
+  barrier.  The node's perfect matching serves every forest, so a node
+  costs one forest per vertex plus one per failing pair.
 * 2-separations: if {u, v} disconnects G and K is an even component of
   G - u - v, the shore K + u gives a tight cut.  An r-graph is 2-connected,
   so {u, v} separates exactly when v is a cut vertex of G - u, and one
   low-link depth-first search per vertex u finds every separating pair.
+  Cubic nodes skip this route, which finds nothing on them (below).
 
 For graphs where neither source produces a verified cut, no nontrivial tight
 cut exists: a connected bipartite r-graph evading the digraph sweep satisfies
 the brace condition, and a non-bipartite one evading both non-bipartite
 routes is bicritical and 3-connected, hence a brick.  Tests cross-check the
-verdict against an exhaustive odd-shore sweep at small orders.
+verdict against an exhaustive odd-shore sweep at small orders.  On a cubic
+node the barriers alone decide, for three reasons.
+
+* The barrier route is exhausted only on a bicritical node.  An r-graph is
+  matching covered (the vector 1/r on every edge lies in the perfect
+  matching polytope), and in a matching covered graph a barrier B leaves no
+  even component and spans no edge.  If every odd component of G - B were a
+  single vertex, G would be bipartite.  So on a non-bipartite node each
+  failing pair's barrier {u, v} + A has a nontrivial odd component, whose
+  cut is tight, and the acceptance rule takes it.
+* A bicritical graph has no cut of at most two edges around an even shore
+  S.  If the cut is {x1 y1, x2 y2} with x1 != x2 in S, then in G - x1 - y2
+  the odd set S - x1 is a union of components, so there is no perfect
+  matching.  If x1 = x2 = x, remove x and any y outside S instead.  Cuts of
+  no edge or one edge fall the same way.
+* In a cubic graph |cut(S)| = 3|S| - 2|E(S)| is even when |S| is, so by
+  the above a bicritical cubic graph has at least four edges around every
+  even shore.  Take a 2-separation {u, v} of a bicritical cubic node:
+  G - u - v has a perfect matching, so it splits into nonempty even parts
+  K and L with no edge between them, and every edge leaving K or L ends at
+  u or v.  Then 6 = deg u + deg v >= |cut(K)| + |cut(L)| >= 8, a
+  contradiction.
+
+So the 2-separation route is entered only at degree 4 and up, where it is
+needed: ``k4_pair_two_cut`` in the tests is a bicritical 4-regular graph
+whose only tight cuts come from its 2-separation.
 
 Each piece of work is done once.  One matching search runs per
 decomposition, at the root; every tight cut is crossed once by every
@@ -85,7 +113,12 @@ from .graphs import (
     is_r_graph,
     regular_degree,
 )
-from .matchings import gallai_edmonds, has_perfect_matching, maximum_matching
+from .matchings import (
+    gallai_edmonds,
+    has_perfect_matching,
+    maximum_matching,
+    perfect_partners,
+)
 
 
 @unique
@@ -257,16 +290,17 @@ def _nonbipartite_barrier_shores(
     visited in lexicographic order, and each barrier's odd components with
     at least three vertices come as one list, when there are any.
 
-    One perfect matching M of G, ``mate``, serves every decomposition.  M
-    minus the edge at u is maximum in G - u, which has odd order.  For a
-    failing pair, M minus the edges at u and v is maximum in G - u - v, which
-    has even order and no perfect matching.  So each decomposition grows one
-    alternating forest and runs no matching search.
+    One perfect matching M of G, ``mate``, serves every forest.  M minus the
+    edge at u is maximum in G - u, which has odd order, so
+    ``perfect_partners`` reads D(G - u) off one forest grown from the partner
+    of u.  For a failing pair, M minus the edges at u and v is maximum in
+    G - u - v, which has even order and no perfect matching, and
+    ``gallai_edmonds`` grows one forest for its A.  No matching search runs.
     """
     for u in range(g.vertex_count - 1):
-        matchable = gallai_edmonds(g, (u,), mate).d
+        matchable = perfect_partners(g, u, mate)
         for v in range(u + 1, g.vertex_count):
-            if v in matchable:
+            if matchable[v]:
                 continue
             barrier = frozenset((u, v)) | gallai_edmonds(g, (u, v), mate).a
             comps = _odd_components(g, barrier)
@@ -337,7 +371,11 @@ def find_nontrivial_tight_cut(
     G must already be an r-graph (``decompose`` checks its input once), and
     ``matching`` is a perfect matching of G as a mate array, the node's
     inherited one.  Candidate shores come in groups: ``carried`` first, then
-    the routes of the module docstring, generated deterministically.  One
+    the routes of the module docstring, generated deterministically: a
+    bipartite node's barriers; or a non-bipartite node's barriers, then,
+    unless the node is cubic, its 2-separations.  A cubic node that no
+    barrier splits is bicritical and has no 2-separation (module
+    docstring), so it is called a brick without the low-link sweep.  One
     rule accepts a shore from any group: it is nontrivial, not tried
     before, odd, and accepted by ``is_tight_cut``.  The first accepted wins,
     and the shores after it in its group come back with it: the odd
@@ -354,10 +392,9 @@ def find_nontrivial_tight_cut(
     if bipartition(g) is not None:
         routes: tuple[Iterator[Sequence[frozenset[int]]], ...] = (_bipartite_barrier_shores(g),)
     else:
-        routes = (
-            _nonbipartite_barrier_shores(g, matching),
-            ([shore] for shore in _two_separation_shores(g)),
-        )
+        routes = (_nonbipartite_barrier_shores(g, matching),)
+        if regular_degree(g) != 3:  # a cubic node the barriers miss has no 2-separation
+            routes += (([shore] for shore in _two_separation_shores(g)),)
     tried: set[frozenset[int]] = set()
     for group in chain((carried,), *routes):
         for i, shore in enumerate(group):

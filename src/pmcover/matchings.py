@@ -167,6 +167,27 @@ def gallai_edmonds(
     return GallaiEdmonds(d, a, c)
 
 
+def perfect_partners(g: MultiGraph, u: int, matching: Sequence[int]) -> list[bool]:
+    """Flags v such that G - u - v has a perfect matching; ``matching`` is one of G.
+
+    Dropping the edge u w of the perfect matching M leaves a maximum
+    matching of G - u, which has odd order, with w alone exposed.  So
+    D(G - u) is the set of outer vertices of one alternating forest grown
+    from w, the same set ``gallai_edmonds(g, (u,), matching).d`` holds, and
+    v is in it exactly when G - u - v has a perfect matching.  The flags
+    are read off the forest; no D, A or C set is built, and ``matching`` is
+    left as it is.
+    """
+    if -1 in matching:
+        raise ValueError("the matching must be perfect")
+    mate = list(matching)
+    w = mate[u]
+    mate[u] = mate[w] = -1
+    outer = _grow_forest(g.adjacency, mate, (w,), frozenset((u,)))
+    assert outer is not None  # w is the only exposed vertex of G - u: nothing to augment to
+    return outer
+
+
 def has_perfect_matching(g: MultiGraph, removed: Iterable[int], matching: Sequence[int]) -> bool:
     """Whether G minus the given vertices has a perfect matching.
 

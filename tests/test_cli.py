@@ -372,6 +372,19 @@ def test_verify_unreadable_certificate(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    graph_path = _write_graph(tmp_path, corpus.k4())
+    argv = {"gen": ["gen", "10", "3"], "solve": ["solve", "-i", graph_path]}[command]
+    missing = tmp_path / "no such dir" / "out.txt"
+    assert main(argv + ["-o", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"cannot write {missing}: No such file or directory\n"
+    assert out == ""
+    assert main(argv + ["-o", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err == f"cannot write {tmp_path}: Is a directory\n"
+
+
 def test_malformed_inputs_exit_2(tmp_path, capsys):
     bad_graph = tmp_path / "bad.txt"
     bad_graph.write_text("rgraph 4 1\ne 0 0\n")

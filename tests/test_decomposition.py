@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
 
 from pmcover import build_graph, solve_r_graph, verify_cover
 from pmcover import decomposition
+from pmcover.cli import gen_r_graph
 from pmcover.decomposition import (
     LeafClass,
     _bipartite_barrier_shores,
@@ -170,6 +172,61 @@ def test_two_cut_graph_takes_the_two_separation_route():
     sol, tree = solve_r_graph(g)
     assert verify_cover(g, sol, tree).mandatory_ok
     assert oracles.assert_solved_tree(tree) == 1
+
+
+def _cubic_nodes():
+    """Every non-bipartite node of the decomposition trees of cubic inputs: the
+    corpus, small blow-ups, seeded draws up to 24 vertices, and the three
+    pinned draws whose brick leaves the walk's first pass cannot solve."""
+    inputs = [g for _, g in corpus.structured_instances() + corpus.random_instances()]
+    inputs += [corpus.barrier_blowup(k, seed) for k in (1, 2, 3) for seed in range(2)]
+    inputs += [gen_r_graph(n, 3, seed) for n in range(6, 26, 2) for seed in range(10)]
+    inputs += [gen_r_graph(n, 3, seed) for n, seed in ((24, 2266), (24, 10936), (36, 6345))]
+    for g in inputs:
+        if regular_degree(g) != 3 or not is_r_graph(g).ok:
+            continue
+        tree = decompose(g)
+        for node in chain(tree.internal_nodes(), tree.leaves()):
+            if bipartition(node.graph) is None:
+                yield node.graph
+
+
+def test_cubic_nodes_the_barriers_miss_have_no_two_separation():
+    # the lemma behind skipping the sweep on cubic nodes: when no failing pair
+    # leaves a nontrivial odd component, the node is bicritical, and a
+    # bicritical cubic graph has no 2-separation; when one does, every shore
+    # of its group is a nontrivial tight cut, so the search takes the first
+    missed = split = 0
+    for g in _cubic_nodes():
+        mate = _mate(g)
+        groups = list(_nonbipartite_barrier_shores(g, mate))
+        if not groups:
+            missed += 1
+            assert oracles.two_separation_shores(g) == [], g.edges
+            continue
+        split += 1
+        for shore in groups[0]:
+            assert 3 <= len(shore) <= g.vertex_count - 3, g.edges
+            assert is_tight_cut(g, cut_from_shore(g, shore), mate), g.edges
+    assert missed >= 100 and split >= 50, (missed, split)
+
+
+def test_only_nodes_above_degree_three_enter_the_two_separation_sweep(monkeypatch):
+    entered = []
+
+    def spied(h):
+        entered.append(h)
+        yield from _two_separation_shores(h)
+
+    monkeypatch.setattr(decomposition, "_two_separation_shores", spied)
+    for g in (corpus.prism(), corpus.triangle_expanded_petersen()):
+        tree = decompose(g)
+        assert tree.leaf_class is LeafClass.OTHER_BRICK
+        assert entered == []
+    g = corpus.k4_pair_two_cut()
+    cut, _ = find_nontrivial_tight_cut(g, _mate(g))
+    assert entered == [g]
+    assert cut.shore == frozenset({0, 1, 2, 3, 8})
 
 
 @pytest.mark.parametrize("copies", [1, 2])

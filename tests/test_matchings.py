@@ -13,6 +13,7 @@ from pmcover.matchings import (
     has_perfect_matching,
     iter_pms,
     maximum_matching,
+    perfect_partners,
     pm_containing_edges,
     validate_perfect_matching,
 )
@@ -242,6 +243,33 @@ def test_gallai_edmonds_from_a_perfect_matching_matches_oracle():
     assert failing_pairs >= 100, failing_pairs
     with pytest.raises(AssertionError, match="not maximum"):
         gallai_edmonds(corpus.c4(), (), [1, 0, -1, -1])
+
+
+def test_perfect_partners_match_the_oracle():
+    # the flags of one bare forest are D(G - u), counted by definition: the
+    # branch-and-bound matching sizes up to 12 vertices, the library's cold
+    # search on a filtered copy above
+    instances = corpus.structured_instances() + corpus.random_instances(
+        ns=(6, 8, 10, 12, 14), rs=(2, 3, 4, 5), seeds=range(2)
+    )
+    blossoms = {}
+    for name, g in instances:
+        n = g.vertex_count
+        size = oracles.max_matching_size if n <= 12 else oracles.matching_size_on_copy
+        mate = maximum_matching(n, g.adjacency)
+        before = list(mate)
+        for u in range(n):
+            flags = perfect_partners(g, u, mate)
+            assert mate == before, (name, u)
+            d = oracles.gallai_edmonds(g, frozenset({u}), size)[0]
+            assert flags == [v in d for v in range(n)], (name, u)
+            # one tree grown to the end has two adjacent outer vertices
+            # exactly when it contracted a blossom
+            if any(flags[a] and flags[b] for a, b in g.edges if u not in (a, b)):
+                blossoms[name] = blossoms.get(name, 0) + 1
+    assert blossoms.get("petersen") == 10 and len(blossoms) >= 20, blossoms
+    with pytest.raises(ValueError, match="perfect"):
+        perfect_partners(corpus.c4(), 0, [1, 0, -1, -1])
 
 
 def test_search_in_place_matches_the_search_on_a_copy(monkeypatch):
