@@ -14,8 +14,10 @@ file order, which is what certificates fingerprint.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import random
 import sys
 from typing import Optional, Sequence, TextIO
@@ -134,15 +136,40 @@ def gen_r_graph(n: int, r: int, seed: int, attempts: int = 64) -> MultiGraph:
     raise ValueError(f"no connected union of {r} matchings found in {attempts} attempts")
 
 
+def _cannot_write(path: str, reason: str) -> bool:
+    print(f"cannot write {path}: {reason}", file=sys.stderr)
+    return False
+
+
 def _write_output(path: str, text: str) -> bool:
     """Write ``text`` to ``path``; on failure say why on stderr and return False."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return False
+        return _cannot_write(path, exc.strerror)
     return True
+
+
+def _output_writable(path: str) -> bool:
+    """Whether ``path`` looks writable, tested without creating it.
+
+    A solve can take seconds, so ``solve`` asks first and, like
+    ``_write_output``, says why on stderr when the answer is no.  The write
+    itself can still fail (a full disk), and then ``_write_output`` reports.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return True
+    return _cannot_write(path, os.strerror(code))
 
 
 def _emit(payload: dict, lines: Sequence[str], fmt: str, out: TextIO) -> None:
@@ -193,6 +220,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
+    if args.output is not None and not _output_writable(args.output):
+        return EXIT_PARSE
     solution, tree = solve_r_graph(g)
     cert = build_certificate(g, solution, tree)
     text = serialize(cert)

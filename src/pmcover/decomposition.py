@@ -6,13 +6,14 @@ r-graph, and repeating until no nontrivial tight cut remains produces leaves
 that are braces (bipartite) or bricks (3-connected bicritical), with the
 Petersen brick singled out because its solver differs.
 
-The input is validated once: ``decompose`` runs the r-graph check (a
-Gomory-Hu tree) on the graph it is given, and its recursion tells each child
-that it need not.  Every graph below the root is a contraction across a cut
-that ``is_tight_cut`` has confirmed, and ``contract_shore`` only checks in
-O(m) that the child is r-regular, which for an r-graph parent makes the
-child an r-graph too.  The tests re-run the full r-graph check and the
-matching-covered check on every node of solved trees (``tests/oracles.py``).
+The input is validated once: ``decompose`` runs the r-graph check (a bridge
+search on a cubic graph, a Gomory-Hu tree otherwise) on the graph it is
+given, and its recursion tells each child that it need not.  Every graph
+below the root is a contraction across a cut that ``is_tight_cut`` has
+confirmed, and ``contract_shore`` only checks in O(m) that the child is
+r-regular, which for an r-graph parent makes the child an r-graph too.
+The tests re-run the full r-graph check and the matching-covered check on
+every node of solved trees (``tests/oracles.py``).
 
 Finding a nontrivial tight cut does not sweep all odd shores.  A node whose
 underlying simple graph is Petersen is a brick whatever its parallel edges

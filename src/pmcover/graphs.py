@@ -12,6 +12,16 @@ odd cut is computed from a Gomory-Hu tree of pairwise edge connectivities:
 some minimum odd cut is always induced by a tree edge whose removal splits the
 tree into two odd-sized components, so scanning the n-1 fundamental cuts
 suffices.  Tests compare against a brute-force sweep over all odd shores.
+
+Cubic graphs need no flow.  Each edge with both ends in a shore S uses two
+of the 3|S| edge ends in S, so |cut(S)| = 3|S| - 2|E(S)|, parallel edges
+included, and the cut has the parity of |S|: every odd cut is odd-sized, and
+the only odd cut below 3 is a single edge, a bridge.  Conversely the far
+side of a bridge is odd, since its cut has size 1, so it is an odd shore
+(the order is even).  A cubic graph is thus a 3-graph exactly when it has no
+bridge, and ``is_r_graph`` decides that with one low-link depth-first
+search (Tarjan 1974).  Every other input, irregular or of any other degree,
+still takes the Gomory-Hu tree.
 """
 
 from __future__ import annotations
@@ -326,6 +336,48 @@ def min_odd_cut(g: MultiGraph) -> tuple[int, Cut]:
     return cut.size, cut
 
 
+def _bridge_shore(g: MultiGraph) -> Optional[list[int]]:
+    """The far side of a bridge of a connected graph, or None if it has none.
+
+    One iterative low-link depth-first search from vertex 0 over edge ids
+    (Tarjan 1974).  The tree edge into v is a bridge when no other edge
+    leaves v's subtree for v's parent or above: low[v] > disc[parent].  The
+    search skips the tree edge by its id, not by the parent vertex, so a
+    parallel copy of it is a back edge and a doubled edge is no bridge.  The
+    first bridge found is reported; its far side is v's subtree, the
+    vertices discovered from v on, which are contiguous in discovery order.
+    """
+    edges = g.edges
+    incident = g.incident_ids
+    disc = [0] * g.vertex_count  # discovery time from 1; 0 while unvisited
+    low = [0] * g.vertex_count
+    order = [0]  # vertices in discovery order
+    disc[0] = low[0] = 1
+    stack = [(0, -1, iter(incident[0]))]
+    while stack:
+        v, tree_edge, ids = stack[-1]
+        for e in ids:
+            if e == tree_edge:
+                continue
+            a, b = edges[e]
+            w = b if a == v else a
+            if disc[w]:
+                low[v] = min(low[v], disc[w])
+            else:
+                order.append(w)
+                disc[w] = low[w] = len(order)
+                stack.append((w, e, iter(incident[w])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] > disc[parent]:
+                    return order[disc[v] - 1:]
+                low[parent] = min(low[parent], low[v])
+    return None
+
+
 def is_r_graph(g: MultiGraph) -> RGraphCheck:
     """Connected, r-regular, even order, and every odd cut has >= r edges.
 
@@ -333,12 +385,25 @@ def is_r_graph(g: MultiGraph) -> RGraphCheck:
     when that is the failure, None for structural failures (irregular, odd
     order, ...).  min_odd_cut is the minimum odd cut size, computed whenever
     the graph is connected and of even order, so also for irregular graphs.
+
+    A cubic graph is checked by a bridge search alone.  In it every cut has
+    the parity of its shore, |cut(S)| = 3|S| - 2|E(S)|, so an odd cut has
+    size 1 or at least 3, and a vertex's own cut has size 3: the minimum odd
+    cut is 3 when there is no bridge and 1 when there is one, and the far
+    side of a bridge, of cut size 1, is an odd shore and the witness.
+    Irregular graphs and every other degree take ``min_odd_cut``, which
+    builds a Gomory-Hu tree.
     """
     if g.vertex_count == 0 or not is_connected(g):
         return RGraphCheck(False, None, None)
     r = regular_degree(g)
     if g.vertex_count % 2 != 0:
         return RGraphCheck(False, r, None)
+    if r == 3:
+        shore = _bridge_shore(g)
+        if shore is None:
+            return RGraphCheck(True, 3, None, 3)
+        return RGraphCheck(False, 3, cut_from_shore(g, shore), 1)
     size, witness = min_odd_cut(g)
     if r is None:
         return RGraphCheck(False, r, None, size)

@@ -119,6 +119,39 @@ def bridged_cubic() -> MultiGraph:
     return build_graph(10, pairs)
 
 
+def bridged_cubic_pair(seed: int) -> MultiGraph:
+    """Two cubic pieces joined by a bridge: a cubic multigraph with min odd cut 1.
+
+    Each piece is a seeded union of three perfect matchings on 2 to 10
+    vertices, often with parallel edges (on 2 vertices, a triple edge), with
+    one edge subdivided; a bridge joins the two subdivision vertices.  Odd
+    seeds put a doubled edge in the middle of the bridge, which makes it two
+    bridges.  Vertices get a seeded random labelling and edges a seeded
+    order, so a search from vertex 0 starts anywhere.
+    """
+    rng = random.Random(f"bridged_cubic_pair:{seed}")
+    pairs: list[tuple[int, int]] = []
+    ends = []
+    n = 0
+    for _ in range(2):
+        piece = gen_r_graph(rng.choice((2, 4, 6, 8, 10)), 3, rng.randrange(1000))
+        edges = [(n + u, n + v) for u, v in piece.edges]
+        a, b = edges.pop(rng.randrange(len(edges)))
+        n += piece.vertex_count
+        pairs += edges + [(a, n), (n, b)]
+        ends.append(n)
+        n += 1
+    if seed % 2:
+        pairs += [(ends[0], n), (n, n + 1), (n, n + 1), (n + 1, ends[1])]
+        n += 2
+    else:
+        pairs.append((ends[0], ends[1]))
+    label = list(range(n))
+    rng.shuffle(label)
+    rng.shuffle(pairs)
+    return build_graph(n, [(label[u], label[v]) for u, v in pairs])
+
+
 def barrier_blowup(k: int, seed: int) -> MultiGraph:
     """A cubic r-graph on 10k vertices whose barrier leaves k Petersen pieces.
 

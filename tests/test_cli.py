@@ -111,12 +111,20 @@ def test_validate_builds_one_gomory_hu_tree(tmp_path, capsys, monkeypatch):
         return original(g)
 
     monkeypatch.setattr(graphs, "gomory_hu_tree", counting)
-    for g, code in ((gen_r_graph(10, 3, seed=1), 0), (corpus.bridged_cubic(), 1)):
+    quartic = gen_r_graph(10, 4, seed=1)
+    irregular = build_graph(10, quartic.edges[1:])
+    # (graph, exit code, min odd cut, trees): cubic graphs take the bridge search
+    for g, code, cut, trees in (
+        (quartic, 0, 4, 1),
+        (irregular, 1, 3, 1),
+        (gen_r_graph(10, 3, seed=1), 0, 3, 0),
+        (corpus.bridged_cubic(), 1, 1, 0),
+    ):
         calls.clear()
         path = _write_graph(tmp_path, g)
         assert main(["validate", "-i", path, "--format", "json"]) == code
-        assert json.loads(capsys.readouterr().out)["min_odd_cut"] == (3 if code == 0 else 1)
-        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["min_odd_cut"] == cut
+        assert len(calls) == trees
 
 
 def test_one_process_matches_fresh_processes(tmp_path, capsys):
@@ -383,6 +391,27 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
     assert out == ""
     assert main(argv + ["-o", str(tmp_path)]) == 2  # a directory
     assert capsys.readouterr().err == f"cannot write {tmp_path}: Is a directory\n"
+
+
+def test_solve_checks_the_output_path_before_solving(tmp_path, capsys, monkeypatch):
+    graph_path = _write_graph(tmp_path, corpus.k4())
+    solves = []
+    monkeypatch.setattr(pmcover.cli, "solve_r_graph", solves.append)
+    for path, reason in (
+        (tmp_path / "no such dir" / "c.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        (Path(graph_path) / "c.json", "Not a directory"),
+    ):
+        assert main(["solve", "-i", graph_path, "-o", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot write {path}: {reason}\n")
+    assert solves == []
+    monkeypatch.undo()
+    # a writable path, but the solve fails: no file is left behind
+    cert_path = tmp_path / "c.json"
+    bridged_path = _write_graph(tmp_path, corpus.bridged_cubic(), name="bridged.txt")
+    assert main(["solve", "-i", bridged_path, "-o", str(cert_path)]) == 1
+    assert "odd cut of size 1" in capsys.readouterr().err
+    assert not cert_path.exists()
 
 
 def test_malformed_inputs_exit_2(tmp_path, capsys):

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from pmcover import graphs
+from pmcover.cli import gen_r_graph
 from pmcover.graphs import (
     bipartition,
     build_graph,
@@ -157,6 +159,51 @@ def test_is_r_graph_rejects_bridge():
     assert check.witness is not None
     assert check.witness.size == 1
     assert len(check.witness.shore) % 2 == 1
+
+
+def _cubic_instances():
+    """Cubic corpus graphs, small matching unions and bridged pairs, by name."""
+    named = corpus.structured_instances() + corpus.random_instances(rs=(3,))
+    named += [(f"blowup_k{k}", corpus.barrier_blowup(k, seed=0)) for k in (1, 2, 3)]
+    named.append(("bridged", corpus.bridged_cubic()))
+    named = [(name, g) for name, g in named if regular_degree(g) == 3]
+    named += [
+        (f"union_n{n}_s{seed}", gen_r_graph(n, 3, seed))
+        for n in range(2, 22, 2)
+        for seed in range(20)
+    ]
+    named += [(f"bridged_pair_s{seed}", corpus.bridged_cubic_pair(seed)) for seed in range(60)]
+    return named
+
+
+def test_cubic_r_graph_check_matches_gomory_hu_and_brute_force(monkeypatch):
+    instances = _cubic_instances()
+    reference = {name: min_odd_cut(g)[0] for name, g in instances}
+
+    def no_tree(g):
+        raise AssertionError("a cubic graph took the Gomory-Hu path")
+
+    monkeypatch.setattr(graphs, "gomory_hu_tree", no_tree)
+    counts = {"multigraph": 0, "bridged": 0, "brute_force": 0}
+    for name, g in instances:
+        check = is_r_graph(g)
+        size = reference[name]
+        assert (check.r, check.min_odd_cut, check.ok) == (3, size, size == 3), name
+        if g.vertex_count <= 12:
+            assert size == oracles.min_odd_cut_size(g), name
+            counts["brute_force"] += 1
+        if check.ok:
+            assert check.witness is None, name
+        else:
+            shore = check.witness.shore
+            assert check.witness.odd and len(shore) % 2 == 1, name
+            assert cut_from_shore(g, shore).edge_ids == check.witness.edge_ids, name
+            assert check.witness.size == size == 1, name
+            counts["bridged"] += 1
+        counts["multigraph"] += len(g.pair_ids) < g.m
+    assert counts["bridged"] >= 61, counts
+    assert counts["multigraph"] >= 200, counts
+    assert counts["brute_force"] >= 150, counts
 
 
 def test_is_r_graph_rejects_structural():

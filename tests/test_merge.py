@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmcover import decomposition, graphs, leaf_solvers, merge, verify_cover
+from pmcover import cli, decomposition, graphs, leaf_solvers, merge, verify_cover
 from pmcover.cover import exact_cover, terms_independent
 from pmcover.decomposition import decompose
 from pmcover.leaf_solvers import brace_solve
@@ -236,8 +236,13 @@ def _counted(monkeypatch, module, name):
 def test_solve_r_graph_checks_the_input_once(monkeypatch):
     r_graph = _counted(monkeypatch, decomposition, "is_r_graph")
     gomory_hu = _counted(monkeypatch, graphs, "gomory_hu_tree")
-    solve_r_graph(corpus.double_petersen_splice())
-    assert len(r_graph) == len(gomory_hu) == 1
+    # a cubic input is checked by a bridge search, with no Gomory-Hu tree
+    for g, trees in ((cli.gen_r_graph(10, 4, seed=1), 1), (corpus.double_petersen_splice(), 0)):
+        r_graph.clear()
+        gomory_hu.clear()
+        solve_r_graph(g)
+        assert len(r_graph) == 1
+        assert len(gomory_hu) == trees
 
 
 def test_solve_r_graph_validates_each_cover_once(monkeypatch):
