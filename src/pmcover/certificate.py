@@ -19,15 +19,19 @@ doubled (twice_value), exactly as ``CoverSolution`` holds them in memory, so
 +1/2 is the odd integer 1 and the format is exact; the report's norm is
 doubled too (twice_inf_norm).  The graph block pins down the exact edge_id
 assignment; verifying a certificate against a relabeled graph is detected by
-fingerprint, not repaired.  Leaf summaries carry each leaf's vertex and edge
-counts so the advisories are recomputable from the artifact alone.
+fingerprint, not repaired.  The fingerprint leaves out r, so loading
+checks that r is the common degree of the edges.  Leaf summaries carry each
+leaf's vertex and edge counts so the advisories are recomputable from the
+artifact alone; loading rejects negative ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Sequence
 
 from .cover import CoverSolution, terms_independent
@@ -293,6 +297,11 @@ def deserialize(text: str) -> Certificate:
         _expect(0 <= u < n and 0 <= v < n, f"graph.edges[{k}] endpoint out of range")
         _expect(u != v, f"graph.edges[{k}] is a loop")
         edges.append((u, v) if u <= v else (v, u))
+    degree = Counter(chain.from_iterable(edges))
+    _expect(
+        len(degree) == n and set(degree.values()) == {r},
+        "graph.r is not the common degree of graph.edges",
+    )
     terms = []
     for k, raw in enumerate(_as_list(root.get("terms"), "terms")):
         term = _as_dict(raw, f"terms[{k}]")
@@ -313,13 +322,10 @@ def deserialize(text: str) -> Certificate:
             isinstance(kind, str) and kind in {lc.value for lc in LeafClass},
             f"tree.leaves[{k}] has unknown class {kind!r}",
         )
-        leaves.append(
-            LeafSummary(
-                kind,
-                _as_int(leaf.get("n"), f"tree.leaves[{k}].n"),
-                _as_int(leaf.get("m"), f"tree.leaves[{k}].m"),
-            )
-        )
+        leaf_n = _as_int(leaf.get("n"), f"tree.leaves[{k}].n")
+        leaf_m = _as_int(leaf.get("m"), f"tree.leaves[{k}].m")
+        _expect(leaf_n >= 0 and leaf_m >= 0, f"tree.leaves[{k}] has a negative size")
+        leaves.append(LeafSummary(kind, leaf_n, leaf_m))
     p = _as_int(tree.get("p"), "tree.p")
     _expect(
         p == sum(1 for leaf in leaves if leaf.kind == LeafClass.PETERSEN_BRICK.value),

@@ -6,11 +6,11 @@ r-graph, and repeating until no nontrivial tight cut remains produces leaves
 that are braces (bipartite) or bricks (3-connected bicritical), with the
 Petersen brick singled out because its solver differs.
 
-The input is validated once: ``decompose`` runs the r-graph check (a bridge
-search on a cubic graph, a Gomory-Hu tree otherwise) on the graph it is
-given, and its recursion tells each child that it need not.  Every graph
-below the root is a contraction across a cut that ``is_tight_cut`` has
-confirmed, and ``contract_shore`` only checks in O(m) that the child is
+The input is validated once: ``decompose`` runs the r-graph check (a
+``graphs.cut_vertices`` search on a cubic graph, a Gomory-Hu tree otherwise)
+on the graph it is given, and its recursion tells each child that it need
+not.  Every graph below the root is a contraction across a cut that
+``is_tight_cut`` has confirmed, and ``contract_shore`` only checks in O(m) that the child is
 r-regular, which for an r-graph parent makes the child an r-graph too.
 The tests re-run the full r-graph check and the matching-covered check on
 every node of solved trees (``tests/oracles.py``).
@@ -45,7 +45,7 @@ sources, each validated by the definitional check before being returned:
 * 2-separations: if {u, v} disconnects G and K is an even component of
   G - u - v, the shore K + u gives a tight cut.  An r-graph is 2-connected,
   so {u, v} separates exactly when v is a cut vertex of G - u, and one
-  low-link depth-first search per vertex u finds every separating pair.
+  ``graphs.cut_vertices`` search per vertex u finds every separating pair.
   Cubic nodes skip this route, which finds nothing on them (below).
 
 For graphs where neither source produces a verified cut, no nontrivial tight
@@ -111,6 +111,7 @@ from .graphs import (
     build_graph,
     components_without,
     cut_from_shore,
+    cut_vertices,
     is_r_graph,
     regular_degree,
 )
@@ -309,54 +310,15 @@ def _nonbipartite_barrier_shores(
                 yield comps
 
 
-def _cut_vertices_without(g: MultiGraph, u: int) -> set[int]:
-    """The cut vertices of G - u, from one iterative low-link DFS.
-
-    G - u must be connected; an r-graph is 2-connected, since the odd
-    component left by a cut vertex would have fewer than r boundary edges.
-    """
-    disc = [0] * g.vertex_count  # discovery time from 1; 0 while unvisited
-    low = [0] * g.vertex_count
-    root = 1 if u == 0 else 0
-    disc[root] = low[root] = clock = 1
-    root_children = 0
-    cut: set[int] = set()
-    stack = [(root, -1, iter(g.adjacency[root]))]
-    while stack:
-        v, parent, neighbors = stack[-1]
-        for w in neighbors:
-            if w == u:
-                continue
-            if disc[w]:
-                low[v] = min(low[v], disc[w])
-            else:
-                clock += 1
-                disc[w] = low[w] = clock
-                stack.append((w, v, iter(g.adjacency[w])))
-                break
-        else:
-            stack.pop()
-            if parent == root:
-                root_children += 1
-            elif parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    cut.add(parent)
-    assert clock == g.vertex_count - 1, "G - u is disconnected; G is not an r-graph"
-    if root_children >= 2:
-        cut.add(root)
-    return cut
-
-
 def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
     """Even components K of G - u - v, as shores K + u and K + v.
 
     G - u is connected, so {u, v} separates G exactly when v is a cut vertex
-    of G - u; one DFS per u replaces a component search per pair.  Pairs are
-    visited in lexicographic order.
+    of G - u: one ``graphs.cut_vertices`` search per u replaces a component
+    search per pair.  Pairs are visited in lexicographic order.
     """
     for u in range(g.vertex_count - 1):
-        for v in sorted(w for w in _cut_vertices_without(g, u) if w > u):
+        for v in sorted(w for w in cut_vertices(g, u) if w > u):
             for comp in components_without(g, (u, v)):
                 if len(comp) % 2 != 0:
                     continue

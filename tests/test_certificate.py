@@ -270,6 +270,33 @@ def test_deserialize_rejects_loop_edge():
         deserialize(json.dumps(data))
 
 
+@pytest.mark.parametrize("r", [7, 2, 0])
+def test_deserialize_rejects_an_r_that_is_not_the_degree(r):
+    # the fingerprint leaves out r, so nothing else would catch it
+    cert, _, _ = _certificate(gen_r_graph(10, 3, seed=1))
+    data = json.loads(serialize(cert))
+    data["graph"]["r"] = r
+    with pytest.raises(CertificateError, match="common degree"):
+        deserialize(json.dumps(data))
+
+
+def test_deserialize_rejects_an_irregular_edge_list():
+    cert, _, _ = _certificate(corpus.k4())
+    data = json.loads(serialize(cert))
+    data["graph"]["edges"][0] = [0, 2]  # the degrees are now 2, 3, 4, 3
+    with pytest.raises(CertificateError, match="common degree"):
+        deserialize(json.dumps(data))
+
+
+@pytest.mark.parametrize("field", ["n", "m"])
+def test_deserialize_rejects_a_negative_leaf_size(field):
+    cert, _, _ = _certificate(gen_r_graph(10, 3, seed=1))
+    data = json.loads(serialize(cert))
+    data["tree"]["leaves"][0][field] = -3
+    with pytest.raises(CertificateError, match=r"tree.leaves\[0\] has a negative size"):
+        deserialize(json.dumps(data))
+
+
 def test_serialized_json_is_integer_only():
     cert, _, _ = _certificate(corpus.petersen())
     data = json.loads(serialize(cert))

@@ -414,6 +414,27 @@ def test_solve_checks_the_output_path_before_solving(tmp_path, capsys, monkeypat
     assert not cert_path.exists()
 
 
+def test_verify_rejects_a_forged_degree_or_leaf_size_with_exit_2(tmp_path, capsys):
+    graph_path = str(tmp_path / "g.txt")
+    cert_path = tmp_path / "cert.json"
+    assert main(["gen", "10", "3", "--seed", "1", "-o", graph_path]) == 0
+    assert main(["solve", "-i", graph_path, "-o", str(cert_path)]) == 0
+    capsys.readouterr()
+    forged = tmp_path / "forged.json"
+    for where, key, value, message in [
+        ("graph", "r", 7, "graph.r is not the common degree"),
+        ("leaf", "n", -3, "tree.leaves[0] has a negative size"),
+    ]:
+        data = json.loads(cert_path.read_text())
+        block = data["graph"] if where == "graph" else data["tree"]["leaves"][0]
+        block[key] = value
+        forged.write_text(json.dumps(data))
+        assert main(["verify", "-i", graph_path, str(forged)]) == 2, key
+        captured = capsys.readouterr()
+        assert "mandatory_ok" not in captured.out
+        assert f"certificate error: {message}" in captured.err
+
+
 def test_malformed_inputs_exit_2(tmp_path, capsys):
     bad_graph = tmp_path / "bad.txt"
     bad_graph.write_text("rgraph 4 1\ne 0 0\n")

@@ -11,6 +11,7 @@ from pmcover.graphs import (
     build_graph,
     components_without,
     cut_from_shore,
+    cut_vertices,
     gomory_hu_tree,
     is_connected,
     is_r_graph,
@@ -204,6 +205,39 @@ def test_cubic_r_graph_check_matches_gomory_hu_and_brute_force(monkeypatch):
     assert counts["bridged"] >= 61, counts
     assert counts["multigraph"] >= 200, counts
     assert counts["brute_force"] >= 150, counts
+
+
+def test_cut_vertices_match_brute_force():
+    named = corpus.structured_instances() + corpus.random_instances()
+    named.append(("bridged", corpus.bridged_cubic()))
+    named += [(f"bridged_pair_s{seed}", corpus.bridged_cubic_pair(seed)) for seed in range(20)]
+    named += [(f"blowup_k{k}", corpus.barrier_blowup(k, seed=0)) for k in (1, 2, 3)]
+    named += [
+        (f"union_n{n}_r{r}_s{seed}", gen_r_graph(n, r, seed))
+        for n in range(2, 18, 2)
+        for r in (3, 4, 5)
+        for seed in range(3)
+    ]
+    counts = {"graphs": 0, "searches": 0, "cut_vertices": 0, "of_g": 0}
+    for name, g in named:
+        if not is_connected(g):
+            continue
+        counts["graphs"] += 1
+        for removed in (None, *range(g.vertex_count)):
+            gone = set() if removed is None else {removed}
+            if len(components_without(g, gone)) != 1:
+                continue  # the search needs a connected graph
+            brute = {
+                v
+                for v in range(g.vertex_count)
+                if v not in gone and len(components_without(g, gone | {v})) > 1
+            }
+            assert cut_vertices(g, removed) == brute, (name, removed)
+            counts["searches"] += 1
+            counts["cut_vertices"] += len(brute)
+            counts["of_g"] += removed is None and bool(brute)
+    assert counts["graphs"] >= 180 and counts["of_g"] >= 21, counts
+    assert counts["searches"] >= 1900 and counts["cut_vertices"] >= 2900, counts
 
 
 def test_is_r_graph_rejects_structural():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcover import cli, decomposition, graphs, leaf_solvers, merge, verify_cover
-from pmcover.cover import exact_cover, terms_independent
-from pmcover.decomposition import decompose
+from pmcover.cover import exact_cover, in_class, terms_independent
+from pmcover.decomposition import ContractionMap, decompose
 from pmcover.leaf_solvers import brace_solve
 from pmcover.merge import (
     SignedSequences,
@@ -80,6 +82,44 @@ def test_balance_negatives_all_halves_corner():
     )
     assert total == 1
     assert all(v == 1 or v % 2 == 0 for _, v in left.positives)
+
+
+def test_merge_group_all_halves_branch_keeps_every_marginal():
+    # the right side, two halves and no negatives, must take on the left's
+    # negative mass 2 (one -1 term) while all of its positives are halves
+    left_keys = [frozenset({i}) for i in range(5)]
+    right_keys = [frozenset({i}) for i in range(2)]
+    left_terms = [(k, 1) for k in left_keys[:4]] + [(left_keys[4], -2)]
+    right_terms = [(k, 1) for k in right_keys]
+    left, right = balance_negatives(signed_split(left_terms), signed_split(right_terms))
+    assert left == signed_split(left_terms)
+    largest = signed_split(right_terms).positives[-1][0]
+    assert [v for _, v in right.positives] == [1, 1, 2]
+    assert right.positives[-1] == (largest, 2) and right.negatives == ((largest, 2),)
+
+    # child edge e of the right side is parent edge 10 + e, so every union
+    # splits back into its two child matchings
+    left_map = ContractionMap(tuple(range(10)), 0, ())
+    right_map = ContractionMap(tuple(range(10, 20)), 0, ())
+    merged = merge._merge_group(left_terms, right_terms, left_map, right_map)
+    assert all(in_class(twice) for _, twice in merged)
+    for side, terms, lift in (
+        (left, left_terms, lambda m: frozenset(e for e in m if e < 10)),
+        (right, right_terms, lambda m: frozenset(e - 10 for e in m if e >= 10)),
+    ):
+        for sign, entries in ((1, side.positives), (-1, side.negatives)):
+            marginal: Counter = Counter()
+            for union, twice in merged:
+                if twice * sign > 0:
+                    marginal[lift(union)] += abs(twice)
+            expected: Counter = Counter()
+            for key, value in entries:
+                expected[key] += value
+            assert marginal == expected
+        totals: Counter = Counter()
+        for union, twice in merged:
+            totals[lift(union)] += twice
+        assert totals == dict(terms)
 
 
 def test_balance_rejects_empty_positives():
