@@ -14,6 +14,10 @@ on basis choices the solver is free to vary.  A verifier must not reject a
 correct cover over either, so both are reported but excluded from
 mandatory_ok.
 
+Independence is checked exactly: terms independent mod 2 or mod 3 are
+independent over Q, so dependent terms cannot pass, and terms dependent mod
+both primes go to the exact rank (``cover.terms_independent``).
+
 Certificates are canonical JSON with integers only.  Coefficients are stored
 doubled (twice_value), exactly as ``CoverSolution`` holds them in memory, so
 +1/2 is the odd integer 1 and the format is exact; the report's norm is

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import MultiGraph
-from .linalg import rank
-from .matchings import incidence_row, validate_perfect_matching
+from .linalg import ModEchelon, rank
+from .matchings import incidence_mask, incidence_row, validate_perfect_matching
 
 
 def in_class(twice: int) -> bool:
@@ -87,13 +87,20 @@ class CoverSolution:
 
 
 def terms_independent(graph: MultiGraph, matchings: Sequence[frozenset[int]]) -> bool:
-    """Whether the edge sets' 0/1 incidence vectors are linearly independent.
+    """Whether the edge sets' 0/1 incidence vectors are linearly independent over Q.
 
-    The edge sets are not validated as perfect matchings, so a verifier can
-    report on any terms: the rank of 0/1 vectors is always defined.
+    Independence mod 2, else mod 3, certifies it (see ``linalg``); only rows
+    dependent mod both primes, dependent ones among them, pay for the exact
+    ``rank``.  The edge sets are not validated as perfect matchings, so a
+    verifier can report on any terms: the rank of 0/1 vectors is always
+    defined.  Their ids must lie in range(graph.m), as ``CoverSolution``
+    checks.
     """
-    if not matchings:
-        return True
+    masks = [incidence_mask(pm) for pm in matchings]
+    for p in (2, 3):
+        echelon = ModEchelon(p)
+        if all(echelon.add(mask) for mask in masks):
+            return True
     return rank([incidence_row(graph, pm) for pm in matchings]) == len(matchings)
 
 

@@ -28,11 +28,15 @@ Three solvers, one per leaf class:
   earlier matching of the walk holds, so it opens with the greedy basis
   (each matching grabs the lowest uncovered edge id); its second pass, run
   only when the first falls short, skips nothing.  A matching is kept only
-  when it raises the rank.  When c is not integral the walk goes on, and a
-  later matching whose coordinate d_j in the basis has 0 < |d_j| < 1
-  replaces basis matching j; that
-  multiplies the index of the basis lattice in the matching lattice by
-  |d_j| < 1, so there are finitely many swaps.  One ``linalg.Basis`` per
+  when it raises the rank mod 2, one XOR on a ``linalg.ModEchelon``.  That
+  is enough: the matching lattice is saturated, so its image mod 2 has
+  dimension m - n + 1, and some m - n + 1 perfect matchings are
+  independent mod 2; any such set is independent over Q, and the index of
+  its lattice in the matching lattice is odd, so c has an odd denominator.
+  When c is not integral the walk goes on, and a later matching whose
+  coordinate d_j in the basis has 0 < |d_j| < 1 replaces basis matching j;
+  that multiplies the index of the basis lattice in the matching lattice
+  by |d_j| < 1, so there are finitely many swaps.  One ``linalg.Basis`` per
   basis answers every coordinate query, and only a swap rebuilds it.  If
   the walk runs out first, ``ClassificationError`` says so.  The support is
   at most m - n + 1 by construction.
@@ -50,17 +54,24 @@ from typing import Iterator, Optional, Sequence
 from .cover import CoverSolution, exact_cover
 from .decomposition import is_petersen
 from .graphs import MultiGraph, bipartition, build_graph, regular_degree
-from .linalg import Basis, Echelon
-from .matchings import enumerate_pms, incidence_row, maximum_matching, pm_containing_edges
+from .linalg import Basis, ModEchelon
+from .matchings import (
+    enumerate_pms,
+    incidence_mask,
+    incidence_row,
+    maximum_matching,
+    pm_containing_edges,
+)
 
 
 class ClassificationError(RuntimeError):
     """The brick solver failed where brick structure guarantees success.
 
-    Two causes: the pair walk ended below rank m - n + 1, or it ended before
-    the exchange brought the all-ones vector into the lattice of the basis.
-    On a regular non-Petersen brick either one is a shortfall of the walk,
-    not of the brick, which always has such a cover (Lovasz 1987).
+    Two causes: the pair walk ended below rank m - n + 1 mod 2, or it ended
+    before the exchange brought the all-ones vector into the lattice of the
+    basis.  On a regular non-Petersen brick either one is a shortfall of the
+    walk, not of the brick, which always has m - n + 1 perfect matchings
+    independent mod 2 and such a cover (Lovasz 1987).
     """
 
 
@@ -214,15 +225,16 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     """All-integer cover of a non-Petersen brick by independent matchings.
 
     One loop over the pair walk.  Below rank m - n + 1 a matching joins the
-    basis when it raises the rank of an ``Echelon``; the walk never repeats
-    a matching, so each candidate costs one reduction.  From full rank on,
-    each candidate is read off a ``Basis`` of the basis: one with
-    coordinates d and some 0 < |d_j| < 1 replaces basis matching j
-    (smallest |d_j|, then lowest j), which multiplies the index of the basis
-    lattice by |d_j|.  At full rank and after each swap the ``Basis`` is
-    built and the coordinates c of the all-ones vector read off it; the
-    first integral c is the cover.  A walk that ends first raises
-    ``ClassificationError``, naming the rank when it stayed short.
+    basis when it raises the rank mod 2 of a ``ModEchelon``, so each
+    candidate costs one reduction by XOR, and the basis is independent over
+    Q, as ``Basis`` needs.  From full rank on, each candidate is read off a
+    ``Basis`` of the basis: one with coordinates d and some 0 < |d_j| < 1
+    replaces basis matching j (smallest |d_j|, then lowest j), which
+    multiplies the index of the basis lattice by |d_j|.  At full rank and
+    after each swap the ``Basis`` is built and the coordinates c of the
+    all-ones vector read off it; the first integral c is the cover.  A walk
+    that ends first raises ``ClassificationError``, naming the rank mod 2
+    when it stayed short.
     """
     if bipartition(g) is not None:
         raise ValueError("bipartite graphs are solved by peeling, not the brick path")
@@ -230,23 +242,23 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
         raise ValueError("the Petersen brick requires the half-integral solver")
 
     dim = g.m - g.vertex_count + 1
-    span = Echelon(g.m)
+    span = ModEchelon(2)
     basis: list[frozenset[int]] = []
     rows: list[list[int]] = []
     ones = [1] * g.m
     lattice: Optional[Basis] = None
     for pm in _pair_walk(g):
-        row = incidence_row(g, pm)
         if lattice is None:
-            if not span.add(row):
+            if not span.add(incidence_mask(pm)):
                 continue
             basis.append(pm)
-            rows.append(row)
+            rows.append(incidence_row(g, pm))
             if len(basis) < dim:
                 continue
         else:
             # dim lin(PM) = m - n + 2 - b <= m - n + 1 on a non-bipartite matching
             # covered graph, so the full-rank basis spans every perfect matching
+            row = incidence_row(g, pm)
             d, den = lattice.coordinates(row)
             shrinking = [j for j, x in enumerate(d) if 0 < abs(x) < den]
             if not shrinking:
@@ -258,9 +270,11 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
         if solved is not None and solved[1] == 1:
             return exact_cover(g, [(pm, 2 * x) for pm, x in zip(basis, solved[0]) if x])
     raise ClassificationError(
-        f"the pair walk ended at rank {len(basis)}, below m - n + 1 = {dim}; "
-        "the graph is not a brick"
+        f"the pair walk ended at rank {len(basis)}, below m - n + 1 = {dim}, in rank "
+        "mod 2: a shortfall of the walk, since a regular non-Petersen brick has "
+        "m - n + 1 perfect matchings independent mod 2"
         if len(basis) < dim
         else "the pair walk ended before the exchange brought the all-ones vector "
-        "into the lattice of the basis; the graph is not a regular non-Petersen brick"
+        "into the lattice of the basis: a shortfall of the walk on a regular "
+        "non-Petersen brick"
     )

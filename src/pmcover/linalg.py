@@ -1,20 +1,28 @@
-"""Exact linear algebra over the integers.
+"""Exact linear algebra over the integers, and independence mod 2 and 3.
 
 Everything here works in Python ints, like the rest of the package, whose
 cover coefficients are doubled ints; no rational or float type appears.
 Matrices are dense; the package operates at desk scale where dense exact
 elimination is the simple, predictable choice.
 
-``Echelon`` is the one elimination routine: an echelon of primitive integer
-rows, grown one row at a time.
+``Echelon`` is the one exact elimination routine: an echelon of primitive
+integer rows, grown one row at a time.
 
 * ``add`` reports whether a row raised the rank.
-* ``rank`` counts its pivots and is used by every linear independence check.
+* ``rank`` counts its pivots; it decides every independence check that
+  ``ModEchelon`` cannot certify.
 * ``Basis`` eliminates independent rows once, each carrying a unit tail,
   and its ``coordinates`` writes a vector in them as integer numerators
   over one positive denominator, read off the vector's remainder.  The
   lattice question "is b an integer combination of independent rows" is
   then "is the denominator 1".
+
+``ModEchelon`` is an echelon over GF(2) or GF(3) of 0/1 rows packed into
+the bits of an int, so a row operation costs a few int operations, not one
+Python operation per entry.  It certifies independence over Q: k integer
+rows independent mod p have a k x k minor that is nonzero mod p, so
+nonzero.  The converse fails (110, 011 and 101 have determinant 2), so
+"dependent mod p" decides nothing, and the exact ``rank`` has to follow it.
 """
 
 from __future__ import annotations
@@ -83,6 +91,52 @@ class Echelon:
             return False
         insort(self.rows, reduced, key=lambda item: item[0])
         return True
+
+
+class ModEchelon:
+    """Row echelon form over GF(p), p = 2 or 3, of 0/1 rows packed in ints.
+
+    A row is a nonnegative int with bit e set where its entry is 1.  Over
+    GF(3) a row is held as two bit planes, the entries equal to 1 and those
+    equal to 2 = -1; over GF(2) the second plane stays 0.  Stored rows are
+    keyed by the bit length of their leading entry, which is scaled to 1, so
+    subtracting the stored row with a row's leading bit cancels that entry:
+    one XOR over GF(2), a few ``&``, ``|`` and ``~`` over GF(3).  Each step
+    lowers the leading bit, and a row that reduces to zero, as a zero row
+    does, is dependent.
+    """
+
+    def __init__(self, p: int) -> None:
+        if p not in (2, 3):
+            raise ValueError("ModEchelon works over GF(2) or GF(3)")
+        self.p = p
+        self._rows: dict[int, tuple[int, int]] = {}
+
+    def __len__(self) -> int:
+        """The rank mod p of the rows added so far."""
+        return len(self._rows)
+
+    def add(self, row: int) -> bool:
+        """Store the reduced row if it is independent mod p; whether the rank rose."""
+        ones, twos = row, 0
+        while ones | twos:
+            lead = (ones | twos).bit_length()
+            if twos >> (lead - 1):
+                ones, twos = twos, ones  # times -1: the leading entry becomes 1
+            stored = self._rows.get(lead)
+            if stored is None:
+                self._rows[lead] = ones, twos
+                return True
+            s1, s2 = stored
+            if self.p == 2:
+                ones ^= s1
+            else:  # (ones, twos) - stored, entry by entry mod 3
+                zero, stored_zero = ~(ones | twos), ~(s1 | s2)
+                ones, twos = (
+                    ones & stored_zero | s2 & zero | twos & s1,
+                    twos & stored_zero | s1 & zero | ones & s2,
+                )
+        return False
 
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:

@@ -296,3 +296,8 @@ def validate_perfect_matching(g: MultiGraph, edge_ids: Iterable[int]) -> None:
 def incidence_row(g: MultiGraph, edge_ids: frozenset[int]) -> list[int]:
     """The 0/1 incidence vector of an edge set over the edge ids; not validated."""
     return [1 if e in edge_ids else 0 for e in range(g.m)]
+
+
+def incidence_mask(edge_ids: Iterable[int]) -> int:
+    """The incidence vector of a set of edge ids as an int, bit e for edge e; not validated."""
+    return sum(1 << e for e in edge_ids)

@@ -265,6 +265,23 @@ def fraction_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+
+def mod_rank(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p), p prime, by Gaussian elimination on lists of residues."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inverse = pow(a[rank][c], -1, p)
+        for i in range(rank + 1, len(a)):
+            factor = a[i][c] * inverse % p
+            a[i] = [(x - factor * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
 def fraction_coordinates(
     rows: list[list[int]], target: list[int]
 ) -> Optional[tuple[list[int], int]]:

@@ -12,6 +12,7 @@ from pmcover import (
     solve_r_graph,
     terms_independent,
 )
+from pmcover import cover
 from pmcover.matchings import enumerate_pms
 
 import corpus
@@ -108,3 +109,52 @@ def test_terms_independent():
     assert not terms_independent(g, pms + [pms[0]])
     gp = corpus.petersen()
     assert terms_independent(gp, enumerate_pms(gp))
+
+
+# 0/1 rows of determinant 6 = 2 * 3: dependent mod 2 and mod 3, independent over Q
+DET_6 = [[1, 1, 1, 1, 1, 0], [0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 0, 1],
+         [1, 0, 1, 0, 1, 1], [0, 1, 1, 0, 1, 1], [1, 1, 1, 1, 0, 1]]
+
+
+def _edge_sets(rows):
+    return [frozenset(e for e, x in enumerate(row) if x) for row in rows]
+
+
+def _counting_rank(monkeypatch):
+    """Count the calls of the exact rank behind terms_independent."""
+    calls = []
+    real_rank = cover.rank
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return real_rank(matrix)
+
+    monkeypatch.setattr(cover, "rank", counted)
+    return calls
+
+
+def test_terms_independent_certifies_mod_3_without_the_exact_rank(monkeypatch):
+    # 110, 011 and 101 have determinant 2: GF(2) rejects them, GF(3) certifies
+    calls = _counting_rank(monkeypatch)
+    assert terms_independent(corpus.k4(), _edge_sets([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    g = corpus.petersen()
+    # the six Petersen matchings sum to twice the all-ones vector: mod 3 again
+    assert terms_independent(g, enumerate_pms(g))
+    assert calls == []
+
+
+def test_terms_independent_falls_back_to_the_exact_rank(monkeypatch):
+    calls = _counting_rank(monkeypatch)
+    assert terms_independent(corpus.k4(), _edge_sets(DET_6))
+    assert calls == [6]
+
+
+def test_terms_independent_reads_zero_and_repeated_rows_as_dependent(monkeypatch):
+    calls = _counting_rank(monkeypatch)
+    g = corpus.k4()
+    pms = enumerate_pms(g)
+    assert not terms_independent(g, pms + [frozenset()])
+    assert not terms_independent(g, [frozenset()])
+    assert not terms_independent(g, [pms[1], pms[0], pms[1]])
+    assert calls == [4, 1, 3]
+    assert terms_independent(g, [])

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmcover import (
@@ -19,7 +19,7 @@ from pmcover import (
     verify_cover,
 )
 from pmcover.cli import gen_r_graph
-from pmcover.linalg import Basis, Echelon
+from pmcover.linalg import Basis, ModEchelon
 from pmcover.leaf_solvers import (
     ClassificationError,
     _pair_walk,
@@ -28,7 +28,7 @@ from pmcover.leaf_solvers import (
     brick_solve,
     petersen_solve,
 )
-from pmcover.matchings import pm_containing_edges
+from pmcover.matchings import incidence_mask, pm_containing_edges
 
 import corpus
 import oracles
@@ -325,10 +325,13 @@ def test_pair_walk_holds_every_completion_at_full_rank(g):
     assert oracles.fraction_rank(rows) == g.m - g.vertex_count + 1
 
 
+# a degree-4 leaf whose basis, filled mod 2, holds the all-ones vector only
+# at denominator 3; one swap brings it into the basis lattice
+EXCHANGE_LEAF = (18, 4, 43)
+
+
 def test_brick_solve_exchange_pins_the_degree_4_leaf(monkeypatch):
-    # the greedy-and-pair basis of this leaf holds the all-ones vector only
-    # at denominator > 1; one swap brings it into the basis lattice
-    (g,) = _other_brick_leaf(18, 4, 7)
+    (g,) = _other_brick_leaf(*EXCHANGE_LEAF)
     denominators = []
     real_coordinates = Basis.coordinates
 
@@ -340,11 +343,11 @@ def test_brick_solve_exchange_pins_the_degree_4_leaf(monkeypatch):
 
     monkeypatch.setattr(Basis, "coordinates", recorded)
     sol = brick_solve(g)
-    assert len(denominators) == 2 and denominators[0] > 1 and denominators[1] == 1
+    assert denominators == [3, 1]
     assert sol.support <= g.m - g.vertex_count + 1
     text = json.dumps([[sorted(m), c] for m, c in sol.terms])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5cee9eb40632b99d823a85e9903de95971e88edddb5131b89fe7a1dcff46ec7b"
+        "28b8fa7c414370fcef25d0eccd2fbdd25d9aeb8fec44bc5724d8cfbb203a899a"
     )
 
 
@@ -362,23 +365,74 @@ def test_brick_solve_raises_when_the_walk_ends_below_full_rank(monkeypatch):
 
 
 def test_brick_solve_raises_when_the_walk_ends_before_the_exchange_closes(monkeypatch):
-    # the walk stops at full rank, so the degree-4 leaf keeps its
+    # the walk stops at full rank mod 2, so the degree-4 leaf keeps its
     # non-integral coordinates
-    (g,) = _other_brick_leaf(18, 4, 7)
+    (g,) = _other_brick_leaf(*EXCHANGE_LEAF)
     real_pm = leaf_solvers.pm_containing_edges
-    span = Echelon(g.m)
+    span = ModEchelon(2)
 
     def until_full_rank(graph, edge_ids):
         if len(span) == g.m - g.vertex_count + 1:
             return None
         pm = real_pm(graph, edge_ids)
         if pm is not None:
-            span.add([1 if e in pm else 0 for e in range(g.m)])
+            span.add(incidence_mask(pm))
         return pm
 
     monkeypatch.setattr(leaf_solvers, "pm_containing_edges", until_full_rank)
     with pytest.raises(ClassificationError, match="before the exchange"):
         brick_solve(g)
+
+
+def _first_basis(g):
+    """brick_solve's cover, with the rows of the first Basis it queries (the
+    basis the fill built) and the all-ones vector's denominator in it."""
+    first = []
+    real_coordinates = Basis.coordinates
+
+    def recorded(self, target):
+        solved = real_coordinates(self, target)
+        if not first:
+            first.append((self.rows, solved[1]))
+        return solved
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Basis, "coordinates", recorded)
+        sol = brick_solve(g)
+    return sol, *first[0]
+
+
+def _assert_the_fill_is_a_basis_mod_2(g):
+    # the fill's basis is independent mod 2, so over Q too, and of full
+    # dimension; off the Petersen graph the matching lattice is saturated, so
+    # the basis has odd index in it, and the all-ones denominator is odd
+    sol, rows, den = _first_basis(g)
+    dim = g.m - g.vertex_count + 1
+    assert len(rows) == oracles.mod_rank(rows, 2) == oracles.fraction_rank(rows) == dim
+    assert den % 2 == 1
+    assert all(t % 2 == 0 for t in sol.coefficients)
+    assert sol.coverage() == [2] * g.m
+
+
+CORPUS_BRICKS = [
+    pytest.param(leaf.graph, id=f"{name}_leaf{k}")
+    for name, g in corpus.structured_instances() + corpus.random_instances()
+    for k, leaf in enumerate(decompose(g).leaves())
+    if leaf.leaf_class is LeafClass.OTHER_BRICK
+]
+
+
+@pytest.mark.parametrize("g", CORPUS_BRICKS)
+def test_brick_fill_is_a_basis_mod_2_on_the_corpus(g):
+    _assert_the_fill_is_a_basis_mod_2(g)
+
+
+@given(st.sampled_from([(18, 4), (36, 3), (12, 5), (20, 5), (24, 3)]), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+@example(EXCHANGE_LEAF[:2], EXCHANGE_LEAF[2])
+def test_brick_fill_is_a_basis_mod_2_on_random_leaves(family, seed):
+    for g in _other_brick_leaf(*family, seed):
+        _assert_the_fill_is_a_basis_mod_2(g)
 
 
 @given(st.sampled_from([(18, 4), (36, 3)]), st.integers(0, 10**6))

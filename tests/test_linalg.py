@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmcover.linalg import Basis, Echelon, rank
-from pmcover.matchings import incidence_row
+from pmcover import solve_r_graph
+from pmcover.linalg import Basis, Echelon, ModEchelon, rank
+from pmcover.matchings import incidence_mask, incidence_row
 
 import corpus
 import oracles
@@ -110,6 +111,66 @@ def test_echelon_rejects_a_row_of_the_wrong_width():
     with pytest.raises(TypeError):
         echelon.add([Fraction(1, 2), 0])
 
+
+
+def _mask(row):
+    return sum(1 << j for j, x in enumerate(row) if x)
+
+
+def _assert_mod_echelon_tracks_the_rank(matrix):
+    # over each prime, add reports exactly when the list-based rank mod p
+    # rises, and a full rank mod p is a full rank over Q
+    for p in (2, 3):
+        echelon = ModEchelon(p)
+        for k, row in enumerate(matrix):
+            rose = oracles.mod_rank(matrix[: k + 1], p) > oracles.mod_rank(matrix[:k], p)
+            assert echelon.add(_mask(row)) is rose, (p, k, matrix)
+        assert len(echelon) == oracles.mod_rank(matrix, p), (p, matrix)
+        if len(echelon) == len(matrix):
+            assert rank(matrix) == len(matrix), (p, matrix)
+
+
+def test_mod_echelon_matches_list_elimination_on_random_0_1_matrices():
+    rng = random.Random(23)
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+        density = rng.choice((0.3, 0.5, 0.7))
+        matrix = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+        _assert_mod_echelon_tracks_the_rank(matrix)
+
+
+@pytest.mark.parametrize("name, g", corpus.structured_instances() + corpus.random_instances())
+def test_mod_echelon_matches_list_elimination_on_the_corpus_supports(name, g):
+    sol, _ = solve_r_graph(g)
+    _assert_mod_echelon_tracks_the_rank([incidence_row(g, pm) for pm in sol.matchings])
+
+
+def test_mod_echelon_certifies_mod_3_what_is_dependent_mod_2():
+    # determinant 2: dependent mod 2, independent mod 3 and over Q
+    rows = [0b110, 0b011, 0b101]
+    for p, expected in ((2, [True, True, False]), (3, [True, True, True])):
+        echelon = ModEchelon(p)
+        assert [echelon.add(row) for row in rows] == expected
+        assert len(echelon) == sum(expected)
+
+
+def test_mod_echelon_reads_zero_and_repeated_rows_as_dependent():
+    for p in (2, 3):
+        echelon = ModEchelon(p)
+        assert not echelon.add(0)
+        assert echelon.add(0b1011)
+        assert not echelon.add(0b1011)
+        assert not echelon.add(0)
+        assert len(echelon) == 1
+    with pytest.raises(ValueError, match="GF"):
+        ModEchelon(5)
+
+
+def test_incidence_mask_is_the_incidence_row_in_bits():
+    g = corpus.prism()
+    for pm in oracles.all_pms(g):
+        assert incidence_mask(pm) == _mask(incidence_row(g, pm))
+    assert incidence_mask(frozenset()) == 0
 
 def test_coordinates_examples():
     assert Basis([[2, 0], [0, 3]]).coordinates([1, 1]) == ([3, 2], 6)
