@@ -52,8 +52,8 @@ from .leaf_solvers import (
 from .matchings import (
     EnumerationOverflow,
     enumerate_pms,
-    has_perfect_matching,
     iter_pms,
+    perfect_matching_without,
     pm_containing_edges,
     validate_perfect_matching,
 )
@@ -94,7 +94,6 @@ __all__ = [
     "exact_cover",
     "find_nontrivial_tight_cut",
     "graph_fingerprint",
-    "has_perfect_matching",
     "improved_merge",
     "is_petersen",
     "is_r_graph",
@@ -102,6 +101,7 @@ __all__ = [
     "iter_pms",
     "min_odd_cut",
     "pair_sequences",
+    "perfect_matching_without",
     "petersen_solve",
     "pm_containing_edges",
     "regular_degree",

@@ -16,7 +16,7 @@ mandatory_ok.
 
 Independence is checked exactly: terms independent mod 2 or mod 3 are
 independent over Q, so dependent terms cannot pass, and terms dependent mod
-both primes go to the exact rank (``cover.terms_independent``).
+both primes go to exact elimination (``cover.terms_independent``).
 
 Certificates are canonical JSON with integers only.  Coefficients are stored
 doubled (twice_value), exactly as ``CoverSolution`` holds them in memory, so

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import MultiGraph
-from .linalg import ModEchelon, rank
+from .linalg import Echelon, ModEchelon
 from .matchings import incidence_mask, incidence_row, validate_perfect_matching
 
 
@@ -90,10 +90,10 @@ def terms_independent(graph: MultiGraph, matchings: Sequence[frozenset[int]]) ->
     """Whether the edge sets' 0/1 incidence vectors are linearly independent over Q.
 
     Independence mod 2, else mod 3, certifies it (see ``linalg``); only rows
-    dependent mod both primes, dependent ones among them, pay for the exact
-    ``rank``.  The edge sets are not validated as perfect matchings, so a
-    verifier can report on any terms: the rank of 0/1 vectors is always
-    defined.  Their ids must lie in range(graph.m), as ``CoverSolution``
+    dependent mod both primes, dependent ones among them, pay for an exact
+    ``Echelon``, grown the same way, one row at a time.  The edge sets are
+    not validated as perfect matchings, so a verifier can report on any
+    terms: the rank of 0/1 vectors is always defined.  Their ids must lie in range(graph.m), as ``CoverSolution``
     checks.
     """
     masks = [incidence_mask(pm) for pm in matchings]
@@ -101,7 +101,8 @@ def terms_independent(graph: MultiGraph, matchings: Sequence[frozenset[int]]) ->
         echelon = ModEchelon(p)
         if all(echelon.add(mask) for mask in masks):
             return True
-    return rank([incidence_row(graph, pm) for pm in matchings]) == len(matchings)
+    exact = Echelon(graph.m)
+    return all(exact.add(incidence_row(graph, pm)) for pm in matchings)
 
 
 def exact_cover(

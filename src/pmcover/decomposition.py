@@ -82,8 +82,8 @@ whose only tight cuts come from its 2-separation.
 Each piece of work is done once.  One matching search runs per
 decomposition, at the root; every tight cut is crossed once by every
 perfect matching, so the parent's matching, relabelled, is a perfect
-matching of each contraction, and every node inherits one.  Only the
-bipartite route searches again (see ``find_nontrivial_tight_cut``).
+matching of each contraction, and every node inherits one; every route
+and every verdict below starts from it (see ``find_nontrivial_tight_cut``).
 ``is_tight_cut`` tests each disjoint pair of cut edges from the node's
 matching, so a pair costs a few alternating searches, not a matching
 search.  A barrier with k nontrivial odd components K1..Kk gives k tight
@@ -117,8 +117,8 @@ from .graphs import (
 )
 from .matchings import (
     gallai_edmonds,
-    has_perfect_matching,
     maximum_matching,
+    perfect_matching_without,
     perfect_partners,
 )
 
@@ -194,10 +194,10 @@ def is_tight_cut(g: MultiGraph, cut: Cut, matching: Sequence[int]) -> bool:
 
     Two cut edges can only appear in one matching if they are vertex-disjoint,
     so it suffices to test, per disjoint pair, whether the graph minus the
-    four endpoints still has a perfect matching.  Every test warm-starts
-    ``has_perfect_matching`` from ``matching``, a mate array of a matching
-    of G; ``decompose`` passes the node's inherited perfect matching, so one
-    perfect matching serves every cut of a node.
+    four endpoints still has a perfect matching.  Every test is
+    ``perfect_matching_without`` the four ends, grown from ``matching``, a
+    mate array of a matching of G; ``decompose`` passes the node's inherited
+    perfect matching, so one perfect matching serves every cut of a node.
     """
     if not cut.odd:
         raise ValueError("tightness is defined for odd cuts only")
@@ -208,7 +208,7 @@ def is_tight_cut(g: MultiGraph, cut: Cut, matching: Sequence[int]) -> bool:
             u2, v2 = g.edges[ids[b]]
             if len({u1, v1, u2, v2}) < 4:
                 continue
-            if has_perfect_matching(g, (u1, v1, u2, v2), matching):
+            if perfect_matching_without(g, (u1, v1, u2, v2), matching) is not None:
                 return False
     return True
 
@@ -233,14 +233,16 @@ def _reach(arcs: Sequence[Sequence[int]], root: int, avoid: int) -> set[int]:
     return seen
 
 
-def _bipartite_barrier_shores(g: MultiGraph) -> Iterator[list[frozenset[int]]]:
+def _bipartite_barrier_shores(
+    g: MultiGraph, mate: Sequence[int]
+) -> Iterator[list[frozenset[int]]]:
     """The odd components left by the barrier N(X) of each X with |N(X)| = |X| + 1.
 
-    U is the side of vertex 0 and M the route's own ``maximum_matching``,
-    found on entry (see ``find_nontrivial_tight_cut``).  The
-    digraph D on U has an arc u -> M(w) for each neighbour w != M(u) of u,
-    so N(X) = M(X) + M(Out(X)), where Out(X) is the set of vertices outside
-    X that X has arcs to, and |N(X)| = |X| + |Out(X)|.  For each z of U in
+    U is the side of vertex 0 and M the perfect matching ``mate``, the one
+    the node inherits; any perfect matching of G will do.  The digraph D on
+    U has an arc u -> M(w) for each neighbour w != M(u) of u, so
+    N(X) = M(X) + M(Out(X)), where Out(X) is the set of vertices outside X
+    that X has arcs to, and |N(X)| = |X| + |Out(X)|.  For each z of U in
     ascending order, with root the least vertex of U - z, X is the forward
     reach of the root in D - z when that misses part of U - z, and otherwise
     the vertices of U - z that cannot reach the root; either way nothing
@@ -262,7 +264,6 @@ def _bipartite_barrier_shores(g: MultiGraph) -> Iterator[list[frozenset[int]]]:
     """
     sides = bipartition(g)
     assert sides is not None
-    mate = maximum_matching(g.vertex_count, g.adjacency)
     u_side = sorted(sides[0])
     forward: list[list[int]] = [[] for _ in range(g.vertex_count)]
     backward: list[list[int]] = [[] for _ in range(g.vertex_count)]
@@ -343,17 +344,19 @@ def find_nontrivial_tight_cut(
     before, odd, and accepted by ``is_tight_cut``.  The first accepted wins,
     and the shores after it in its group come back with it: the odd
     components of one barrier, or the carried shores, all tight and none
-    crossing the winner's cut.  The bipartite route alone runs its own
-    ``maximum_matching``, and only once the carried shores are exhausted:
-    its shores are read off D(M), so which cut it finds first depends on M,
-    while the Gallai-Edmonds sets, the 2-separations and the verdicts of
-    ``is_tight_cut`` do not.  So the cut, and the certificate, do not depend
-    on the matching a node inherits.
+    crossing the winner's cut.  No route runs a matching search.  The
+    bipartite route reads its shores off D(M) for the inherited M, so which
+    cut it finds first depends on M, while the Gallai-Edmonds sets, the
+    2-separations and the verdicts of ``is_tight_cut`` do not.  The
+    inherited matching is fixed by the root's search and the cuts above, so
+    the cut, and the certificate, are still deterministic.
     """
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
     if bipartition(g) is not None:
-        routes: tuple[Iterator[Sequence[frozenset[int]]], ...] = (_bipartite_barrier_shores(g),)
+        routes: tuple[Iterator[Sequence[frozenset[int]]], ...] = (
+            _bipartite_barrier_shores(g, matching),
+        )
     else:
         routes = (_nonbipartite_barrier_shores(g, matching),)
         if regular_degree(g) != 3:  # a cubic node the barriers miss has no 2-separation

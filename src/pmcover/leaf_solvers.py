@@ -24,10 +24,14 @@ Three solvers, one per leaf class:
   B c = 1 is the cover whenever it is integral.  The basis comes from a
   walk that completes a perfect matching through every edge, then through
   every vertex-disjoint edge pair, in lexicographic order, and never
-  repeats a matching.  Its first pass skips the edges and pairs that an
-  earlier matching of the walk holds, so it opens with the greedy basis
-  (each matching grabs the lowest uncovered edge id); its second pass, run
-  only when the first falls short, skips nothing.  A matching is kept only
+  repeats a matching.  Which completion it takes is free, since the basis
+  needs only independent matchings, so each is grown warm from one
+  ``maximum_matching`` of the brick, found once: dropping its edges at the
+  ends of the forced edges leaves at most four vertices to augment from.
+  Its first pass skips the edges and pairs that an earlier matching of the
+  walk holds, so it opens with the greedy basis (each matching grabs the
+  lowest uncovered edge id); its second pass, run only when the first
+  falls short, skips nothing.  A matching is kept only
   when it raises the rank mod 2, one XOR on a ``linalg.ModEchelon``.  That
   is enough: the matching lattice is saturated, so its image mod 2 has
   dimension m - n + 1, and some m - n + 1 perfect matchings are
@@ -193,8 +197,10 @@ def _pair_walk(g: MultiGraph) -> Iterator[frozenset[int]]:
     """A perfect matching through each edge and each disjoint edge pair, none twice.
 
     Two passes over ``_forced_sets``, each set completed by
-    ``pm_containing_edges``: the first skips held sets, the second, run only
-    when the caller asks for more, skips none.  ``holders[e]`` has bit i set
+    ``pm_containing_edges`` from one ``maximum_matching`` of G, found on
+    entry, so a completion costs a few alternating searches from the ends
+    of the forced edges, not a matching search.  The first pass skips held
+    sets; the second, run only when the caller asks for more, skips none.  ``holders[e]`` has bit i set
     when the i-th yielded matching contains e, and a completion is yielded
     only when the AND of its edges' masks is 0: a matching holding all its
     edges would equal it.  So the first pass is the greedy basis (each
@@ -203,11 +209,12 @@ def _pair_walk(g: MultiGraph) -> Iterator[frozenset[int]]:
     completion of every edge and disjoint pair in a perfect matching has
     been yielded.
     """
+    mate = maximum_matching(g.vertex_count, g.adjacency)
     holders = [0] * g.m
     bit = 1
     for skip_held in (True, False):
         for forced in _forced_sets(g, holders, skip_held):
-            pm = pm_containing_edges(g, forced)
+            pm = pm_containing_edges(g, forced, mate)
             if pm is None:
                 continue
             common = -1

@@ -8,9 +8,8 @@ elimination is the simple, predictable choice.
 ``Echelon`` is the one exact elimination routine: an echelon of primitive
 integer rows, grown one row at a time.
 
-* ``add`` reports whether a row raised the rank.
-* ``rank`` counts its pivots; it decides every independence check that
-  ``ModEchelon`` cannot certify.
+* ``add`` reports whether a row raised the rank, and ``len`` is the rank;
+  it decides every independence check that ``ModEchelon`` cannot certify.
 * ``Basis`` eliminates independent rows once, each carrying a unit tail,
   and its ``coordinates`` writes a vector in them as integer numerators
   over one positive denominator, read off the vector's remainder.  The
@@ -22,7 +21,7 @@ the bits of an int, so a row operation costs a few int operations, not one
 Python operation per entry.  It certifies independence over Q: k integer
 rows independent mod p have a k x k minor that is nonzero mod p, so
 nonzero.  The converse fails (110, 011 and 101 have determinant 2), so
-"dependent mod p" decides nothing, and the exact ``rank`` has to follow it.
+"dependent mod p" decides nothing, and an exact ``Echelon`` has to follow it.
 """
 
 from __future__ import annotations
@@ -137,19 +136,6 @@ class ModEchelon:
                     twos & stored_zero | s1 & zero | ones & s2,
                 )
         return False
-
-
-def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix: the pivots of its rows' ``Echelon``.
-
-    Rows are reduced one at a time against an echelon of primitive rows, whose
-    entries are minors of the input divided by their gcd (see ``Echelon``),
-    which also rejects ragged rows.
-    """
-    echelon = Echelon(len(matrix[0]) if matrix else 0)
-    for row in matrix:
-        echelon.add(row)
-    return len(echelon)
 
 
 class Basis:

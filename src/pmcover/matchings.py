@@ -2,10 +2,15 @@
 
 Existence and extraction run on the simplified graph through an
 augmenting-path search with blossom contraction, so non-bipartite graphs are
-handled exactly; G minus a vertex set is searched in place, never entering a
-removed vertex.  Enumeration backtracks over the lowest-indexed uncovered
-vertex, branching over incident edges in ascending edge-id order; parallel
-copies of a pair therefore yield distinct matchings, listed deterministically.
+handled exactly.  ``maximum_matching`` searches from scratch.  Every
+question about G minus a vertex set X starts warm instead, from a matching
+of G with its edges at X dropped, and grows alternating forests in place,
+never entering a vertex of X: ``perfect_matching_without`` completes it to
+a perfect matching of G - X, and ``gallai_edmonds`` and ``perfect_partners``
+read D(G - X) off one forest.  Enumeration backtracks over the
+lowest-indexed uncovered vertex, branching over incident edges in ascending
+edge-id order; parallel copies of a pair therefore yield distinct
+matchings, listed deterministically.
 
 A perfect matching is represented as a frozenset of edge ids.
 """
@@ -27,27 +32,24 @@ class EnumerationOverflow(RuntimeError):
         self.found = list(found)
 
 
-def maximum_matching(
-    n: int, adjacency: Sequence[Sequence[int]], removed: frozenset[int] = frozenset()
-) -> list[int]:
-    """Maximum matching of a simple graph minus ``removed``; mate array, -1 = exposed.
+def maximum_matching(n: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Maximum matching of a simple graph; mate array, -1 = exposed.
 
     Classic O(V^3) augmenting-path search with blossom contraction (bases are
-    tracked per vertex and collapsed at the least common base).  Removed
-    vertices stay exposed and are never entered, so the search runs on
-    G - removed in place.  Deterministic for a fixed adjacency order.
+    tracked per vertex and collapsed at the least common base), after a
+    greedy seed.  Deterministic for a fixed adjacency order.
     """
     mate = [-1] * n
     for v in range(n):  # cheap greedy seed
-        if mate[v] == -1 and v not in removed:
+        if mate[v] == -1:
             for w in adjacency[v]:
-                if mate[w] == -1 and w not in removed:
+                if mate[w] == -1:
                     mate[v] = w
                     mate[w] = v
                     break
     for v in range(n):
-        if mate[v] == -1 and v not in removed:
-            _grow_forest(adjacency, mate, (v,), removed)
+        if mate[v] == -1:
+            _grow_forest(adjacency, mate, (v,), frozenset())
     return mate
 
 
@@ -132,6 +134,30 @@ def _grow_forest(
     return outer
 
 
+def _dropped(matching: Sequence[int], gone: frozenset[int]) -> list[int]:
+    """A copy of the mate array of a matching without its edges at the removed vertices."""
+    mate = list(matching)
+    for v in gone:
+        if mate[v] != -1:
+            mate[mate[v]] = mate[v] = -1
+    return mate
+
+
+def _outer_without(g: MultiGraph, gone: frozenset[int], matching: Sequence[int]) -> list[bool]:
+    """Outer flags of one forest grown from every vertex of G - gone that is exposed.
+
+    ``matching``, its edges at ``gone`` dropped, must be maximum in G - gone:
+    with every exposed vertex a root there is nothing to augment to, and a
+    matching that is not maximum shows up as adjacent outer vertices of two
+    trees, which raises an AssertionError.
+    """
+    mate = _dropped(matching, gone)
+    exposed = [v for v, w in enumerate(mate) if w == -1 and v not in gone]
+    outer = _grow_forest(g.adjacency, mate, exposed, gone)
+    assert outer is not None  # every exposed vertex is a root: nothing to augment to
+    return outer
+
+
 class GallaiEdmonds(NamedTuple):
     """D: vertices missed by some maximum matching; A = N(D) - D; C: the rest."""
 
@@ -157,10 +183,7 @@ def gallai_edmonds(
     outer vertices of two trees, and an AssertionError is raised.
     """
     gone = frozenset(removed)
-    mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
-    exposed = [v for v in range(g.vertex_count) if v not in gone and mate[v] == -1]
-    outer = _grow_forest(g.adjacency, mate, exposed, gone)
-    assert outer is not None  # every exposed vertex is a root: nothing to augment to
+    outer = _outer_without(g, gone, matching)
     d = frozenset(v for v in range(g.vertex_count) if outer[v])
     a = frozenset(w for v in d for w in g.adjacency[v] if not outer[w] and w not in gone)
     c = frozenset(range(g.vertex_count)) - gone - d - a
@@ -180,41 +203,44 @@ def perfect_partners(g: MultiGraph, u: int, matching: Sequence[int]) -> list[boo
     """
     if -1 in matching:
         raise ValueError("the matching must be perfect")
-    mate = list(matching)
-    w = mate[u]
-    mate[u] = mate[w] = -1
-    outer = _grow_forest(g.adjacency, mate, (w,), frozenset((u,)))
-    assert outer is not None  # w is the only exposed vertex of G - u: nothing to augment to
-    return outer
+    return _outer_without(g, frozenset((u,)), matching)
 
 
-def has_perfect_matching(g: MultiGraph, removed: Iterable[int], matching: Sequence[int]) -> bool:
-    """Whether G minus the given vertices has a perfect matching.
+def perfect_matching_without(
+    g: MultiGraph, removed: Iterable[int], matching: Sequence[int]
+) -> Optional[list[int]]:
+    """A perfect matching of G minus the given vertices, grown from a matching of G.
 
     ``matching`` is a mate array of any matching of G: the node's perfect
-    matching during a decomposition, or ``[-1] * n`` for a cold start.  Its
-    edges at removed vertices are dropped, as in ``gallai_edmonds``, and one
-    alternating search grows from each vertex left exposed.  The first search
-    that cannot augment settles the answer as no, since a vertex with no
-    augmenting path from it is missed by some maximum matching.  From a
-    perfect matching of G, removing k vertices leaves at most k exposed
-    vertices, so the test costs a few searches, not a matching search.
+    matching during a decomposition, a maximum matching of a brick leaf, or
+    ``[-1] * n`` for a cold start; it is left as it is.  Its edges at
+    removed vertices are dropped, and one alternating search grows from
+    each vertex left exposed.  The first search that cannot augment settles
+    the answer as None, since a vertex with no augmenting path from it is
+    missed by some maximum matching.  Otherwise the mate array is returned,
+    -1 at removed vertices.  From a perfect matching of G, removing k
+    vertices leaves at most k exposed vertices, so the answer costs a few
+    searches, not a matching search.
     """
     gone = frozenset(removed)
     if (g.vertex_count - len(gone)) % 2 != 0:
-        return False
-    mate = [-1 if v in gone or w in gone else w for v, w in enumerate(matching)]
-    return all(
-        v in gone or mate[v] != -1 or _grow_forest(g.adjacency, mate, (v,), gone) is None
+        return None
+    mate = _dropped(matching, gone)
+    stuck = any(
+        mate[v] == -1 and v not in gone and _grow_forest(g.adjacency, mate, (v,), gone) is not None
         for v in range(g.vertex_count)
     )
+    return None if stuck else mate
 
 
-def pm_containing_edges(g: MultiGraph, edge_ids: Iterable[int]) -> Optional[frozenset[int]]:
+def pm_containing_edges(
+    g: MultiGraph, edge_ids: Iterable[int], matching: Sequence[int]
+) -> Optional[frozenset[int]]:
     """A perfect matching containing exactly the given edges, or None.
 
-    The forced edges must themselves form a matching.  The completion on the
-    remaining vertices maps each matched pair to its lowest edge id.
+    The forced edges must themselves form a matching.  The rest is
+    ``perfect_matching_without`` their ends, grown from ``matching``, a mate
+    array of any matching of G; each matched pair maps to its lowest edge id.
     """
     forced = sorted(set(edge_ids))
     covered: set[int] = set()
@@ -225,15 +251,10 @@ def pm_containing_edges(g: MultiGraph, edge_ids: Iterable[int]) -> Optional[froz
         if u in covered or v in covered:
             raise ValueError(f"forced edges are not a matching: vertex clash at edge {e}")
         covered.update((u, v))
-    mate = maximum_matching(g.vertex_count, g.adjacency, frozenset(covered))
-    if any(v not in covered and mate[v] == -1 for v in range(g.vertex_count)):
+    mate = perfect_matching_without(g, covered, matching)
+    if mate is None:
         return None
-    result = set(forced)
-    for v in range(g.vertex_count):
-        if v in covered or mate[v] < v:
-            continue
-        result.add(g.pair_ids[(v, mate[v])][0])
-    return frozenset(result)
+    return frozenset(forced).union(g.pair_ids[(v, w)][0] for v, w in enumerate(mate) if v < w)
 
 
 def iter_pms(g: MultiGraph) -> Iterator[frozenset[int]]:

@@ -10,9 +10,11 @@ Everything is exponential and only meant for small graphs.  Rank and
 coordinates are computed in Fractions, not by the library's fraction-free
 integer elimination.
 
-The library searches G minus a vertex set in place.  The reference for that
-is the library's ``maximum_matching`` on a filtered copy of the adjacency,
-where a removed vertex keeps its label but no edges.
+The library searches G minus a vertex set in place, warm from a matching
+of G.  The reference for that is the library's cold ``maximum_matching`` on
+a filtered copy of the adjacency, where a removed vertex keeps its label but
+no edges.  The matching-covered check below completes each edge that way,
+so it does not call the completion it checks.
 
 The merge oracles at the end re-check a solved decomposition tree node by
 node with the library's public checks (r-graph test, perfect-matching
@@ -38,7 +40,6 @@ from pmcover import (
     MultiGraph,
     build_graph,
     is_r_graph,
-    pm_containing_edges,
     regular_degree,
     terms_independent,
 )
@@ -317,7 +318,7 @@ def fraction_coordinates(
 def assert_matching_covered(g: MultiGraph) -> None:
     """Every edge must lie in some perfect matching; r-graphs always do."""
     for e in range(g.m):
-        if pm_containing_edges(g, (e,)) is None:
+        if pm_containing_edges_on_copy(g, (e,)) is None:
             raise RuntimeError(f"edge {e} lies in no perfect matching")
 
 

@@ -34,7 +34,7 @@ def _certificate(g):
 # sha256 over the serialized certificates of the structured corpus and
 # corpus.random_instances(), in that order.  A change that alters any
 # certificate byte must say so and update this digest.
-CORPUS_CERTIFICATES_SHA256 = "a2ccfab29f06b96adb550914c02d808a21da80e464a8c5dc5f66675fcca85e10"
+CORPUS_CERTIFICATES_SHA256 = "3762abb30fbc6c5fef55292861cbae5277341a1186eae2162e64429902cc1bea"
 
 
 def test_corpus_certificates_are_pinned():
@@ -103,7 +103,7 @@ K4_CERTIFICATE = """{
 
 K33_BRICK_SPLICE_CERTIFICATE = """{
   "graph": {"n":16,"m":24,"r":3,"edges":[[0,1],[1,2],[0,5],[1,6],[2,7],[3,5],[5,7],[4,7],[4,6],[3,6],[2,9],[3,10],[8,9],[9,10],[8,10],[11,13],[11,14],[11,15],[12,13],[12,14],[12,15],[0,13],[4,14],[8,15]]},
-  "terms": [{"edges":[1,6,8,11,12,16,20,21],"twice_value":2},{"edges":[0,6,9,10,14,17,18,22],"twice_value":2},{"edges":[0,4,5,8,13,15,19,23],"twice_value":2},{"edges":[2,3,7,10,11,15,19,23],"twice_value":2},{"edges":[0,6,8,10,11,15,19,23],"twice_value":-2}],
+  "terms": [{"edges":[3,5,7,10,14,16,20,21],"twice_value":2},{"edges":[2,3,4,11,12,17,18,22],"twice_value":2},{"edges":[0,6,8,10,11,15,19,23],"twice_value":2},{"edges":[1,2,7,9,13,15,19,23],"twice_value":2},{"edges":[2,3,7,10,11,15,19,23],"twice_value":-2}],
   "tree": {"leaves":[{"class":"OtherBrick","n":12,"m":18},{"class":"Brace","n":6,"m":9}],"p":0},
   "report": {"coverage_ok":true,"each_term_is_pm":true,"halves_count":0,"halves_exact":true,"halves_bound_ok":true,"support":5,"support_bound_ok":true,"independent":true,"twice_inf_norm":2,"norm_bound_ok":true,"coeff_sum_is_r":true}
 }

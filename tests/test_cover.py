@@ -13,6 +13,7 @@ from pmcover import (
     terms_independent,
 )
 from pmcover import cover
+from pmcover.linalg import Echelon
 from pmcover.matchings import enumerate_pms
 
 import corpus
@@ -121,15 +122,19 @@ def _edge_sets(rows):
 
 
 def _counting_rank(monkeypatch):
-    """Count the calls of the exact rank behind terms_independent."""
+    """Per exact ``Echelon`` behind terms_independent, the rows added to it."""
     calls = []
-    real_rank = cover.rank
 
-    def counted(matrix):
-        calls.append(len(matrix))
-        return real_rank(matrix)
+    class Counted(Echelon):
+        def __init__(self, width):
+            super().__init__(width)
+            calls.append(0)
 
-    monkeypatch.setattr(cover, "rank", counted)
+        def add(self, row):
+            calls[-1] += 1
+            return super().add(row)
+
+    monkeypatch.setattr(cover, "Echelon", Counted)
     return calls
 
 

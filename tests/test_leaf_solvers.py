@@ -28,7 +28,7 @@ from pmcover.leaf_solvers import (
     brick_solve,
     petersen_solve,
 )
-from pmcover.matchings import incidence_mask, pm_containing_edges
+from pmcover.matchings import incidence_mask, maximum_matching, pm_containing_edges
 
 import corpus
 import oracles
@@ -273,9 +273,12 @@ def _small_bricks():
 
 SMALL_BRICKS = _small_bricks()
 
-# inputs whose brick leaf the first pass of the walk alone cannot solve: it
-# ends at rank 10 of 11 on the first, before the exchange closes on the others
+# regressions of the pair walk, solved and verified end to end.  The first
+# pass of the walk once fell short on all three brick leaves; since the basis
+# is filled mod 2, only the leaf of (24, 3, 2266) still needs the second
+# pass: its first pass ends at rank 10 of 11 mod 2
 SHORTFALL_INPUTS = [(24, 3, 2266), (24, 3, 10936), (36, 3, 6345)]
+SECOND_PASS_INPUT = SHORTFALL_INPUTS[0]
 
 WALK_GRAPHS = SMALL_BRICKS + [
     pytest.param(g, id=f"gen_n{n}_r{r}_s{seed}_leaf{k}")
@@ -289,6 +292,23 @@ def test_walk_shortfall_inputs_solve_and_verify(n, r, seed):
     g = gen_r_graph(n, r, seed=seed)
     sol, tree = solve_r_graph(g)
     assert verify_cover(g, sol, tree).mandatory_ok
+
+
+def test_the_second_pass_of_the_walk_is_reached(monkeypatch):
+    # the second pass, which skips no held set, runs only when the first falls
+    # short; this leaf keeps it tested
+    passes = []
+    real_forced_sets = leaf_solvers._forced_sets
+
+    def spied(g, holders, skip_held):
+        passes.append(skip_held)
+        yield from real_forced_sets(g, holders, skip_held)
+
+    monkeypatch.setattr(leaf_solvers, "_forced_sets", spied)
+    (g,) = _other_brick_leaf(*SECOND_PASS_INPUT)
+    sol = brick_solve(g)
+    assert passes == [True, False]
+    assert sol.coverage() == [2] * g.m
 
 
 @pytest.mark.parametrize("g", WALK_GRAPHS)
@@ -311,27 +331,30 @@ def test_pair_walk_covers_every_pair_in_a_perfect_matching(g):
 @pytest.mark.parametrize("g", WALK_GRAPHS)
 def test_pair_walk_holds_every_completion_at_full_rank(g):
     # the walk yields the completion of every edge and every disjoint edge
-    # pair that lies in a perfect matching, and spans lin(PM), of dimension
-    # m - n + 1 on a brick
+    # pair that lies in a perfect matching, grown from the walk's one maximum
+    # matching, and spans lin(PM), of dimension m - n + 1 on a brick
     walk = set(_pair_walk(g))
+    mate = maximum_matching(g.vertex_count, g.adjacency)
     for e in range(g.m):
         for f in range(e, g.m):
             forced = (e,) if e == f else (e, f)
             if e != f and set(g.edges[e]) & set(g.edges[f]):
                 continue
-            pm = pm_containing_edges(g, forced)
+            pm = pm_containing_edges(g, forced, mate)
             assert pm is None or pm in walk, forced
     rows = [[1 if e in pm else 0 for e in range(g.m)] for pm in walk]
     assert oracles.fraction_rank(rows) == g.m - g.vertex_count + 1
 
 
-# a degree-4 leaf whose basis, filled mod 2, holds the all-ones vector only
-# at denominator 3; one swap brings it into the basis lattice
-EXCHANGE_LEAF = (18, 4, 43)
+# a degree-4 leaf whose basis, filled mod 2 from the walk's warm
+# completions, holds the all-ones vector only at denominator 3; one swap
+# brings it into the basis lattice
+EXCHANGE_LEAF = (18, 4, 33)
 
 
-def test_brick_solve_exchange_pins_the_degree_4_leaf(monkeypatch):
-    (g,) = _other_brick_leaf(*EXCHANGE_LEAF)
+def _all_ones_denominators(monkeypatch, g):
+    """The denominators of the all-ones vector in each Basis brick_solve builds
+    on g: one per basis, so each after the first follows a swap."""
     denominators = []
     real_coordinates = Basis.coordinates
 
@@ -342,22 +365,29 @@ def test_brick_solve_exchange_pins_the_degree_4_leaf(monkeypatch):
         return solved
 
     monkeypatch.setattr(Basis, "coordinates", recorded)
+    return denominators
+
+
+def test_brick_solve_exchange_pins_the_degree_4_leaf(monkeypatch):
+    (g,) = _other_brick_leaf(*EXCHANGE_LEAF)
+    denominators = _all_ones_denominators(monkeypatch, g)
     sol = brick_solve(g)
-    assert denominators == [3, 1]
+    assert denominators == [3, 1]  # one swap
     assert sol.support <= g.m - g.vertex_count + 1
     text = json.dumps([[sorted(m), c] for m, c in sol.terms])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "28b8fa7c414370fcef25d0eccd2fbdd25d9aeb8fec44bc5724d8cfbb203a899a"
+        "7fca416e1569572febc8f1775e16600e1cb51bd528569322f1e35d83e29517f0"
     )
 
 
 def test_brick_solve_raises_when_the_walk_ends_below_full_rank(monkeypatch):
-    # no pair lies in a perfect matching, and every edge's completion is one
-    # of the prism's greedy basis: both passes stop at rank 3 of m - n + 1 = 4
+    # no pair lies in a perfect matching, and every edge's completion, grown
+    # from the empty matching, is one of the prism's greedy basis: both
+    # passes stop at rank 3 of m - n + 1 = 4
     real_pm = leaf_solvers.pm_containing_edges
 
-    def singles_only(g, edge_ids):
-        return real_pm(g, edge_ids) if len(edge_ids) == 1 else None
+    def singles_only(g, edge_ids, matching):
+        return real_pm(g, edge_ids, [-1] * g.vertex_count) if len(edge_ids) == 1 else None
 
     monkeypatch.setattr(leaf_solvers, "pm_containing_edges", singles_only)
     with pytest.raises(ClassificationError, match="ended at rank 3, below m - n \\+ 1 = 4"):
@@ -366,15 +396,19 @@ def test_brick_solve_raises_when_the_walk_ends_below_full_rank(monkeypatch):
 
 def test_brick_solve_raises_when_the_walk_ends_before_the_exchange_closes(monkeypatch):
     # the walk stops at full rank mod 2, so the degree-4 leaf keeps its
-    # non-integral coordinates
+    # non-integral coordinates: the swap the unpatched walk makes never comes
     (g,) = _other_brick_leaf(*EXCHANGE_LEAF)
+    denominators = _all_ones_denominators(monkeypatch, g)
+    brick_solve(g)
+    assert len(denominators) >= 2 and denominators[0] > 1  # at least one swap
+    denominators.clear()
     real_pm = leaf_solvers.pm_containing_edges
     span = ModEchelon(2)
 
-    def until_full_rank(graph, edge_ids):
+    def until_full_rank(graph, edge_ids, matching):
         if len(span) == g.m - g.vertex_count + 1:
             return None
-        pm = real_pm(graph, edge_ids)
+        pm = real_pm(graph, edge_ids, matching)
         if pm is not None:
             span.add(incidence_mask(pm))
         return pm
@@ -382,6 +416,7 @@ def test_brick_solve_raises_when_the_walk_ends_before_the_exchange_closes(monkey
     monkeypatch.setattr(leaf_solvers, "pm_containing_edges", until_full_rank)
     with pytest.raises(ClassificationError, match="before the exchange"):
         brick_solve(g)
+    assert denominators == [3]
 
 
 def _first_basis(g):

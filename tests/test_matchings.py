@@ -10,23 +10,42 @@ from pmcover.matchings import (
     EnumerationOverflow,
     enumerate_pms,
     gallai_edmonds,
-    has_perfect_matching,
     iter_pms,
     maximum_matching,
+    perfect_matching_without,
     perfect_partners,
     pm_containing_edges,
     validate_perfect_matching,
 )
 
-from pmcover import matchings
+from pmcover import decompose, matchings
+from pmcover.cli import gen_r_graph
 
 import corpus
 import oracles
 
 
 def _cold(g):
-    """The empty matching, a valid warm start for ``has_perfect_matching``."""
+    """The empty matching, a valid start for ``perfect_matching_without``."""
     return [-1] * g.vertex_count
+
+
+def maximum_matching_of(g):
+    return maximum_matching(g.vertex_count, g.adjacency)
+
+
+def _has_pm(g, removed, matching):
+    """Whether G - removed has a perfect matching, by the completion from
+    ``matching``; a completion must be a perfect matching of G - removed."""
+    mate = perfect_matching_without(g, removed, matching)
+    if mate is None:
+        return False
+    for v, w in enumerate(mate):
+        if v in removed:
+            assert w == -1, (v, w)
+        else:
+            assert w not in removed and w in g.adjacency[v] and mate[w] == v, (v, w)
+    return True
 
 
 def test_maximum_matching_small_cases():
@@ -57,14 +76,18 @@ def test_maximum_matching_agrees_with_brute_force():
         assert len(matched) // 2 == oracles.max_matching_size(g), sorted(pairs)
 
 
-def test_has_perfect_matching():
+def test_perfect_matching_without():
     petersen = corpus.petersen()
-    assert has_perfect_matching(petersen, (), _cold(petersen))
-    assert has_perfect_matching(corpus.c6(), (), _cold(corpus.c6()))
+    assert _has_pm(petersen, (), _cold(petersen))
+    assert _has_pm(corpus.c6(), (), _cold(corpus.c6()))
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert not has_perfect_matching(star, (), _cold(star))
-    assert has_perfect_matching(petersen, (0, 5), _cold(petersen))
-    assert not has_perfect_matching(petersen, (0,), _cold(petersen))
+    assert not _has_pm(star, (), _cold(star))
+    assert _has_pm(petersen, (0, 5), _cold(petersen))
+    assert not _has_pm(petersen, (0,), _cold(petersen))
+    # the edges at removed vertices are dropped; the rest is kept where it can be
+    c6 = corpus.c6()
+    assert perfect_matching_without(c6, (0, 1), [1, 0, 3, 2, 5, 4]) == [-1, -1, 3, 2, 5, 4]
+    assert perfect_matching_without(c6, (1, 2), [1, 0, 3, 2, 5, 4]) == [5, -1, -1, 4, 3, 0]
 
 
 def _greedy_matching_minus_one_edge(g, rng):
@@ -82,7 +105,7 @@ def _greedy_matching_minus_one_edge(g, rng):
     return mate
 
 
-def test_has_perfect_matching_warm_start_agrees_with_the_cold_call():
+def test_perfect_matching_without_warm_start_agrees_with_the_cold_call():
     rng = random.Random(2)
     instances = corpus.structured_instances() + corpus.random_instances(
         ns=(4, 6, 8, 10), seeds=range(2)
@@ -99,14 +122,14 @@ def test_has_perfect_matching_warm_start_agrees_with_the_cold_call():
         unchanged = [list(mate) for mate in seeds]
         for size in (2, 4):
             for removed in itertools.combinations(range(g.vertex_count), size):
-                cold = has_perfect_matching(g, removed, _cold(g))
+                cold = _has_pm(g, removed, _cold(g))
                 left = g.vertex_count - size
                 assert cold == (2 * oracles.max_matching_size(g, frozenset(removed)) == left), (
                     name, removed,
                 )
                 outcomes[cold] += 1
                 for mate in seeds:
-                    assert has_perfect_matching(g, removed, mate) == cold, (name, removed)
+                    assert _has_pm(g, removed, mate) == cold, (name, removed)
         assert seeds == unchanged, name
     assert min(outcomes.values()) >= 500, outcomes
 
@@ -148,20 +171,23 @@ def test_iter_pms_is_deterministic():
 
 def test_pm_containing_edges():
     g = corpus.k4()
-    pm = pm_containing_edges(g, [0])
-    assert pm == frozenset({0, 5})
     g6 = corpus.c6()
-    pm = pm_containing_edges(g6, [0, 2])
-    assert pm == frozenset({0, 2, 4})
-    # edges sharing a vertex are not a matching
-    with pytest.raises(ValueError):
-        pm_containing_edges(g6, [0, 1])
+    for start in (_cold, maximum_matching_of):
+        assert pm_containing_edges(g, [0], start(g)) == frozenset({0, 5})
+        assert pm_containing_edges(g6, [0, 2], start(g6)) == frozenset({0, 2, 4})
+        # edges sharing a vertex are not a matching
+        with pytest.raises(ValueError):
+            pm_containing_edges(g6, [0, 1], start(g6))
+    # the completion keeps what it can of the matching it starts from
+    assert pm_containing_edges(g6, [0], [1, 0, 3, 2, 5, 4]) == frozenset({0, 2, 4})
+    assert pm_containing_edges(g6, [1], [1, 0, 3, 2, 5, 4]) == frozenset({1, 3, 5})
 
 
 def test_pm_containing_edges_none_when_impossible():
     g = corpus.c6()
     # fixing two edges at distance two forces an uncoverable vertex
-    assert pm_containing_edges(g, [0, 3]) is None
+    assert pm_containing_edges(g, [0, 3], maximum_matching_of(g)) is None
+    assert pm_containing_edges(g, [0, 3], _cold(g)) is None
 
 
 def test_validate_perfect_matching_errors():
@@ -197,11 +223,11 @@ def test_gallai_edmonds_matches_oracle():
         cases.append((f"random {trial}", _random_multigraph(rng, n), removed))
     kinds = {"parallel": 0, "no_pm": 0, "removed": 0}
     for name, g, removed in cases:
-        mate = maximum_matching(g.vertex_count, g.adjacency, frozenset(removed))
+        mate = oracles.maximum_matching_on_copy(g, frozenset(removed))
         got = gallai_edmonds(g, removed, mate)
         assert tuple(got) == oracles.gallai_edmonds(g, frozenset(removed)), (name, removed)
         kinds["parallel"] += len(g.pair_ids) < g.m
-        kinds["no_pm"] += not has_perfect_matching(g, removed, _cold(g))
+        kinds["no_pm"] += not _has_pm(g, removed, _cold(g))
         kinds["removed"] += bool(removed)
     assert min(kinds.values()) >= 20, kinds
 
@@ -212,11 +238,11 @@ def test_gallai_edmonds_decides_every_pair():
     )
     for name, g in instances:
         for u in range(g.vertex_count):
-            mate = maximum_matching(g.vertex_count, g.adjacency, frozenset({u}))
+            mate = oracles.maximum_matching_on_copy(g, frozenset({u}))
             d = gallai_edmonds(g, (u,), mate).d
             for v in range(g.vertex_count):
                 if v != u:
-                    assert (v in d) == has_perfect_matching(g, (u, v), _cold(g)), (name, u, v)
+                    assert (v in d) == _has_pm(g, (u, v), _cold(g)), (name, u, v)
 
 
 def test_gallai_edmonds_from_a_perfect_matching_matches_oracle():
@@ -272,9 +298,70 @@ def test_perfect_partners_match_the_oracle():
         perfect_partners(corpus.c4(), 0, [1, 0, -1, -1])
 
 
+def _starts(g, rng):
+    """Matchings of G to complete from: a maximum one, the empty one, and,
+    when G has an edge, one that is not maximum."""
+    starts = [maximum_matching_of(g), _cold(g)]
+    if g.m:
+        starts.append(_greedy_matching_minus_one_edge(g, rng))
+    return starts
+
+
+def _assert_warm_completion_agrees(g, forced, starts):
+    """Each start completes the forced edges exactly when the cold search on
+    a filtered copy does, to a perfect matching holding them, each other
+    pair on its lowest edge id; the start is left as it is."""
+    cold = oracles.pm_containing_edges_on_copy(g, forced)
+    for start in starts:
+        before = list(start)
+        pm = pm_containing_edges(g, forced, start)
+        assert start == before, (g.edges, forced)
+        assert (pm is None) == (cold is None), (g.edges, forced, start)
+        if pm is not None:
+            validate_perfect_matching(g, pm)
+            assert set(forced) <= pm, (g.edges, forced, start)
+            assert all(
+                e in forced or g.pair_ids[tuple(sorted(g.edges[e]))][0] == e for e in pm
+            ), (g.edges, forced, start)
+    return cold is not None
+
+
+def _small_leaves():
+    """The leaves of seeded ``gen_r_graph`` draws with at most 14 vertices."""
+    rng = random.Random(31)
+    for _ in range(30):
+        n, r, seed = rng.choice((8, 10, 12, 14)), rng.randint(3, 5), rng.randrange(10**6)
+        for leaf in decompose(gen_r_graph(n, r, seed)).leaves():
+            if leaf.graph.vertex_count <= 14:
+                yield f"gen_n{n}_r{r}_s{seed}", leaf.graph
+
+
+def test_warm_completion_matches_the_completion_on_a_copy():
+    # every edge and every disjoint edge pair, completed from a perfect
+    # matching, from nothing and from a matching that is not maximum
+    rng = random.Random(29)
+    instances = [
+        (name, g) for name, g in corpus.structured_instances() + corpus.random_instances()
+        if g.vertex_count <= 14
+    ]
+    instances += list(_small_leaves())
+    outcomes = {True: 0, False: 0}
+    for name, g in instances:
+        starts = _starts(g, rng)
+        assert -1 not in starts[0], name
+        for e in range(g.m):
+            outcomes[_assert_warm_completion_agrees(g, (e,), starts)] += 1
+            for f in range(e + 1, g.m):
+                if set(g.edges[e]).isdisjoint(g.edges[f]):
+                    outcomes[_assert_warm_completion_agrees(g, (e, f), starts)] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
+
+
 def test_search_in_place_matches_the_search_on_a_copy(monkeypatch):
     # removed vertices used to be cut out of a copy of the adjacency; the
-    # in-place search must give identical mate arrays, completions and sets
+    # in-place searches, warm from any matching of G, must agree with the
+    # cold search on the copy: the same perfect matching verdicts,
+    # completions and Gallai-Edmonds sets
     real_grow_forest = matchings._grow_forest
 
     def no_removed_root(adjacency, mate, roots, removed):
@@ -288,18 +375,19 @@ def test_search_in_place_matches_the_search_on_a_copy(monkeypatch):
         n = rng.randrange(2, 17)
         g = _random_multigraph(rng, n)
         removed = frozenset(rng.sample(range(n), rng.randrange(0, min(4, n) + 1)))
-        mate = maximum_matching(n, g.adjacency, removed)
-        assert mate == oracles.maximum_matching_on_copy(g, removed), (trial, g.edges, removed)
+        mate = oracles.maximum_matching_on_copy(g, removed)
         assert tuple(gallai_edmonds(g, removed, mate)) == oracles.gallai_edmonds(
             g, removed, oracles.matching_size_on_copy
         ), (trial, g.edges, removed)
+        perfect = 2 * oracles.matching_size_on_copy(g, removed) == n - len(removed)
+        starts = _starts(g, rng)
+        for start in starts:
+            assert _has_pm(g, removed, start) == perfect, (trial, g.edges, removed, start)
         forced: list[int] = []
         ends: set[int] = set()
         for e in rng.sample(range(g.m), min(g.m, rng.randrange(0, 4))):
             if ends.isdisjoint(g.edges[e]):
                 forced.append(e)
                 ends.update(g.edges[e])
-        pm = pm_containing_edges(g, forced)
-        assert pm == oracles.pm_containing_edges_on_copy(g, forced), (trial, g.edges, forced)
-        completions[pm is not None] += 1
+        completions[_assert_warm_completion_agrees(g, forced, starts)] += 1
     assert min(completions.values()) >= 20, completions
