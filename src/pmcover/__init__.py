@@ -31,7 +31,6 @@ from .decomposition import (
     decompose,
     find_nontrivial_tight_cut,
     is_petersen,
-    is_tight_cut,
 )
 from .graphs import (
     Cut,
@@ -97,7 +96,6 @@ __all__ = [
     "improved_merge",
     "is_petersen",
     "is_r_graph",
-    "is_tight_cut",
     "iter_pms",
     "min_odd_cut",
     "pair_sequences",

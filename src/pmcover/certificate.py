@@ -145,7 +145,8 @@ def _compute_report(
         support_bound_ok=sol.support <= g.m - g.vertex_count + 2 - len(bricks),
         independent=terms_independent(g, sol.matchings),
         inf_norm=inf_norm,
-        norm_bound_ok=inf_norm <= 2 * 2**d,
+        # inf_norm <= 2 * 2**d by bit length: a forged leaf can make d huge or negative
+        norm_bound_ok=inf_norm == 0 or (inf_norm - 1).bit_length() <= d + 1,
         coeff_sum_is_r=r is not None and sol.coefficient_sum() == 2 * r,
     )
 
@@ -285,6 +286,8 @@ def deserialize(text: str) -> Certificate:
         raise CertificateError(
             f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # such as an integer past the interpreter's digit limit
+        raise CertificateError(f"parse error: {exc}") from None
     root = _as_dict(payload, "certificate")
     graph = _as_dict(root.get("graph"), "graph")
     n = _as_int(graph.get("n"), "graph.n")

@@ -111,7 +111,10 @@ def format_graph(g: MultiGraph, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def gen_r_graph(n: int, r: int, seed: int, attempts: int = 64) -> MultiGraph:
+GEN_ATTEMPTS = 64
+
+
+def gen_r_graph(n: int, r: int, seed: int) -> MultiGraph:
     """Union of r random perfect matchings of K_n; retried until connected.
 
     Every perfect matching crosses every odd cut, so odd cuts get size >= r
@@ -122,7 +125,7 @@ def gen_r_graph(n: int, r: int, seed: int, attempts: int = 64) -> MultiGraph:
     if r < 1:
         raise ValueError("r must be at least 1")
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(GEN_ATTEMPTS):
         edges: list[tuple[int, int]] = []
         for _ in range(r):
             order = list(range(n))
@@ -133,7 +136,7 @@ def gen_r_graph(n: int, r: int, seed: int, attempts: int = 64) -> MultiGraph:
         g = build_graph(n, edges)
         if is_connected(g):
             return g
-    raise ValueError(f"no connected union of {r} matchings found in {attempts} attempts")
+    raise ValueError(f"no connected union of {r} matchings found in {GEN_ATTEMPTS} attempts")
 
 
 def _cannot_write(path: str, reason: str) -> bool:

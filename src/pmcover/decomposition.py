@@ -9,27 +9,32 @@ Petersen brick singled out because its solver differs.
 The input is validated once: ``decompose`` runs the r-graph check (a
 ``graphs.cut_vertices`` search on a cubic graph, a Gomory-Hu tree otherwise)
 on the graph it is given, and its recursion tells each child that it need
-not.  Every graph below the root is a contraction across a cut that
-``is_tight_cut`` has confirmed, and ``contract_shore`` only checks in O(m) that the child is
-r-regular, which for an r-graph parent makes the child an r-graph too.
-The tests re-run the full r-graph check and the matching-covered check on
-every node of solved trees (``tests/oracles.py``).
+not.  Every graph below the root is a contraction across a cut that is
+tight by the arguments below, and ``contract_shore`` only checks in O(m)
+that the child is r-regular, which for an r-graph parent makes the child
+an r-graph too.  The tests re-run the full r-graph check, the
+matching-covered check and a tightness check of every cut on every node
+of solved trees (``tests/oracles.py``).
 
 Finding a nontrivial tight cut does not sweep all odd shores.  A node whose
 underlying simple graph is Petersen is a brick whatever its parallel edges
 (bicritical and 3-connected), so ``decompose`` makes it a leaf before any
 search; ``is_petersen`` recognises it by its strongly regular parameters,
-with no labelling.  For other nodes, candidates come from two classical
-sources, each validated by the definitional check before being returned:
+with no labelling.  For other nodes, shores come from two classical
+sources, and every shore either yields is a nontrivial tight cut, so the
+search takes the first one and tests none:
 
 * barriers: a vertex set B such that G - B has exactly |B| odd components.
-  Every perfect matching must match each odd component to B through a single
-  edge, so the cut around any odd component is tight.  In the bipartite case
-  barriers arise as neighborhoods N(X) of a side subset X with |N(X)| =
-  |X| + 1.  Given a perfect matching M, let D(M) be the digraph on one side
-  U with an arc u -> u' whenever u is adjacent to M(u').  Then |N(X)| =
-  |X| + |Out(X)|, where Out(X) holds the vertices outside X that X has arcs
-  to, so the brace condition |N(X)| >= |X| + 2 (Lovasz 1987) says that
+  A perfect matching joins each odd component, which has odd order, to B by
+  at least one edge, and these edges end at distinct vertices of B.  There
+  are |B| components and |B| vertices, so every perfect matching joins each
+  odd component to B by exactly one edge, and the cut around any odd
+  component is tight.  In the bipartite case barriers arise as
+  neighborhoods N(X) of a side subset X with |N(X)| = |X| + 1.  Given a
+  perfect matching M, let D(M) be the digraph on one side U with an arc
+  u -> u' whenever u is adjacent to M(u').  Then |N(X)| = |X| + |Out(X)|,
+  where Out(X) holds the vertices outside X that X has arcs to, so the
+  brace condition |N(X)| >= |X| + 2 (Lovasz 1987) says that
   D(M) - z is strongly connected for every z (Robertson, Seymour and Thomas
   1999), and a witness X is one forward and at most one backward search in
   D(M) - z away.  In the non-bipartite case barriers come from the
@@ -43,12 +48,22 @@ sources, each validated by the definitional check before being returned:
   barrier.  The node's perfect matching serves every forest, so a node
   costs one forest per vertex plus one per failing pair.
 * 2-separations: if {u, v} disconnects G and K is an even component of
-  G - u - v, the shore K + u gives a tight cut.  An r-graph is 2-connected,
-  so {u, v} separates exactly when v is a cut vertex of G - u, and one
-  ``graphs.cut_vertices`` search per vertex u finds every separating pair.
+  G - u - v, the shore K + u gives a tight cut.  Its cut lies in
+  E(K, v) + delta(u).  A perfect matching has at most one edge at v and
+  exactly one at u, so it crosses the cut at most twice, and since the
+  shore is odd it crosses an odd number of times: exactly once.  An
+  r-graph is 2-connected, so {u, v} separates exactly when v is a cut
+  vertex of G - u, and one ``graphs.cut_vertices`` search per vertex u
+  finds every separating pair.
   Cubic nodes skip this route, which finds nothing on them (below).
 
-For graphs where neither source produces a verified cut, no nontrivial tight
+Every shore is odd and nontrivial.  A barrier's shores are its odd
+components of at least three vertices; the complement holds the barrier,
+of at least two vertices, and at least one more odd component, and it is
+odd because n is even.  A 2-separation shore K + u has at least three
+vertices, and its complement holds v and another component of G - u - v.
+
+For graphs where neither source produces a shore, no nontrivial tight
 cut exists: a connected bipartite r-graph evading the digraph sweep satisfies
 the brace condition, and a non-bipartite one evading both non-bipartite
 routes is bicritical and 3-connected, hence a brick.  Tests cross-check the
@@ -61,7 +76,7 @@ node the barriers alone decide, for three reasons.
   even component and spans no edge.  If every odd component of G - B were a
   single vertex, G would be bipartite.  So on a non-bipartite node each
   failing pair's barrier {u, v} + A has a nontrivial odd component, whose
-  cut is tight, and the acceptance rule takes it.
+  cut is tight, and the search takes it.
 * A bicritical graph has no cut of at most two edges around an even shore
   S.  If the cut is {x1 y1, x2 y2} with x1 != x2 in S, then in G - x1 - y2
   the odd set S - x1 is a union of components, so there is no perfect
@@ -84,16 +99,14 @@ decomposition, at the root; every tight cut is crossed once by every
 perfect matching, so the parent's matching, relabelled, is a perfect
 matching of each contraction, and every node inherits one; every route
 and every verdict below starts from it (see ``find_nontrivial_tight_cut``).
-``is_tight_cut`` tests each disjoint pair of cut edges from the node's
-matching, so a pair costs a few alternating searches, not a matching
-search.  A barrier with k nontrivial odd components K1..Kk gives k tight
-cuts that do not cross one another.  When K1 wins, the contraction that
-keeps K2..Kk receives them, relabelled, as carried shores: a tight cut that
-does not cross the contracted cut stays tight in the contraction that keeps
-it (Lovasz 1987).  They are the child's first group of candidates, ahead
-of every route, and pass the same acceptance rule as any other shore
-(nontrivial, odd, ``is_tight_cut``); a route is entered only when none of
-them is accepted.
+No cut is tested for tightness: each is tight by the arguments above.  A
+barrier with k nontrivial odd components K1..Kk gives k tight cuts that do
+not cross one another.  When K1 wins, the contraction that keeps K2..Kk
+receives them, relabelled, as carried shores: a tight cut that does not
+cross the contracted cut stays tight in the contraction that keeps it
+(Lovasz 1987), and a shore inside the kept side stays odd and nontrivial
+there.  They are the child's first group, ahead of every route; a route is
+entered only when none is left.
 """
 
 from __future__ import annotations
@@ -115,12 +128,7 @@ from .graphs import (
     is_r_graph,
     regular_degree,
 )
-from .matchings import (
-    gallai_edmonds,
-    maximum_matching,
-    perfect_matching_without,
-    perfect_partners,
-)
+from .matchings import gallai_edmonds, maximum_matching, perfect_partners
 
 
 @unique
@@ -151,7 +159,7 @@ class ContractionMap:
 class DecompositionTree:
     """Recursive tight cut decomposition of an r-graph.
 
-    A leaf carries its class; an internal node carries the verified cut, the
+    A leaf carries its class; an internal node carries the tight cut, the
     two contractions, and their subtrees.  ``solution`` is filled in by the
     solving pass, bottom up.
     """
@@ -187,30 +195,6 @@ class DecompositionTree:
     @property
     def petersen_count(self) -> int:
         return sum(1 for leaf in self.leaves() if leaf.leaf_class is LeafClass.PETERSEN_BRICK)
-
-
-def is_tight_cut(g: MultiGraph, cut: Cut, matching: Sequence[int]) -> bool:
-    """Whether no perfect matching crosses the odd cut more than once.
-
-    Two cut edges can only appear in one matching if they are vertex-disjoint,
-    so it suffices to test, per disjoint pair, whether the graph minus the
-    four endpoints still has a perfect matching.  Every test is
-    ``perfect_matching_without`` the four ends, grown from ``matching``, a
-    mate array of a matching of G; ``decompose`` passes the node's inherited
-    perfect matching, so one perfect matching serves every cut of a node.
-    """
-    if not cut.odd:
-        raise ValueError("tightness is defined for odd cuts only")
-    ids = sorted(cut.edge_ids)
-    for a in range(len(ids)):
-        u1, v1 = g.edges[ids[a]]
-        for b in range(a + 1, len(ids)):
-            u2, v2 = g.edges[ids[b]]
-            if len({u1, v1, u2, v2}) < 4:
-                continue
-            if perfect_matching_without(g, (u1, v1, u2, v2), matching) is not None:
-                return False
-    return True
 
 
 def _odd_components(g: MultiGraph, barrier: frozenset[int]) -> list[frozenset[int]]:
@@ -330,26 +314,28 @@ def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
 def find_nontrivial_tight_cut(
     g: MultiGraph, matching: Sequence[int], carried: Sequence[frozenset[int]] = ()
 ) -> Optional[tuple[Cut, Sequence[frozenset[int]]]]:
-    """A verified nontrivial tight cut and the shores after it, or None for a brick or brace.
+    """A nontrivial tight cut and the shores after it, or None for a brick or brace.
 
     G must already be an r-graph (``decompose`` checks its input once), and
     ``matching`` is a perfect matching of G as a mate array, the node's
-    inherited one.  Candidate shores come in groups: ``carried`` first, then
-    the routes of the module docstring, generated deterministically: a
+    inherited one.  Shores come in groups: ``carried`` first, then the
+    routes of the module docstring, generated deterministically: a
     bipartite node's barriers; or a non-bipartite node's barriers, then,
     unless the node is cubic, its 2-separations.  A cubic node that no
     barrier splits is bicritical and has no 2-separation (module
-    docstring), so it is called a brick without the low-link sweep.  One
-    rule accepts a shore from any group: it is nontrivial, not tried
-    before, odd, and accepted by ``is_tight_cut``.  The first accepted wins,
-    and the shores after it in its group come back with it: the odd
-    components of one barrier, or the carried shores, all tight and none
-    crossing the winner's cut.  No route runs a matching search.  The
-    bipartite route reads its shores off D(M) for the inherited M, so which
-    cut it finds first depends on M, while the Gallai-Edmonds sets, the
-    2-separations and the verdicts of ``is_tight_cut`` do not.  The
-    inherited matching is fixed by the root's search and the cuts above, so
-    the cut, and the certificate, are still deterministic.
+    docstring), so it is called a brick without the low-link sweep.  Every
+    shore of every group is odd, nontrivial and tight: the odd components
+    of a barrier, by the barrier count; a 2-separation shore K + u, since a
+    perfect matching crosses its cut once at u or once at v; a carried
+    shore, since it crosses no cut contracted above it (Lovasz 1987).  So
+    the first shore of the first nonempty group is the cut, and the shores
+    after it in its group come back with it: the odd components of one
+    barrier, or the carried shores, none crossing the cut.  No route runs
+    a matching search.  The bipartite route reads its shores off D(M) for
+    the inherited M, so which cut it finds first depends on M, while the
+    Gallai-Edmonds sets and the 2-separations do not.  The inherited
+    matching is fixed by the root's search and the cuts above, so the cut,
+    and the certificate, are still deterministic.
     """
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
@@ -361,15 +347,9 @@ def find_nontrivial_tight_cut(
         routes = (_nonbipartite_barrier_shores(g, matching),)
         if regular_degree(g) != 3:  # a cubic node the barriers miss has no 2-separation
             routes += (([shore] for shore in _two_separation_shores(g)),)
-    tried: set[frozenset[int]] = set()
     for group in chain((carried,), *routes):
-        for i, shore in enumerate(group):
-            if not 3 <= len(shore) <= g.vertex_count - 3 or shore in tried:
-                continue
-            tried.add(shore)
-            cut = cut_from_shore(g, shore)
-            if cut.odd and is_tight_cut(g, cut, matching):
-                return cut, group[i + 1:]
+        if group:
+            return cut_from_shore(g, group[0]), group[1:]
     return None
 
 

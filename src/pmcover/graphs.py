@@ -45,10 +45,6 @@ class MultiGraph:
     edges: tuple[tuple[int, int], ...]
 
     @property
-    def n(self) -> int:
-        return self.vertex_count
-
-    @property
     def m(self) -> int:
         return len(self.edges)
 

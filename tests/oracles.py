@@ -6,7 +6,10 @@ minimum odd cuts and minimum s-t cuts by sweeping shores, 2-separations by
 a component search per vertex pair, the Gallai-Edmonds sets by removing
 one vertex at a time, and the Petersen graph by a backtracking isomorphism
 search.
-Everything is exponential and only meant for small graphs.  Rank and
+All of that is exponential and only meant for small graphs.  For larger
+ones, ``is_tight_cut`` tests a cut with one perfect-matching search per
+disjoint pair of cut edges; the library builds its cuts tight and never
+tests them, so this is the check of every cut of a solved tree.  Rank and
 coordinates are computed in Fractions, not by the library's fraction-free
 integer elimination.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from pmcover import (
     ContractionMap,
@@ -40,6 +43,7 @@ from pmcover import (
     MultiGraph,
     build_graph,
     is_r_graph,
+    perfect_matching_without,
     regular_degree,
     terms_independent,
 )
@@ -97,6 +101,30 @@ def odd_shores(g: MultiGraph, nontrivial: bool = False) -> list[frozenset[int]]:
 
 def is_tight(g: MultiGraph, cut: Cut, matchings: list[frozenset[int]]) -> bool:
     return all(len(m & cut.edge_ids) == 1 for m in matchings)
+
+
+def is_tight_cut(g: MultiGraph, cut: Cut, matching: Sequence[int]) -> bool:
+    """Whether no perfect matching crosses the odd cut more than once.
+
+    Two cut edges can only appear in one matching if they are vertex-disjoint,
+    so it suffices to test, per disjoint pair, whether the graph minus the
+    four endpoints still has a perfect matching.  Every test is
+    ``perfect_matching_without`` the four ends, grown from ``matching``, a
+    mate array of a matching of G; ``assert_solved_tree`` passes one
+    maximum matching per node.
+    """
+    if not cut.odd:
+        raise ValueError("tightness is defined for odd cuts only")
+    ids = sorted(cut.edge_ids)
+    for a in range(len(ids)):
+        u1, v1 = g.edges[ids[a]]
+        for b in range(a + 1, len(ids)):
+            u2, v2 = g.edges[ids[b]]
+            if len({u1, v1, u2, v2}) < 4:
+                continue
+            if perfect_matching_without(g, (u1, v1, u2, v2), matching) is not None:
+                return False
+    return True
 
 
 def exhaustive_tight_shores(g: MultiGraph) -> list[frozenset[int]]:
@@ -380,10 +408,11 @@ def assert_solved_tree(tree: DecompositionTree) -> int:
 
     At every node the graph is an r-graph and matching covered, and its
     cover sums to 1 on every edge, uses independent matchings and has
-    coefficient sum r.  At every internal node the product rule also gives
-    an exact cover, and the merged cover's support, infinity norm and count
-    of halves are at most the children's combined support, larger norm and
-    combined count.
+    coefficient sum r.  At every internal node the cut is tight, by
+    ``is_tight_cut`` from the node's ``maximum_matching``, the product rule
+    gives an exact cover, and the merged cover's support, infinity norm and
+    count of halves are at most the children's combined support, larger
+    norm and combined count.
     """
     internal = 0
     stack = [tree]
@@ -395,6 +424,8 @@ def assert_solved_tree(tree: DecompositionTree) -> int:
         assert edge_sums_are_one(g, halved(cover.terms)), "a node cover misses an edge sum"
         assert cover.coefficient_sum() == 2 * regular_degree(g), "coefficient sum is not r"
         if not node.is_leaf:
+            mate = maximum_matching(g.vertex_count, g.adjacency)
+            assert is_tight_cut(g, node.cut, mate), "an internal cut is not tight"
             left, right = node.left.solution, node.right.solution
             assert cover.support <= left.support + right.support, "support grew in the merge"
             assert cover.inf_norm() <= max(left.inf_norm(), right.inf_norm()), (

@@ -14,7 +14,6 @@ from pmcover import (
     cut_from_shore,
     find_nontrivial_tight_cut,
     is_r_graph,
-    is_tight_cut,
     min_odd_cut,
     pair_sequences,
     solve_r_graph,
@@ -27,6 +26,7 @@ from pmcover.matchings import maximum_matching
 
 import corpus
 import oracles
+from oracles import is_tight_cut
 
 
 def _solved_corpus():

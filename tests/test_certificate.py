@@ -214,6 +214,22 @@ def test_forged_tree_is_not_accepted():
     assert not report.mandatory_ok
 
 
+@pytest.mark.parametrize(
+    "n, m, bound_ok", [(10, 10**18, True), (11, 10, True), (12, 10, False), (40, 10, False)]
+)
+def test_norm_bound_takes_any_leaf_size(n, m, bound_ok):
+    # the bound 2^d, d = m - n + 1, comes from a leaf the certificate claims:
+    # d = 10**18 must not build 2**d, and n > m + 1 gives d < 0; the cover's
+    # doubled norm is 2, so the bound holds exactly when d >= 0
+    g = gen_r_graph(10, 3, seed=1)
+    cert, _, _ = _certificate(g)
+    data = json.loads(serialize(cert))
+    data["tree"] = {"leaves": [{"class": "OtherBrick", "n": n, "m": m}], "p": 0}
+    report = verify_certificate(g, deserialize(json.dumps(data)))
+    assert report.inf_norm == 2
+    assert report.norm_bound_ok is bound_ok
+
+
 def test_certificate_solution_is_structural():
     g = corpus.k4()
     cert, sol, _ = _certificate(g)

@@ -435,6 +435,23 @@ def test_verify_rejects_a_forged_degree_or_leaf_size_with_exit_2(tmp_path, capsy
         assert f"certificate error: {message}" in captured.err
 
 
+def test_verify_rejects_an_integer_past_the_digit_limit_with_exit_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer longer than the interpreter's digit limit (4,300 by default)
+    graph_path = str(tmp_path / "g.txt")
+    cert_path = tmp_path / "cert.json"
+    assert main(["gen", "10", "3", "--seed", "1", "-o", graph_path]) == 0
+    assert main(["solve", "-i", graph_path, "-o", str(cert_path)]) == 0
+    capsys.readouterr()
+    text = cert_path.read_text()
+    assert text.count('"p":0') == 1
+    cert_path.write_text(text.replace('"p":0', '"p":' + "9" * 5000))
+    assert main(["verify", "-i", graph_path, str(cert_path)]) == 2
+    captured = capsys.readouterr()
+    assert "mandatory_ok" not in captured.out
+    assert "certificate error" in captured.err
+
+
 def test_malformed_inputs_exit_2(tmp_path, capsys):
     bad_graph = tmp_path / "bad.txt"
     bad_graph.write_text("rgraph 4 1\ne 0 0\n")

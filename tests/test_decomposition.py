@@ -18,13 +18,14 @@ from pmcover.decomposition import (
     decompose,
     find_nontrivial_tight_cut,
     is_petersen,
-    is_tight_cut,
 )
 from pmcover.graphs import bipartition, cut_from_shore, is_connected, is_r_graph, regular_degree
 from pmcover.matchings import maximum_matching, validate_perfect_matching
+from pmcover.merge import _fold
 
 import corpus
 import oracles
+from oracles import is_tight_cut
 
 
 def _mate(g):
@@ -519,6 +520,33 @@ def test_decompose_internal_cuts_are_tight():
                 assert child is not None
                 assert is_r_graph(child.graph).ok, name
                 assert regular_degree(child.graph) == regular_degree(node.graph), name
+
+
+def test_solved_tree_check_rejects_a_cut_that_is_not_tight(monkeypatch):
+    # the cut around the triangle {9, 10, 11} is odd with 3 edges, so
+    # contract_shore accepts it and the fold solves both sides, but a perfect
+    # matching can use all three edges: the tree claims a Petersen leaf of a
+    # brick that has none, and only the tightness check sees it
+    g = corpus.triangle_expanded_petersen()
+    cut = cut_from_shore(g, {9, 10, 11})
+    assert cut.odd and cut.size == 3
+    left, left_map = contract_shore(g, cut, cut.shore)
+    right, right_map = contract_shore(g, cut, frozenset(range(12)) - cut.shore)
+    tree = decomposition.DecompositionTree(
+        graph=g,
+        cut=cut,
+        left=decomposition.DecompositionTree(graph=left, leaf_class=classify_leaf(left)),
+        right=decomposition.DecompositionTree(graph=right, leaf_class=classify_leaf(right)),
+        left_map=left_map,
+        right_map=right_map,
+    )
+    cover = _fold(tree)
+    assert tree.petersen_count == 1 and cover.halves_count == 6
+    assert decompose(g).petersen_count == 0
+    with pytest.raises(AssertionError, match="an internal cut is not tight"):
+        oracles.assert_solved_tree(tree)
+    monkeypatch.setattr(oracles, "is_tight_cut", lambda *_: True)
+    assert oracles.assert_solved_tree(tree) == 1
 
 
 def test_decompose_rejects_non_r_graph():

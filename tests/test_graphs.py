@@ -25,7 +25,7 @@ import oracles
 
 def test_build_graph_basics():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    assert g.n == 4
+    assert g.vertex_count == 4
     assert g.m == 5
     assert g.degrees == (3, 2, 3, 2)
     assert g.adjacency[0] == (1, 2, 3)
