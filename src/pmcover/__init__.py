@@ -16,7 +16,6 @@ from .certificate import (
     build_certificate,
     certificate_solution,
     deserialize,
-    graph_fingerprint,
     serialize,
     verify_certificate,
     verify_cover,
@@ -92,7 +91,6 @@ __all__ = [
     "enumerate_pms",
     "exact_cover",
     "find_nontrivial_tight_cut",
-    "graph_fingerprint",
     "improved_merge",
     "is_petersen",
     "is_r_graph",

@@ -23,15 +23,15 @@ doubled (twice_value), exactly as ``CoverSolution`` holds them in memory, so
 +1/2 is the odd integer 1 and the format is exact; the report's norm is
 doubled too (twice_inf_norm).  The graph block pins down the exact edge_id
 assignment; verifying a certificate against a relabeled graph is detected by
-fingerprint, not repaired.  The fingerprint leaves out r, so loading
-checks that r is the common degree of the edges.  Leaf summaries carry each
-leaf's vertex and edge counts so the advisories are recomputable from the
-artifact alone; loading rejects negative ones.
+comparing n and the endpoint-normalized edge list, not repaired.  That
+comparison leaves out r, so loading checks that r is the common degree of
+the edges.  Leaf summaries carry each leaf's vertex and edge counts so the
+advisories are recomputable from the artifact alone; loading rejects
+negative ones.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -52,14 +52,9 @@ class FingerprintMismatch(ValueError):
     """Certificate and graph disagree on (n, m, edges)."""
 
 
-def graph_fingerprint(n: int, m: int, edges: Sequence[tuple[int, int]]) -> str:
-    """sha256 over the ordered, endpoint-normalized edge list."""
-    h = hashlib.sha256()
-    h.update(f"{n} {m}\n".encode())
-    for u, v in edges:
-        a, b = (u, v) if u <= v else (v, u)
-        h.update(f"{a} {b}\n".encode())
-    return h.hexdigest()
+def _normalized(edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The ordered edge list with each edge's endpoints in ascending order."""
+    return tuple((u, v) if u <= v else (v, u) for u, v in edges)
 
 
 @dataclass(frozen=True)
@@ -106,10 +101,6 @@ class Certificate:
     leaves: tuple[LeafSummary, ...]
     p: int
     report: VerifyReport
-
-    @property
-    def fingerprint(self) -> str:
-        return graph_fingerprint(self.n, self.m, self.edges)
 
 
 def _compute_report(
@@ -173,7 +164,7 @@ def build_certificate(
         raise ValueError("certificates require a regular graph")
     leaves = _leaf_summaries(tree)
     report = _compute_report(g, sol, leaves)
-    edges = tuple((u, v) if u <= v else (v, u) for u, v in g.edges)
+    edges = _normalized(g.edges)
     terms = tuple((tuple(sorted(matching)), twice) for matching, twice in sol.terms)
     return Certificate(
         n=g.vertex_count, m=g.m, r=r, edges=edges, terms=terms, leaves=leaves,
@@ -191,12 +182,11 @@ def certificate_solution(g: MultiGraph, cert: Certificate) -> CoverSolution:
 def verify_certificate(g: MultiGraph, cert: Certificate) -> VerifyReport:
     """Recheck a loaded certificate against the graph it claims to cover.
 
-    Raises FingerprintMismatch when (n, m, edges) disagree; the stored
-    report is ignored and everything is recomputed.
+    Raises FingerprintMismatch when n or the ordered edge lists disagree; a
+    certificate holds its edges endpoint-normalized, as built or loaded.  The
+    stored report is ignored and everything is recomputed.
     """
-    if cert.fingerprint != graph_fingerprint(
-        g.vertex_count, g.m, g.edges
-    ):
+    if (cert.n, cert.edges) != (g.vertex_count, _normalized(g.edges)):
         raise FingerprintMismatch(
             "certificate was issued for a different graph or edge labeling"
         )

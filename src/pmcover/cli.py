@@ -2,13 +2,16 @@
 
 Commands: validate, solve, decompose, verify, gen, enumerate.  Exit codes
 are a stable contract: 0 ok, 1 check failure, 2 parse or usage error or
-an output path that cannot be written, 3 fingerprint mismatch,
-4 enumeration limit overflow.
+an output path that cannot be written, 3 fingerprint mismatch (the
+certificate's n or edge list differs from the graph's), 4 enumeration limit
+overflow.
 
 Graph files are line-oriented text: a header "rgraph <n> <m>", then exactly
 m lines "e <u> <v>" with 0-based endpoints.  Repeated lines denote parallel
-edges, '#' starts a comment, loops are rejected.  Edge ids are assigned in
-file order, which is what certificates fingerprint.
+edges, a line whose first non-blank character is '#' is a comment, loops
+are rejected.  A header with n > 2m is rejected: some vertex would have no
+edge, so the graph has no perfect matching.  Edge ids are assigned in file
+order, which is the order certificates record.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ def parse_graph_text(text: str) -> MultiGraph:
         raise GraphParseError(1, "missing header 'rgraph <n> <m>'")
     if len(edges) != header[1]:
         raise GraphParseError(1, f"header declares {header[1]} edges, found {len(edges)}")
+    if header[0] > 2 * header[1]:
+        raise GraphParseError(
+            1, f"{header[0]} vertices but {header[1]} edges: some vertex has no edge"
+        )
     return build_graph(header[0], edges)
 
 

@@ -11,8 +11,10 @@ sum to 2r.
 Construction is deliberately two-tier: ``CoverSolution`` itself validates only
 structure (ids in range, coefficients nonzero), so a verifier can load
 untrusted term data and report on it; ``exact_cover`` is the strict factory
-the solvers use, which additionally demands that each term is a perfect
-matching, that no matching repeats, and that the per-edge sums are exactly 2.
+the solvers and the merge use, which additionally demands that each term is
+a perfect matching with a coefficient in the class, that no matching
+repeats, and that the per-edge sums are exactly 2.  Every leaf cover and
+every merged cover is built through it, so the class is checked there once.
 """
 
 from __future__ import annotations
@@ -108,11 +110,13 @@ def terms_independent(graph: MultiGraph, matchings: Sequence[frozenset[int]]) ->
 def exact_cover(
     graph: MultiGraph, terms: Iterable[tuple[frozenset[int], int]]
 ) -> CoverSolution:
-    """Strict constructor: distinct perfect matchings whose doubled sums are 2 per edge."""
+    """Strict constructor: distinct perfect matchings, in-class coefficients, 2 per edge."""
     normalized = tuple((frozenset(edge_ids), twice) for edge_ids, twice in terms)
     sol = CoverSolution(graph, normalized)
     seen: set[frozenset[int]] = set()
-    for edge_ids, _ in normalized:
+    for edge_ids, twice in normalized:
+        if not in_class(twice):
+            raise ValueError(f"coefficient {twice}/2 is neither integral nor +1/2")
         validate_perfect_matching(graph, edge_ids)
         if edge_ids in seen:
             raise ValueError("duplicated matching in cover")

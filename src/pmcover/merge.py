@@ -1,7 +1,8 @@
 """Combining child covers across a tight cut, and the full recursive solve.
 
 Both contractions of a tight cut come back with covers y and t of their own
-edge sets.  For each cut edge e, the child matchings through e form a group
+edge sets.  A perfect matching crosses a tight cut exactly once (Lovasz
+1987), so for each cut edge e the child matchings through e form a group
 with coefficient sum 1 on both sides, and any coefficient assignment to the
 pairwise unions whose row and column marginals reproduce y and t yields a
 cover of the parent.
@@ -9,6 +10,9 @@ cover of the parent.
 Coefficients are doubled ints, as in ``cover``: a group sums to 2, +1/2 is
 1, and every prefix sum below is an int.  Doubling is monotone, so sorting
 doubled values orders terms exactly as sorting the coefficients would.
+Child matchings are lifted into parent edge ids as they are grouped.  A
+contraction keeps the parent's relative edge order, so lifting is increasing
+and the lifted terms sort exactly as the child terms would.
 
 The classical assignment multiplies coefficients; it can leave the
 integer-or-+1/2 class, e.g. two half/half groups produce quarters.  It is
@@ -20,12 +24,15 @@ negatives with negatives segment by segment.  Pairing preserves the class
 (equal sums force equally many halves mod 2, so every segment is a half or
 an integer), adds at most one term per merged entry, never exceeds the
 unaugmented side's largest coefficient, and walks the index pairs
-monotonically, which keeps the union matchings linearly independent.
+monotonically, which keeps the union matchings linearly independent.  The
+merge itself checks none of this: ``exact_cover`` checks the class, the
+distinctness of the matchings and the edge sums of every cover it builds,
+leaf and merged alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from itertools import accumulate
 from typing import Sequence
 
@@ -37,77 +44,39 @@ from .leaf_solvers import brace_solve, brick_solve, petersen_solve
 Term = tuple[frozenset[int], int]
 
 
-@dataclass(frozen=True)
-class SignedSequences:
-    """One side of an edge group, split by sign and sorted non-decreasingly.
-
-    Positives carry doubled coefficient values, so halves (1) sort first;
-    negatives carry doubled magnitudes, always even for in-class covers.
-    """
-
-    positives: tuple[Term, ...]
-    negatives: tuple[Term, ...]
-
-    @property
-    def negative_mass(self) -> int:
-        return sum(v for _, v in self.negatives)
-
-
 def _sort_key(term: Term) -> tuple[int, tuple[int, ...]]:
     return term[1], tuple(sorted(term[0]))
 
 
-def signed_split(terms: Sequence[Term]) -> SignedSequences:
-    """Split group terms by sign; rejects coefficients outside integers and +1/2."""
-    positives: list[Term] = []
-    negatives: list[Term] = []
-    for matching, twice in terms:
-        if not in_class(twice):
-            raise ValueError(f"coefficient {twice}/2 is neither integral nor +1/2")
-        if twice > 0:
-            positives.append((matching, twice))
-        else:
-            negatives.append((matching, -twice))
-    total = sum(v for _, v in positives) - sum(v for _, v in negatives)
-    if total != 2:
-        raise ValueError(f"group coefficients sum to {total}/2, expected 1")
-    return SignedSequences(
-        tuple(sorted(positives, key=_sort_key)), tuple(sorted(negatives, key=_sort_key))
-    )
+def signed_split(terms: Sequence[Term]) -> tuple[list[Term], list[Term]]:
+    """Positive terms and negated negative terms, each sorted non-decreasingly.
+
+    Values stay doubled, so halves (1) sort first among the positives; the
+    negatives carry doubled magnitudes.
+    """
+    positives = sorted((t for t in terms if t[1] > 0), key=_sort_key)
+    negatives = sorted(((m, -twice) for m, twice in terms if twice < 0), key=_sort_key)
+    return positives, negatives
 
 
-def _augment(side: SignedSequences, delta: int) -> SignedSequences:
+def _augment(positives: list[Term], negatives: list[Term], delta: int) -> None:
     """Add doubled ``delta`` of negative mass without changing any matching's total.
 
     The largest positive entry s is split as (s + delta) - delta when s is
     an integer.  When every positive is a half, splitting would create an
     out-of-class half above 1/2, so a fresh +delta/-delta pair on the largest
-    half's matching is appended instead.
+    half's matching is appended instead.  Both lists are updated in place.
     """
-    if not side.positives:
+    if not positives:
         raise ValueError("cannot balance a group with no positive coefficients")
-    key, value = side.positives[-1]
+    key, value = positives[-1]
     if value % 2 == 0:
-        positives = side.positives[:-1] + ((key, value + delta),)
+        positives[-1] = (key, value + delta)
     else:
-        positives = side.positives + ((key, delta),)
-    negatives = side.negatives + ((key, delta),)
-    return SignedSequences(
-        tuple(sorted(positives, key=_sort_key)), tuple(sorted(negatives, key=_sort_key))
-    )
-
-
-def balance_negatives(
-    left: SignedSequences, right: SignedSequences
-) -> tuple[SignedSequences, SignedSequences]:
-    """Equalize the negative mass of the two sides; at most one side changes."""
-    l1 = left.negative_mass
-    l2 = right.negative_mass
-    if l1 == l2:
-        return left, right
-    if l1 < l2:
-        return _augment(left, l2 - l1), right
-    return left, _augment(right, l1 - l2)
+        positives.append((key, delta))
+    negatives.append((key, delta))
+    positives.sort(key=_sort_key)
+    negatives.sort(key=_sort_key)
 
 
 def pair_sequences(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -141,59 +110,39 @@ def pair_sequences(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int, i
             i += 1
         while prefix_b[j] < mark:
             j += 1
-        value = mark - prev
-        if not in_class(value):
-            raise AssertionError(f"segment value {value}/2 left the coefficient class")
-        out.append((i + 1, j + 1, value))
+        out.append((i + 1, j + 1, mark - prev))
         prev = mark
     return out
 
 
-def _paired_terms(
-    left_entries: tuple[Term, ...],
-    right_entries: tuple[Term, ...],
-    left_map: ContractionMap,
-    right_map: ContractionMap,
-    sign: int,
-) -> list[Term]:
-    triples = pair_sequences(
-        [v for _, v in left_entries], [v for _, v in right_entries]
-    )
-    out: list[Term] = []
-    for i, j, value in triples:
-        union = left_map.lift_edges(left_entries[i - 1][0]) | right_map.lift_edges(
-            right_entries[j - 1][0]
-        )
-        out.append((union, sign * value))
-    return out
-
-
-def _merge_group(
-    left_terms: Sequence[Term],
-    right_terms: Sequence[Term],
-    left_map: ContractionMap,
-    right_map: ContractionMap,
-) -> list[Term]:
-    """Merge the two sides of one cut edge's group into parent terms."""
-    left, right = balance_negatives(signed_split(left_terms), signed_split(right_terms))
-    merged = _paired_terms(left.positives, right.positives, left_map, right_map, 1)
-    if left.negatives:
-        merged.extend(_paired_terms(left.negatives, right.negatives, left_map, right_map, -1))
+def _merge_group(left_terms: Sequence[Term], right_terms: Sequence[Term]) -> list[Term]:
+    """Merge the two sides of one cut edge's group, both in parent edge ids."""
+    left_pos, left_neg = signed_split(left_terms)
+    right_pos, right_neg = signed_split(right_terms)
+    delta = sum(v for _, v in right_neg) - sum(v for _, v in left_neg)
+    if delta > 0:
+        _augment(left_pos, left_neg, delta)
+    elif delta < 0:
+        _augment(right_pos, right_neg, -delta)
+    merged: list[Term] = []
+    for sign, left, right in ((1, left_pos, right_pos), (-1, left_neg, right_neg)):
+        if left or right:
+            triples = pair_sequences([v for _, v in left], [v for _, v in right])
+            merged.extend(
+                (left[i - 1][0] | right[j - 1][0], sign * value) for i, j, value in triples
+            )
     return merged
 
 
 def _group_by_cut_edge(
-    solution: CoverSolution, cmap: ContractionMap, cut: Cut
-) -> dict[int, list[Term]]:
-    """Partition child terms by the cut edge their matching crosses."""
+    solution: CoverSolution, cmap: ContractionMap
+) -> defaultdict[int, list[Term]]:
+    """Child terms lifted into parent edge ids, keyed by the cut edge they cross."""
     at_contracted = set(solution.graph.incident_ids[cmap.contracted_vertex])
-    groups: dict[int, list[Term]] = {e: [] for e in sorted(cut.edge_ids)}
+    groups: defaultdict[int, list[Term]] = defaultdict(list)
     for matching, twice in solution.terms:
-        crossing = [e for e in matching if e in at_contracted]
-        if len(crossing) != 1:
-            raise ValueError("child matching must cross the contracted vertex once")
-        parent_edge = cmap.child_to_parent[crossing[0]]
-        groups[parent_edge].append((matching, twice))
+        (crossing,) = [e for e in matching if e in at_contracted]
+        groups[cmap.child_to_parent[crossing]].append((cmap.lift_edges(matching), twice))
     return groups
 
 
@@ -207,33 +156,23 @@ def improved_merge(
 ) -> CoverSolution:
     """Combine child covers with the pairing rule; stays in the coefficient class.
 
-    Only the parent cover is validated.  The solve builds each child through
-    ``exact_cover``, and a bad child still cannot yield an unchecked cover: a
-    group that leaves the class or does not sum to 1 fails in
-    ``signed_split``, and any other fault carries into the parent's terms or
-    edge sums, which ``exact_cover`` checks.
+    Child matchings are lifted into parent edge ids as they are grouped;
+    lifting is increasing, so each group sorts as its child terms would.  The
+    groups' merged terms are concatenated in ascending cut-edge order.
+    Only the parent cover is validated, by ``exact_cover``, which checks the
+    class, that no union matching repeats and that every edge sums to 1.  The
+    solve builds each child through ``exact_cover`` too, and a bad child
+    still cannot yield an unchecked cover: a matching that does not cross
+    the cut once, or a group that cannot be paired, raises ``ValueError``,
+    and any other fault carries into the parent's terms.
     """
-    left_groups = _group_by_cut_edge(left_solution, left_map, cut)
-    right_groups = _group_by_cut_edge(right_solution, right_map, cut)
-    combined: dict[frozenset[int], int] = {}
-    emitted = 0
-    for parent_edge in sorted(cut.edge_ids):
-        if not left_groups[parent_edge] or not right_groups[parent_edge]:
-            raise ValueError(f"no child matching crosses cut edge {parent_edge}")
-        for matching, twice in _merge_group(
-            left_groups[parent_edge],
-            right_groups[parent_edge],
-            left_map,
-            right_map,
-        ):
-            emitted += 1
-            combined[matching] = combined.get(matching, 0) + twice
-    if emitted != len(combined):
-        raise AssertionError("distinct group pairings produced the same union matching")
-    terms = [(m, c) for m, c in combined.items() if c != 0]
-    for _, twice in terms:
-        if not in_class(twice):
-            raise AssertionError(f"merged coefficient {twice}/2 left the class")
+    left_groups = _group_by_cut_edge(left_solution, left_map)
+    right_groups = _group_by_cut_edge(right_solution, right_map)
+    terms = [
+        term
+        for e in sorted(cut.edge_ids)
+        for term in _merge_group(left_groups[e], right_groups[e])
+    ]
     return exact_cover(g, terms)
 
 

@@ -13,7 +13,6 @@ from pmcover import (
     build_graph,
     certificate_solution,
     deserialize,
-    graph_fingerprint,
     serialize,
     solve_r_graph,
     verify_certificate,
@@ -178,9 +177,11 @@ def test_verify_certificate_fingerprint_mismatch():
 
 def test_fingerprint_depends_on_edge_order():
     g = corpus.k4()
+    cert, _, _ = _certificate(g)
     swapped = list(g.edges)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    assert graph_fingerprint(4, 6, g.edges) != graph_fingerprint(4, 6, swapped)
+    with pytest.raises(FingerprintMismatch):
+        verify_certificate(build_graph(4, swapped), cert)
 
 
 def test_certificate_graph_rebuild():

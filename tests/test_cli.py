@@ -46,6 +46,9 @@ def test_parse_errors_carry_line_numbers():
         ("rgraph 4 2\ne 0 1\n", 1),            # count mismatch blames the header
         ("rgraph 4 1\ne 0 1\ne 2 3\n", 3),     # one edge too many
         ("rgraph 4 2\ne 0 1\nz 2 3\n", 3),
+        # n > 2m leaves a vertex without an edge; rejected before anything of size n
+        ("rgraph 1000000000000 0\n", 1),
+        ("rgraph 6 2\ne 0 1\ne 2 3\n", 1),
     ]
     for text, line in cases:
         with pytest.raises(GraphParseError) as info:

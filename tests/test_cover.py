@@ -75,6 +75,17 @@ def test_exact_cover_rejects_duplicates():
         exact_cover(g, [(pm, 1), (pm, 1), (frozenset({1}), 2)])
 
 
+def test_exact_cover_rejects_out_of_class():
+    # 3/2 and -1/2 on the six matchings of K_{3,3} sum to 1 on every edge,
+    # so only the coefficient class is at fault
+    g = corpus.k33()
+    twice = {(0, 4, 8): -1, (0, 5, 7): 3, (1, 3, 8): 3, (1, 5, 6): -1, (2, 3, 7): -1, (2, 4, 6): 3}
+    terms = [(frozenset(ids), t) for ids, t in twice.items()]
+    assert CoverSolution(g, tuple(terms)).coverage() == [2] * g.m
+    with pytest.raises(ValueError, match="neither integral nor"):
+        exact_cover(g, terms)
+
+
 def test_structural_solution_accepts_wrong_sums():
     # the verifier loads tampered data, so the raw container stays permissive
     g = corpus.k4()

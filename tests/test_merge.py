@@ -1,23 +1,14 @@
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcover import cli, decomposition, graphs, leaf_solvers, merge, verify_cover
 from pmcover.cover import exact_cover, in_class, terms_independent
-from pmcover.decomposition import ContractionMap, decompose
+from pmcover.decomposition import decompose
 from pmcover.leaf_solvers import brace_solve
-from pmcover.merge import (
-    SignedSequences,
-    balance_negatives,
-    improved_merge,
-    pair_sequences,
-    signed_split,
-    solve_r_graph,
-)
+from pmcover.merge import improved_merge, pair_sequences, signed_split, solve_r_graph
 
 import corpus
 import oracles
@@ -27,105 +18,94 @@ def _keys(n):
     return [frozenset({100 + i}) for i in range(n)]
 
 
-def test_signed_split_sorts_and_validates():
+def test_signed_split_sorts_each_sign():
     a, b, c, d = _keys(4)
-    seqs = signed_split([(a, 2), (b, -2), (c, 1), (d, 1)])
-    assert [v for _, v in seqs.positives] == [1, 1, 2]
-    assert [v for _, v in seqs.negatives] == [2]
-    assert seqs.negative_mass == 2
-
-
-def test_signed_split_rejects_out_of_class():
-    a, b = _keys(2)
-    # doubled ints cannot hold 1/3 + 2/3 at all; 3/2 and -1/2 are the odd
-    # doubled values besides +1/2
-    with pytest.raises(ValueError, match="neither integral nor"):
-        signed_split([(a, 3), (b, -1)])
-    with pytest.raises(ValueError, match="neither integral nor"):
-        signed_split([(a, -1), (b, 3)])
-    with pytest.raises(ValueError, match="sum"):
-        signed_split([(a, 4)])
+    positives, negatives = signed_split([(a, 2), (b, -2), (c, 1), (d, 1)])
+    assert positives == [(c, 1), (d, 1), (a, 2)]
+    assert negatives == [(b, 2)]
 
 
 def test_balance_negatives_worked_example():
+    # the left side has the smaller negative mass, so its largest positive
+    # 2 is split as 3 - 1; the right side is paired as it stands
     a, b, c, d = _keys(4)
-    left = signed_split([(a, 4), (b, -2)])
-    right = signed_split([(c, 6), (d, -4)])
-    new_left, new_right = balance_negatives(left, right)
-    assert new_right == right
-    assert [v for _, v in new_left.positives] == [6]
-    assert new_left.positives[0][0] == a
-    assert [v for _, v in new_left.negatives] == [2, 2]
-    assert {k for k, _ in new_left.negatives} == {a, b}
+    merged = merge._merge_group([(a, 4), (b, -2)], [(c, 6), (d, -4)])
+    assert merged == [(a | c, 6), (a | d, -2), (b | d, -2)]
 
 
 def test_balance_negatives_no_op_when_equal():
     a, b, c, d = _keys(4)
-    left = signed_split([(a, 4), (b, -2)])
-    right = signed_split([(c, 4), (d, -2)])
-    assert balance_negatives(left, right) == (left, right)
+    merged = merge._merge_group([(a, 4), (b, -2)], [(c, 4), (d, -2)])
+    assert merged == [(a | c, 4), (b | d, -2)]
 
 
 def test_balance_negatives_all_halves_corner():
     # largest positive is 1/2: splitting it would leave the class, so a
     # +delta/-delta pair is appended on the largest half's key instead
-    keys = _keys(6)
-    left_terms = [(keys[i], 1) for i in range(4)] + [(keys[4], -2)]
-    right_terms = [(keys[5], 6), (_keys(7)[6], -4)]
-    left, right = balance_negatives(signed_split(left_terms), signed_split(right_terms))
-    assert [v for _, v in left.positives] == [1, 1, 1, 1, 2]
-    assert [v for _, v in left.negatives] == [2, 2]
+    keys = _keys(5)
+    positives, negatives = signed_split([(k, 1) for k in keys[:4]] + [(keys[4], -2)])
+    merge._augment(positives, negatives, 2)
+    assert [v for _, v in positives] == [1, 1, 1, 1, 2]
+    assert [v for _, v in negatives] == [2, 2]
     # the duplicated key keeps its overall weight
-    dup = left.positives[-1][0]
-    total = sum(v for k, v in left.positives if k == dup) - sum(
-        v for k, v in left.negatives if k == dup
-    )
+    dup = positives[-1][0]
+    total = sum(v for k, v in positives if k == dup) - sum(v for k, v in negatives if k == dup)
     assert total == 1
-    assert all(v == 1 or v % 2 == 0 for _, v in left.positives)
+    assert all(in_class(v) for _, v in positives)
+
+
+def _marginals(merged, keys):
+    """Each key's total over the merged terms whose union contains it."""
+    return {key: sum(twice for union, twice in merged if key <= union) for key in keys}
 
 
 def test_merge_group_all_halves_branch_keeps_every_marginal():
     # the right side, two halves and no negatives, must take on the left's
     # negative mass 2 (one -1 term) while all of its positives are halves
-    left_keys = [frozenset({i}) for i in range(5)]
-    right_keys = [frozenset({i}) for i in range(2)]
-    left_terms = [(k, 1) for k in left_keys[:4]] + [(left_keys[4], -2)]
-    right_terms = [(k, 1) for k in right_keys]
-    left, right = balance_negatives(signed_split(left_terms), signed_split(right_terms))
-    assert left == signed_split(left_terms)
-    largest = signed_split(right_terms).positives[-1][0]
-    assert [v for _, v in right.positives] == [1, 1, 2]
-    assert right.positives[-1] == (largest, 2) and right.negatives == ((largest, 2),)
+    left_terms = [(frozenset({i}), 1) for i in range(4)] + [(frozenset({4}), -2)]
+    right_terms = [(frozenset({10}), 1), (frozenset({11}), 1)]
+    positives, negatives = signed_split(right_terms)
+    merge._augment(positives, negatives, 2)
+    assert positives == [(frozenset({10}), 1), (frozenset({11}), 1), (frozenset({11}), 2)]
+    assert negatives == [(frozenset({11}), 2)]
 
-    # child edge e of the right side is parent edge 10 + e, so every union
-    # splits back into its two child matchings
-    left_map = ContractionMap(tuple(range(10)), 0, ())
-    right_map = ContractionMap(tuple(range(10, 20)), 0, ())
-    merged = merge._merge_group(left_terms, right_terms, left_map, right_map)
+    merged = merge._merge_group(left_terms, right_terms)
     assert all(in_class(twice) for _, twice in merged)
-    for side, terms, lift in (
-        (left, left_terms, lambda m: frozenset(e for e in m if e < 10)),
-        (right, right_terms, lambda m: frozenset(e - 10 for e in m if e >= 10)),
-    ):
-        for sign, entries in ((1, side.positives), (-1, side.negatives)):
-            marginal: Counter = Counter()
-            for union, twice in merged:
-                if twice * sign > 0:
-                    marginal[lift(union)] += abs(twice)
-            expected: Counter = Counter()
-            for key, value in entries:
-                expected[key] += value
-            assert marginal == expected
-        totals: Counter = Counter()
-        for union, twice in merged:
-            totals[lift(union)] += twice
-        assert totals == dict(terms)
+    for terms in (left_terms, right_terms):
+        assert _marginals(merged, [k for k, _ in terms]) == dict(terms)
 
 
 def test_balance_rejects_empty_positives():
-    empty = SignedSequences((), ())
-    with pytest.raises(ValueError):
-        balance_negatives(empty, signed_split([(_keys(1)[0], 4), (_keys(2)[1], -2)]))
+    a, b = _keys(2)
+    with pytest.raises(ValueError, match="no positive"):
+        merge._merge_group([], [(a, 4), (b, -2)])
+
+
+# doubled in-class values: a half, the integers 1 and 2, and -1 and -2
+group_entry = st.sampled_from([1, 2, 4, -2, -4])
+
+
+def _group(values, offset):
+    """Terms on keys offset, offset + 1, ... whose doubled values sum to 2."""
+    values = list(values)
+    rest = 2 - sum(values)
+    if rest % 2:
+        values.append(1)
+        rest -= 1
+    if rest:
+        values.append(rest)
+    return [(frozenset({offset + k}), v) for k, v in enumerate(values)]
+
+
+@given(st.lists(group_entry, max_size=6), st.lists(group_entry, max_size=6))
+@settings(max_examples=500, deadline=None)
+def test_merge_group_properties(left_values, right_values):
+    left_terms = _group(left_values, 0)
+    right_terms = _group(right_values, 100)
+    merged = merge._merge_group(left_terms, right_terms)
+    assert all(twice != 0 and in_class(twice) for _, twice in merged)
+    for terms in (left_terms, right_terms):
+        assert _marginals(merged, [k for k, _ in terms]) == dict(terms)
 
 
 def test_pair_sequences_frozen_examples():
