@@ -56,6 +56,7 @@ class GraphParseError(ValueError):
 
 def parse_graph_text(text: str) -> MultiGraph:
     header: Optional[tuple[int, int]] = None
+    header_line = 1
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -71,7 +72,7 @@ def parse_graph_text(text: str) -> MultiGraph:
                 raise GraphParseError(lineno, "header counts must be integers") from None
             if n < 0 or m < 0:
                 raise GraphParseError(lineno, "header counts must be non-negative")
-            header = (n, m)
+            header, header_line = (n, m), lineno
             continue
         if fields[0] != "e" or len(fields) != 3:
             raise GraphParseError(lineno, "expected edge line 'e <u> <v>'")
@@ -90,10 +91,12 @@ def parse_graph_text(text: str) -> MultiGraph:
     if header is None:
         raise GraphParseError(1, "missing header 'rgraph <n> <m>'")
     if len(edges) != header[1]:
-        raise GraphParseError(1, f"header declares {header[1]} edges, found {len(edges)}")
+        raise GraphParseError(
+            header_line, f"header declares {header[1]} edges, found {len(edges)}"
+        )
     if header[0] > 2 * header[1]:
         raise GraphParseError(
-            1, f"{header[0]} vertices but {header[1]} edges: some vertex has no edge"
+            header_line, f"{header[0]} vertices but {header[1]} edges: some vertex has no edge"
         )
     return build_graph(header[0], edges)
 

@@ -39,14 +39,17 @@ search takes the first one and tests none:
   1999), and a witness X is one forward and at most one backward search in
   D(M) - z away.  In the non-bipartite case barriers come from the
   Gallai-Edmonds structure theorem (Lovasz-Plummer, Matching Theory, 1986),
-  with D, A and C as in ``matchings.gallai_edmonds``.  G - u - v has a
-  perfect matching exactly when v is in D(G - u), so one alternating forest
-  per vertex u settles every pair {u, v}: ``matchings.perfect_partners``
-  grows it from the partner of u in the node's perfect matching and reads
-  the flags off it, building no sets.  Only a failing pair needs its full
-  decomposition, from ``gallai_edmonds``: {u, v} + A(G - u - v) is a
-  barrier.  The node's perfect matching serves every forest, so a node
-  costs one forest per vertex plus one per failing pair.
+  with D, A and C as in ``matchings.gallai_edmonds``.  G - u has
+  deficiency 1, so removing A(G - u) from it leaves |A(G - u)| + 1 odd
+  components, and {u} + A(G - u) is a barrier.  A barrier of a matching
+  covered graph leaves no even component (below), so C(G - u) is empty:
+  G - u - v has a perfect matching exactly when v is in D(G - u), and
+  otherwise v is in A(G - u).  By the stability lemma of the
+  Gallai-Edmonds decomposition, A(G - u - v) = A(G - u) - v for such v,
+  so the barrier {u, v} + A(G - u - v) of a failing pair is {u} + A(G - u)
+  and is read off the forest that settled the pair.  One alternating
+  forest per vertex u, grown from the partner of u in the node's perfect
+  matching, serves every pair, and no pair needs a forest of its own.
 * 2-separations: if {u, v} disconnects G and K is an even component of
   G - u - v, the shore K + u gives a tight cut.  Its cut lies in
   E(K, v) + delta(u).  A perfect matching has at most one edge at v and
@@ -75,8 +78,10 @@ node the barriers alone decide, for three reasons.
   matching polytope), and in a matching covered graph a barrier B leaves no
   even component and spans no edge.  If every odd component of G - B were a
   single vertex, G would be bipartite.  So on a non-bipartite node each
-  failing pair's barrier {u, v} + A has a nontrivial odd component, whose
-  cut is tight, and the search takes it.
+  barrier {u} + A(G - u) with A(G - u) nonempty has a nontrivial odd
+  component, whose cut is tight, and the search takes it.  With every
+  A(G - u) empty, every G - u - v has a perfect matching: the node is
+  bicritical.
 * A bicritical graph has no cut of at most two edges around an even shore
   S.  If the cut is {x1 y1, x2 y2} with x1 != x2 in S, then in G - x1 - y2
   the odd set S - x1 is a union of components, so there is no perfect
@@ -128,7 +133,7 @@ from .graphs import (
     is_r_graph,
     regular_degree,
 )
-from .matchings import gallai_edmonds, maximum_matching, perfect_partners
+from .matchings import gallai_edmonds, maximum_matching
 
 
 @unique
@@ -218,15 +223,15 @@ def _reach(arcs: Sequence[Sequence[int]], root: int, avoid: int) -> set[int]:
 
 
 def _bipartite_barrier_shores(
-    g: MultiGraph, mate: Sequence[int]
+    g: MultiGraph, side: frozenset[int], mate: Sequence[int]
 ) -> Iterator[list[frozenset[int]]]:
     """The odd components left by the barrier N(X) of each X with |N(X)| = |X| + 1.
 
-    U is the side of vertex 0 and M the perfect matching ``mate``, the one
-    the node inherits; any perfect matching of G will do.  The digraph D on
-    U has an arc u -> M(w) for each neighbour w != M(u) of u, so
-    N(X) = M(X) + M(Out(X)), where Out(X) is the set of vertices outside X
-    that X has arcs to, and |N(X)| = |X| + |Out(X)|.  For each z of U in
+    U is ``side``, the side of vertex 0, and M the perfect matching
+    ``mate``, the one the node inherits; any perfect matching of G will do.
+    The digraph D on U has an arc u -> M(w) for each neighbour w != M(u) of
+    u, so N(X) = M(X) + M(Out(X)), where Out(X) is the set of vertices
+    outside X that X has arcs to, and |N(X)| = |X| + |Out(X)|.  For each z of U in
     ascending order, with root the least vertex of U - z, X is the forward
     reach of the root in D - z when that misses part of U - z, and otherwise
     the vertices of U - z that cannot reach the root; either way nothing
@@ -246,9 +251,7 @@ def _bipartite_barrier_shores(
     candidate shore.  Each z costs one forward and at most one backward
     search.
     """
-    sides = bipartition(g)
-    assert sides is not None
-    u_side = sorted(sides[0])
+    u_side = sorted(side)
     forward: list[list[int]] = [[] for _ in range(g.vertex_count)]
     backward: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u in u_side:
@@ -268,31 +271,31 @@ def _bipartite_barrier_shores(
 def _nonbipartite_barrier_shores(
     g: MultiGraph, mate: Sequence[int]
 ) -> Iterator[list[frozenset[int]]]:
-    """Odd components left by the barrier of each pair {u, v} with no perfect matching.
+    """Odd components left by the barrier {u} + A(G - u) of each u with A(G - u) nonempty.
 
-    G has a perfect matching, so G - u misses exactly one vertex in a maximum
-    matching, and G - u - v has a perfect matching exactly when v is in
-    D(G - u).  For a failing pair, {u, v} + A(G - u - v) leaves exactly as
-    many odd components as it has vertices, so it is a barrier.  Pairs are
-    visited in lexicographic order, and each barrier's odd components with
-    at least three vertices come as one list, when there are any.
+    G has a perfect matching, so G - u has deficiency 1, and removing
+    A = A(G - u) from it leaves |A| + 1 odd components: {u} + A is a
+    barrier of G.  An r-graph is matching covered, so this barrier leaves
+    no even component, C(G - u) is empty, and G - u - v has no perfect
+    matching exactly when v is in A.  Vertices are visited in ascending
+    order, and each barrier's odd components with at least three vertices
+    come as one list, never empty on a non-bipartite node (module
+    docstring).
 
-    One perfect matching M of G, ``mate``, serves every forest.  M minus the
-    edge at u is maximum in G - u, which has odd order, so
-    ``perfect_partners`` reads D(G - u) off one forest grown from the partner
-    of u.  For a failing pair, M minus the edges at u and v is maximum in
-    G - u - v, which has even order and no perfect matching, and
-    ``gallai_edmonds`` grows one forest for its A.  No matching search runs.
+    The first barrier is the one of the first failing pair {u, v} in
+    lexicographic order.  A(G - u) is nonempty exactly when u has a failing
+    partner v, and for the least such u, v > u, or v would be a smaller
+    vertex with a failing partner; so u < n - 1 is enough.  By the stability lemma (Lovasz-Plummer 1986),
+    A(G - u - v) = A(G - u) - v, so {u, v} + A(G - u - v) = {u} + A.  One
+    perfect matching M of G, ``mate``, serves every forest: M minus the
+    edge at u is maximum in G - u, and ``gallai_edmonds`` grows one forest
+    from the partner of u.  No matching search runs, and no pair needs a
+    forest of its own.
     """
     for u in range(g.vertex_count - 1):
-        matchable = perfect_partners(g, u, mate)
-        for v in range(u + 1, g.vertex_count):
-            if matchable[v]:
-                continue
-            barrier = frozenset((u, v)) | gallai_edmonds(g, (u, v), mate).a
-            comps = _odd_components(g, barrier)
-            if comps:
-                yield comps
+        a = gallai_edmonds(g, (u,), mate).a
+        if a:
+            yield _odd_components(g, a | {u})
 
 
 def _two_separation_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
@@ -320,9 +323,11 @@ def find_nontrivial_tight_cut(
     ``matching`` is a perfect matching of G as a mate array, the node's
     inherited one.  Shores come in groups: ``carried`` first, then the
     routes of the module docstring, generated deterministically: a
-    bipartite node's barriers; or a non-bipartite node's barriers, then,
-    unless the node is cubic, its 2-separations.  A cubic node that no
-    barrier splits is bicritical and has no 2-separation (module
+    bipartite node's barriers, from the side of vertex 0 of the
+    bipartition that selects the route; or a non-bipartite node's barriers
+    {u} + A(G - u), one Gallai-Edmonds forest per vertex u and none per
+    pair, then, unless the node is cubic, its 2-separations.  A cubic node
+    that no barrier splits is bicritical and has no 2-separation (module
     docstring), so it is called a brick without the low-link sweep.  Every
     shore of every group is odd, nontrivial and tight: the odd components
     of a barrier, by the barrier count; a 2-separation shore K + u, since a
@@ -339,9 +344,10 @@ def find_nontrivial_tight_cut(
     """
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
-    if bipartition(g) is not None:
+    sides = bipartition(g)
+    if sides is not None:
         routes: tuple[Iterator[Sequence[frozenset[int]]], ...] = (
-            _bipartite_barrier_shores(g, matching),
+            _bipartite_barrier_shores(g, sides[0], matching),
         )
     else:
         routes = (_nonbipartite_barrier_shores(g, matching),)

@@ -341,12 +341,11 @@ def min_odd_cut(g: MultiGraph) -> tuple[int, Cut]:
     cut is a minimum odd cut (Padberg and Rao 1982).  So the sizes are read
     off the weights: the witness is the first subtree, in vertex order, of
     odd size and least weight, and only its cut is built, and checked to
-    have that size.
+    have that size.  A disconnected graph raises ValueError in
+    ``gomory_hu_tree``.
     """
     if g.vertex_count == 0 or g.vertex_count % 2 != 0:
         raise ValueError("odd cuts require an even, positive vertex count")
-    if not is_connected(g):
-        raise ValueError("min_odd_cut requires a connected graph")
     parent, weight = gomory_hu_tree(g)
     children: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for v in range(1, g.vertex_count):

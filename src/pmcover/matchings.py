@@ -6,8 +6,8 @@ handled exactly.  ``maximum_matching`` searches from scratch.  Every
 question about G minus a vertex set X starts warm instead, from a matching
 of G with its edges at X dropped, and grows alternating forests in place,
 never entering a vertex of X: ``perfect_matching_without`` completes it to
-a perfect matching of G - X, and ``gallai_edmonds`` and ``perfect_partners``
-read D(G - X) off one forest.  Enumeration backtracks over the
+a perfect matching of G - X, and ``gallai_edmonds`` reads D(G - X), and
+from it A and C, off one forest.  Enumeration backtracks over the
 lowest-indexed uncovered vertex, branching over incident edges in ascending
 edge-id order; parallel copies of a pair therefore yield distinct
 matchings, listed deterministically.
@@ -143,21 +143,6 @@ def _dropped(matching: Sequence[int], gone: frozenset[int]) -> list[int]:
     return mate
 
 
-def _outer_without(g: MultiGraph, gone: frozenset[int], matching: Sequence[int]) -> list[bool]:
-    """Outer flags of one forest grown from every vertex of G - gone that is exposed.
-
-    ``matching``, its edges at ``gone`` dropped, must be maximum in G - gone:
-    with every exposed vertex a root there is nothing to augment to, and a
-    matching that is not maximum shows up as adjacent outer vertices of two
-    trees, which raises an AssertionError.
-    """
-    mate = _dropped(matching, gone)
-    exposed = [v for v, w in enumerate(mate) if w == -1 and v not in gone]
-    outer = _grow_forest(g.adjacency, mate, exposed, gone)
-    assert outer is not None  # every exposed vertex is a root: nothing to augment to
-    return outer
-
-
 class GallaiEdmonds(NamedTuple):
     """D: vertices missed by some maximum matching; A = N(D) - D; C: the rest."""
 
@@ -172,38 +157,32 @@ def gallai_edmonds(
     """The Gallai-Edmonds decomposition of G minus the given vertices.
 
     ``matching`` is a mate array of a matching of G, such as the perfect
-    matching a decomposition node inherits.  Its edges at removed vertices
-    are dropped, and the rest must be a maximum matching of G minus
-    ``removed``.  One alternating forest is grown from every exposed vertex
-    at once, contracting blossoms as in the matching search.  With the
-    matching maximum, no edge joins outer vertices of two trees, so the
-    forest never augments, and the outer vertices (those at even distance
-    from an exposed vertex along some alternating path, blossoms included)
-    are exactly D.  A matching that is not maximum shows up as adjacent
-    outer vertices of two trees, and an AssertionError is raised.
+    matching a decomposition node inherits; it is left as it is.  Its edges
+    at removed vertices are dropped, and the rest must be a maximum matching
+    of G minus ``removed``.  It is when ``matching`` is perfect and one
+    vertex u is removed, and then the partner of u is the one exposed
+    vertex.  One
+    alternating forest is grown from every exposed vertex at once,
+    contracting blossoms as in the matching search.  With the matching
+    maximum, no edge joins outer vertices of two trees, so the forest never
+    augments, and the outer vertices (those at even distance from an exposed
+    vertex along some alternating path, blossoms included) are exactly D.  A
+    matching that is not maximum shows up as adjacent outer vertices of two
+    trees, and an AssertionError is raised.  When every vertex left is
+    outer, as at every vertex of a bicritical graph, a brick among them, A
+    and C are empty and no adjacency is scanned for them.
     """
     gone = frozenset(removed)
-    outer = _outer_without(g, gone, matching)
+    mate = _dropped(matching, gone)
+    exposed = [v for v, w in enumerate(mate) if w == -1 and v not in gone]
+    outer = _grow_forest(g.adjacency, mate, exposed, gone)
+    assert outer is not None  # every exposed vertex is a root: nothing to augment to
     d = frozenset(v for v in range(g.vertex_count) if outer[v])
+    if len(d) + len(gone) == g.vertex_count:
+        return GallaiEdmonds(d, frozenset(), frozenset())
     a = frozenset(w for v in d for w in g.adjacency[v] if not outer[w] and w not in gone)
     c = frozenset(range(g.vertex_count)) - gone - d - a
     return GallaiEdmonds(d, a, c)
-
-
-def perfect_partners(g: MultiGraph, u: int, matching: Sequence[int]) -> list[bool]:
-    """Flags v such that G - u - v has a perfect matching; ``matching`` is one of G.
-
-    Dropping the edge u w of the perfect matching M leaves a maximum
-    matching of G - u, which has odd order, with w alone exposed.  So
-    D(G - u) is the set of outer vertices of one alternating forest grown
-    from w, the same set ``gallai_edmonds(g, (u,), matching).d`` holds, and
-    v is in it exactly when G - u - v has a perfect matching.  The flags
-    are read off the forest; no D, A or C set is built, and ``matching`` is
-    left as it is.
-    """
-    if -1 in matching:
-        raise ValueError("the matching must be perfect")
-    return _outer_without(g, frozenset((u,)), matching)
 
 
 def perfect_matching_without(

@@ -49,6 +49,9 @@ def test_parse_errors_carry_line_numbers():
         # n > 2m leaves a vertex without an edge; rejected before anything of size n
         ("rgraph 1000000000000 0\n", 1),
         ("rgraph 6 2\ne 0 1\ne 2 3\n", 1),
+        # header-level errors blame the header's own line, after comments
+        ("# c\nrgraph 4 2\ne 0 1\n", 2),
+        ("# c\n# d\nrgraph 6 1\ne 0 1\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(GraphParseError) as info:

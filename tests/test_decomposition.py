@@ -20,7 +20,7 @@ from pmcover.decomposition import (
     is_petersen,
 )
 from pmcover.graphs import bipartition, cut_from_shore, is_connected, is_r_graph, regular_degree
-from pmcover.matchings import maximum_matching, validate_perfect_matching
+from pmcover.matchings import gallai_edmonds, maximum_matching, validate_perfect_matching
 from pmcover.merge import _fold
 
 import corpus
@@ -119,7 +119,7 @@ def _perfect_mates(g):
 def _assert_bipartite_route_matches(g, exhaustive, mate, label):
     # every witness leaves exactly one nontrivial odd component, tight, and
     # some witness exists exactly when a nontrivial tight cut does
-    groups = list(_bipartite_barrier_shores(g, mate))
+    groups = list(_bipartite_barrier_shores(g, bipartition(g)[0], mate))
     assert all(len(group) == 1 for group in groups), label
     for (shore,) in groups:
         assert shore in exhaustive or frozenset(range(g.vertex_count)) - shore in exhaustive, label
@@ -237,6 +237,30 @@ def test_cubic_nodes_the_barriers_miss_have_no_two_separation():
             assert 3 <= len(shore) <= g.vertex_count - 3, g.edges
             assert is_tight_cut(g, cut_from_shore(g, shore), mate), g.edges
     assert missed >= 100 and split >= 50, (missed, split)
+
+
+def test_every_failing_pair_has_the_barrier_of_its_first_vertex():
+    # the lemmas behind one forest per vertex, by definition: in an r-graph
+    # C(G - u) is empty, and for every v outside D(G - u) the barrier
+    # {u, v} + A(G - u - v) of the failing pair is {u} + A(G - u)
+    instances = [
+        (name, g) for name, g in corpus.structured_instances() + corpus.random_instances()
+        if g.vertex_count <= 14 and is_r_graph(g).ok
+    ]
+    failing = 0
+    for name, g in instances:
+        n = g.vertex_count
+        size = oracles.max_matching_size if n <= 12 else oracles.matching_size_on_copy
+        mate = _mate(g)
+        for u in range(n):
+            d, _, c = oracles.gallai_edmonds(g, frozenset({u}), size)
+            assert c == frozenset(), (name, u)
+            barrier = gallai_edmonds(g, (u,), mate).a | {u}
+            for v in sorted(frozenset(range(n)) - d - {u}):
+                failing += 1
+                a = oracles.gallai_edmonds(g, frozenset({u, v}), size)[1]
+                assert a | {u, v} == barrier, (name, u, v)
+    assert failing >= 1000, failing
 
 
 def test_only_nodes_above_degree_three_enter_the_two_separation_sweep(monkeypatch):

@@ -144,6 +144,8 @@ def test_min_odd_cut_matches_brute_force():
         assert size == oracles.min_odd_cut_size(g), name
         assert cut.size == size, name
         assert len(cut.shore) % 2 == 1, name
+    with pytest.raises(ValueError, match="connected"):
+        min_odd_cut(build_graph(4, [(0, 1), (2, 3)]))
 
 
 def test_is_r_graph_accepts_structured():

@@ -13,7 +13,6 @@ from pmcover.matchings import (
     iter_pms,
     maximum_matching,
     perfect_matching_without,
-    perfect_partners,
     pm_containing_edges,
     validate_perfect_matching,
 )
@@ -271,10 +270,10 @@ def test_gallai_edmonds_from_a_perfect_matching_matches_oracle():
         gallai_edmonds(corpus.c4(), (), [1, 0, -1, -1])
 
 
-def test_perfect_partners_match_the_oracle():
-    # the flags of one bare forest are D(G - u), counted by definition: the
-    # branch-and-bound matching sizes up to 12 vertices, the library's cold
-    # search on a filtered copy above
+def test_one_forest_per_vertex_matches_the_oracle():
+    # D(G - u) from one forest grown from a perfect matching of G, counted
+    # by definition: the branch-and-bound matching sizes up to 12 vertices,
+    # the library's cold search on a filtered copy above
     instances = corpus.structured_instances() + corpus.random_instances(
         ns=(6, 8, 10, 12, 14), rs=(2, 3, 4, 5), seeds=range(2)
     )
@@ -285,17 +284,16 @@ def test_perfect_partners_match_the_oracle():
         mate = maximum_matching(n, g.adjacency)
         before = list(mate)
         for u in range(n):
-            flags = perfect_partners(g, u, mate)
+            d = gallai_edmonds(g, (u,), mate).d
             assert mate == before, (name, u)
-            d = oracles.gallai_edmonds(g, frozenset({u}), size)[0]
-            assert flags == [v in d for v in range(n)], (name, u)
+            assert d == oracles.gallai_edmonds(g, frozenset({u}), size)[0], (name, u)
             # one tree grown to the end has two adjacent outer vertices
             # exactly when it contracted a blossom
-            if any(flags[a] and flags[b] for a, b in g.edges if u not in (a, b)):
+            if any(a in d and b in d for a, b in g.edges if u not in (a, b)):
                 blossoms[name] = blossoms.get(name, 0) + 1
     assert blossoms.get("petersen") == 10 and len(blossoms) >= 20, blossoms
-    with pytest.raises(ValueError, match="perfect"):
-        perfect_partners(corpus.c4(), 0, [1, 0, -1, -1])
+    with pytest.raises(AssertionError, match="not maximum"):
+        gallai_edmonds(corpus.c4(), (0,), [1, 0, -1, -1])
 
 
 def _starts(g, rng):
