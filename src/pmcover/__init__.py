@@ -48,8 +48,6 @@ from .leaf_solvers import (
     petersen_solve,
 )
 from .matchings import (
-    EnumerationOverflow,
-    enumerate_pms,
     iter_pms,
     perfect_matching_without,
     pm_containing_edges,
@@ -71,7 +69,6 @@ __all__ = [
     "CoverSolution",
     "Cut",
     "DecompositionTree",
-    "EnumerationOverflow",
     "FingerprintMismatch",
     "LeafClass",
     "LeafSummary",
@@ -88,7 +85,6 @@ __all__ = [
     "cut_from_shore",
     "decompose",
     "deserialize",
-    "enumerate_pms",
     "exact_cover",
     "find_nontrivial_tight_cut",
     "improved_merge",

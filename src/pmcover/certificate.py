@@ -276,7 +276,9 @@ def deserialize(text: str) -> Certificate:
         raise CertificateError(
             f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # such as an integer past the interpreter's digit limit
+    # a ValueError such as an integer past the interpreter's digit limit, or
+    # a RecursionError from arrays or objects nested past the parser's depth
+    except (ValueError, RecursionError) as exc:
         raise CertificateError(f"parse error: {exc}") from None
     root = _as_dict(payload, "certificate")
     graph = _as_dict(root.get("graph"), "graph")

@@ -23,6 +23,7 @@ import json
 import os
 import random
 import sys
+from itertools import islice
 from typing import Optional, Sequence, TextIO
 
 from .certificate import (
@@ -38,7 +39,7 @@ from .certificate import (
 from .decomposition import DecompositionTree, decompose
 from .graphs import MultiGraph, build_graph, is_connected, is_r_graph, regular_degree
 from .leaf_solvers import ClassificationError
-from .matchings import EnumerationOverflow, enumerate_pms
+from .matchings import iter_pms
 from .merge import solve_r_graph
 
 EXIT_OK = 0
@@ -49,8 +50,10 @@ EXIT_LIMIT = 4
 
 
 class GraphParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """A graph file that cannot be read or parsed; ``line`` is None for the file as a whole."""
+
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -106,9 +109,9 @@ def load_graph(path: str) -> MultiGraph:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise GraphParseError(0, f"cannot read {path}: {exc.strerror}") from None
+        raise GraphParseError(None, f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise GraphParseError(0, f"{path} is not UTF-8 text: {exc.reason}") from None
+        raise GraphParseError(None, f"{path} is not UTF-8 text: {exc.reason}") from None
     return parse_graph_text(text)
 
 
@@ -326,11 +329,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
     code = EXIT_OK
-    try:
-        matchings = enumerate_pms(g, limit=args.limit)
-    except EnumerationOverflow as exc:
-        print(f"limit {args.limit} exceeded; {len(exc.found)} matchings listed", file=sys.stderr)
-        matchings, code = exc.found, EXIT_LIMIT
+    matchings = list(islice(iter_pms(g), None if args.limit is None else args.limit + 1))
+    if args.limit is not None and len(matchings) > args.limit:
+        matchings, code = matchings[: args.limit], EXIT_LIMIT
+        print(f"limit {args.limit} exceeded; {len(matchings)} matchings listed", file=sys.stderr)
     lines = [" ".join(str(e) for e in sorted(m)) for m in matchings]
     if code == EXIT_OK:
         lines.append(f"count {len(matchings)}")

@@ -104,6 +104,8 @@ decomposition, at the root; every tight cut is crossed once by every
 perfect matching, so the parent's matching, relabelled, is a perfect
 matching of each contraction, and every node inherits one; every route
 and every verdict below starts from it (see ``find_nontrivial_tight_cut``).
+Each node is 2-coloured once: ``MultiGraph.bipartition`` is cached on the
+node's graph, which ``classify_leaf``, the search and the leaf solver share.
 No cut is tested for tightness: each is tight by the arguments above.  A
 barrier with k nontrivial odd components K1..Kk gives k tight cuts that do
 not cross one another.  When K1 wins, the contraction that keeps K2..Kk
@@ -125,7 +127,6 @@ from .cover import CoverSolution
 from .graphs import (
     Cut,
     MultiGraph,
-    bipartition,
     build_graph,
     components_without,
     cut_from_shore,
@@ -344,7 +345,7 @@ def find_nontrivial_tight_cut(
     """
     if g.vertex_count < 6:
         return None  # a nontrivial odd cut needs two shores of size >= 3
-    sides = bipartition(g)
+    sides = g.bipartition
     if sides is not None:
         routes: tuple[Iterator[Sequence[frozenset[int]]], ...] = (
             _bipartite_barrier_shores(g, sides[0], matching),
@@ -433,7 +434,7 @@ def classify_leaf(g: MultiGraph) -> LeafClass:
     This is the class G has as a leaf; only a Petersen graph is known to be
     a leaf before the tight-cut search.
     """
-    if bipartition(g) is not None:
+    if g.bipartition is not None:
         return LeafClass.BRACE
     if is_petersen(g):
         return LeafClass.PETERSEN_BRICK

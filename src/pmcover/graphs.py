@@ -39,7 +39,12 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """A loopless multigraph; ``edges[i]`` is the endpoint pair of edge id i."""
+    """A loopless multigraph; ``edges[i]`` is the endpoint pair of edge id i.
+
+    The graph is immutable, so every derived view (degrees, adjacency,
+    incident ids, parallel copies, simple pairs, bipartition) is computed on
+    first use and cached on the object.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
@@ -85,6 +90,31 @@ class MultiGraph:
     @cached_property
     def simple_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pair_ids))
+
+    @cached_property
+    def bipartition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+        """2-coloring of a connected graph: (side of vertex 0, other side), or None.
+
+        One breadth-first search per graph object, so the classification, the
+        tight-cut search and the leaf solver of a decomposition node share it.
+        """
+        if self.vertex_count == 0:
+            return None
+        color = [-1] * self.vertex_count
+        color[0] = 0
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for w in self.adjacency[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+        if -1 in color:
+            return None  # disconnected: no canonical bipartition
+        left = frozenset(v for v in range(self.vertex_count) if color[v] == 0)
+        return left, frozenset(range(self.vertex_count)) - left
 
     def other_end(self, edge_id: int, vertex: int) -> int:
         u, v = self.edges[edge_id]
@@ -208,28 +238,6 @@ def cut_vertices(g: MultiGraph, removed: Optional[int] = None) -> set[int]:
     if root_children >= 2:
         cut.add(root)
     return cut
-
-
-def bipartition(g: MultiGraph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """2-coloring of a connected graph: (side of vertex 0, other side), or None."""
-    if g.vertex_count == 0:
-        return None
-    color = [-1] * g.vertex_count
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                return None
-    if any(c == -1 for c in color):
-        return None  # disconnected: no canonical bipartition
-    left = frozenset(v for v in range(g.vertex_count) if color[v] == 0)
-    right = frozenset(range(g.vertex_count)) - left
-    return left, right
 
 
 def cut_from_shore(g: MultiGraph, shore: Iterable[int]) -> Cut:

@@ -7,10 +7,19 @@ Three solvers, one per leaf class:
   giving an all-ones cover that partitions the edge ids.
 * Petersen bricks: the six perfect matchings of the Petersen graph are
   linearly independent, every edge lies in exactly two of them, and any two
-  share exactly one edge.  None of this depends on a labelling, so the
-  matchings are enumerated on the host's own 15 simple pairs, in
-  ``simple_pairs`` order.  A multiplicity vector w in their span has the
-  closed-form representation 2 alpha_k = (5 w(M_k) - w(E)) / 10, where
+  share exactly one edge.  They are read off the 5-cycles through vertex 0,
+  with no enumeration and no labelling.  ``is_petersen`` has checked girth 5
+  and one common neighbour for every non-adjacent pair, so each path
+  0-a-b-c closes to a unique 5-cycle through the one common neighbour of 0
+  and c: twelve paths, two per cycle, so six cycles.  Each cycle C is
+  induced, and its complement has five vertices, five edges (15 less the
+  five of C and the five of the cut, one per vertex of C) and girth at least
+  5, so it is a 5-cycle too.  Every vertex thus has one edge in the cut
+  delta(C), which is a perfect matching.  The complement of C misses vertex
+  0, so the six cuts are distinct, and they are all six matchings.  They
+  are taken on the host's own 15 simple pairs, in ``simple_pairs`` order.
+  A multiplicity vector w in their span has the closed-form
+  representation 2 alpha_k = (5 w(M_k) - w(E)) / 10, where
   w(M_k) is the weight on the edges of M_k and w(E) the total weight.  Its
   entries are all integral or all half-integral; the integral case expands
   into parallel copies directly, the half case first spends +1/2 on each of
@@ -57,15 +66,9 @@ from typing import Iterator, Optional, Sequence
 
 from .cover import CoverSolution, exact_cover
 from .decomposition import is_petersen
-from .graphs import MultiGraph, bipartition, build_graph, regular_degree
+from .graphs import MultiGraph, regular_degree
 from .linalg import Basis, ModEchelon
-from .matchings import (
-    enumerate_pms,
-    incidence_mask,
-    incidence_row,
-    maximum_matching,
-    pm_containing_edges,
-)
+from .matchings import incidence_mask, incidence_row, maximum_matching, pm_containing_edges
 
 
 class ClassificationError(RuntimeError):
@@ -85,7 +88,7 @@ def brace_solve(g: MultiGraph) -> CoverSolution:
     Each peeled pair consumes its lowest remaining parallel copy, so the
     matchings partition the edge ids deterministically.
     """
-    if bipartition(g) is None:
+    if g.bipartition is None:
         raise ValueError("peeling requires a bipartite graph")
     r = regular_degree(g)
     if r is None or r < 1:
@@ -143,15 +146,31 @@ def _petersen_weight_alpha(
 def petersen_solve(g: MultiGraph) -> CoverSolution:
     """Cover a Petersen brick: either all-integer terms or exactly six at +1/2.
 
-    Pair i is ``g.simple_pairs[i]``.  Parallel copies of each pair are
-    consumed in ascending edge id order; in the half case the six +1/2
-    matchings live on the lowest copy of every pair and the remainder
-    expands integrally.
+    Pair i is ``g.simple_pairs[i]``.  The six perfect matchings are the cuts
+    around the six 5-cycles through vertex 0, each closed from a path
+    0-a-b-c through the one common neighbour of 0 and c (module docstring),
+    listed in lexicographic order of their sorted pair indices.  Parallel
+    copies of each pair are consumed in ascending edge id order; in the
+    half case the six +1/2 matchings live on the lowest copy of every pair
+    and the remainder expands integrally.
     """
     if not is_petersen(g):
         raise ValueError("the underlying simple graph is not the Petersen graph")
     copies = [g.pair_ids[pair] for pair in g.simple_pairs]
-    mats = enumerate_pms(build_graph(10, g.simple_pairs))
+    adj = [set(nbrs) for nbrs in g.adjacency]
+    cycles = {
+        frozenset((0, a, b, c, *(adj[0] & adj[c])))
+        for a in adj[0]
+        for b in adj[a] - {0}
+        for c in adj[b] - {a}
+    }
+    mats = sorted(
+        (
+            frozenset(k for k, (x, y) in enumerate(g.simple_pairs) if (x in cyc) != (y in cyc))
+            for cyc in cycles
+        ),
+        key=sorted,
+    )
     twice_alpha = _petersen_weight_alpha([len(ids) for ids in copies], mats)
     consumed = [0] * 15
     terms: list[tuple[frozenset[int], int]] = []
@@ -239,7 +258,7 @@ def brick_solve(g: MultiGraph) -> CoverSolution:
     that ends first raises ``ClassificationError``, naming the rank mod 2
     when it stayed short.
     """
-    if bipartition(g) is not None:
+    if g.bipartition is not None:
         raise ValueError("bipartite graphs are solved by peeling, not the brick path")
     if is_petersen(g):
         raise ValueError("the Petersen brick requires the half-integral solver")

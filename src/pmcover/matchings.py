@@ -7,10 +7,11 @@ question about G minus a vertex set X starts warm instead, from a matching
 of G with its edges at X dropped, and grows alternating forests in place,
 never entering a vertex of X: ``perfect_matching_without`` completes it to
 a perfect matching of G - X, and ``gallai_edmonds`` reads D(G - X), and
-from it A and C, off one forest.  Enumeration backtracks over the
-lowest-indexed uncovered vertex, branching over incident edges in ascending
-edge-id order; parallel copies of a pair therefore yield distinct
-matchings, listed deterministically.
+from it A and C, off one forest.  ``iter_pms`` lists every perfect matching
+for ``pmcover enumerate``; nothing on the solve path enumerates.  It
+backtracks over the lowest-indexed uncovered vertex, branching over
+incident edges in ascending edge-id order; parallel copies of a pair
+therefore yield distinct matchings, listed deterministically.
 
 A perfect matching is represented as a frozenset of edge ids.
 """
@@ -21,15 +22,6 @@ from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import MultiGraph
-
-
-class EnumerationOverflow(RuntimeError):
-    """Raised when enumeration exceeds its limit; carries the matchings found so far."""
-
-    def __init__(self, limit: int, found: Sequence[frozenset[int]] = ()):
-        super().__init__(f"perfect matching enumeration exceeded limit {limit}")
-        self.limit = limit
-        self.found = list(found)
 
 
 def maximum_matching(n: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
@@ -263,18 +255,6 @@ def iter_pms(g: MultiGraph) -> Iterator[frozenset[int]]:
         covered[v] = False
 
     yield from backtrack(0)
-
-
-def enumerate_pms(g: MultiGraph, limit: Optional[int] = None) -> list[frozenset[int]]:
-    """Every perfect matching, or EnumerationOverflow past ``limit``."""
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
-    out: list[frozenset[int]] = []
-    for pm in iter_pms(g):
-        if limit is not None and len(out) == limit:
-            raise EnumerationOverflow(limit, out)
-        out.append(pm)
-    return out
 
 
 def validate_perfect_matching(g: MultiGraph, edge_ids: Iterable[int]) -> None:

@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 
 import pmcover
-from pmcover import ClassificationError, build_graph, enumerate_pms, graphs, is_r_graph
+from pmcover import (
+    ClassificationError,
+    build_graph,
+    graphs,
+    is_r_graph,
+    iter_pms,
+    validate_perfect_matching,
+)
 from pmcover.cli import (
     GraphParseError,
     format_graph,
@@ -470,7 +477,17 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert main(["verify", "-i", graph_path, str(bad_cert)]) == 2
     assert "certificate error" in capsys.readouterr().err
 
-    assert main(["validate", "-i", str(tmp_path / "nope.txt")]) == 2
+    # arrays nested past the JSON parser's depth are a parse error, not a crash
+    bad_cert.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", "-i", graph_path, str(bad_cert)]) == 2
+    assert capsys.readouterr().err.startswith("certificate error: parse error: ")
+
+    # a file that cannot be read has no line to blame
+    missing = tmp_path / "nope.txt"
+    assert main(["validate", "-i", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: cannot read {missing}: No such file or directory\n"
+    assert "line 0" not in err
 
     # a leaf class that is not a string, hashable or not
     cert_path = tmp_path / "k4.json"
@@ -486,7 +503,9 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     # files that are not UTF-8 text
     bad_graph.write_bytes(b"rgraph 4 1\n\xff\n")
     assert main(["validate", "-i", str(bad_graph)]) == 2
-    assert "parse error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {bad_graph} is not UTF-8 text")
+    assert "line 0" not in err
     bad_cert.write_bytes(b"{\"graph\": \"\xff\"}")
     assert main(["verify", "-i", graph_path, str(bad_cert)]) == 2
     assert "certificate error" in capsys.readouterr().err
@@ -540,6 +559,11 @@ def test_enumerate_lists_matchings(tmp_path, capsys):
     assert lines[-1] == "count 6"
     assert len(lines) == 7
     assert all(len(line.split()) == 5 for line in lines[:-1])
+    # a limit the count reaches is not exceeded
+    assert main(["enumerate", "-i", path, "--limit", "6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines() == lines
+    assert captured.err == ""
 
 
 def test_enumerate_limit_overflow(tmp_path, capsys):
@@ -554,7 +578,9 @@ def test_enumerate_limit_overflow(tmp_path, capsys):
     assert "limit 3 exceeded; 3 matchings listed" in captured.err
     payload = json.loads(captured.out)
     assert payload["count"] == 3
-    assert payload["matchings"] == [sorted(m) for m in enumerate_pms(corpus.petersen())[:3]]
+    assert payload["matchings"] == [sorted(m) for m in list(iter_pms(corpus.petersen()))[:3]]
+    for m in payload["matchings"]:
+        validate_perfect_matching(corpus.petersen(), m)
 
 
 def test_enumerate_json(tmp_path, capsys):

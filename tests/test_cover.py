@@ -14,7 +14,7 @@ from pmcover import (
 )
 from pmcover import cover
 from pmcover.linalg import Echelon
-from pmcover.matchings import enumerate_pms
+from pmcover.matchings import iter_pms
 
 import corpus
 
@@ -31,7 +31,7 @@ def test_twice_round_trip():
 
 def test_twice_rejections():
     g = corpus.petersen()
-    pms = enumerate_pms(g)
+    pms = list(iter_pms(g))
     with pytest.raises(ValueError, match="zero"):
         CoverSolution(g, ((pms[0], 0),))
     # +1/2 is the one odd doubled value in the class; 3/2 and -1/2 are not
@@ -41,12 +41,12 @@ def test_twice_rejections():
         assert sol.halves_count == 5
     # passing true coefficients instead of doubled ones misses every edge sum
     with pytest.raises(ValueError, match="expected 2"):
-        exact_cover(corpus.k4(), [(pm, 1) for pm in enumerate_pms(corpus.k4())])
+        exact_cover(corpus.k4(), [(pm, 1) for pm in iter_pms(corpus.k4())])
 
 
 def test_exact_cover_k4():
     g = corpus.k4()
-    pms = enumerate_pms(g)
+    pms = list(iter_pms(g))
     sol = exact_cover(g, [(pm, 2) for pm in pms])
     assert sol.support == 3
     assert all(c % 2 == 0 for c in sol.coefficients)
@@ -57,7 +57,7 @@ def test_exact_cover_k4():
 
 def test_exact_cover_rejects_bad_sums():
     g = corpus.k4()
-    pms = enumerate_pms(g)
+    pms = list(iter_pms(g))
     with pytest.raises(ValueError, match="cover"):
         exact_cover(g, [(pms[0], 2)])
 
@@ -89,7 +89,7 @@ def test_exact_cover_rejects_out_of_class():
 def test_structural_solution_accepts_wrong_sums():
     # the verifier loads tampered data, so the raw container stays permissive
     g = corpus.k4()
-    pms = enumerate_pms(g)
+    pms = list(iter_pms(g))
     sol = CoverSolution(g, ((pms[0], 4),))
     assert sol.coverage() != [2] * g.m
 
@@ -104,7 +104,7 @@ def test_structural_solution_rejects_bad_ids_and_zeros():
 
 def test_halves_accounting():
     g = corpus.petersen()
-    pms = enumerate_pms(g)
+    pms = list(iter_pms(g))
     sol = exact_cover(g, [(pm, 1) for pm in pms])
     assert sol.halves_count == 6
     assert sol.halves_exact()
@@ -116,11 +116,11 @@ def test_halves_accounting():
 
 def test_terms_independent():
     g = corpus.k4()
-    pms = enumerate_pms(g)
+    pms = list(iter_pms(g))
     assert terms_independent(g, pms)
     assert not terms_independent(g, pms + [pms[0]])
     gp = corpus.petersen()
-    assert terms_independent(gp, enumerate_pms(gp))
+    assert terms_independent(gp, list(iter_pms(gp)))
 
 
 # 0/1 rows of determinant 6 = 2 * 3: dependent mod 2 and mod 3, independent over Q
@@ -155,7 +155,7 @@ def test_terms_independent_certifies_mod_3_without_the_exact_rank(monkeypatch):
     assert terms_independent(corpus.k4(), _edge_sets([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
     g = corpus.petersen()
     # the six Petersen matchings sum to twice the all-ones vector: mod 3 again
-    assert terms_independent(g, enumerate_pms(g))
+    assert terms_independent(g, list(iter_pms(g)))
     assert calls == []
 
 
@@ -168,7 +168,7 @@ def test_terms_independent_falls_back_to_the_exact_rank(monkeypatch):
 def test_terms_independent_reads_zero_and_repeated_rows_as_dependent(monkeypatch):
     calls = _counting_rank(monkeypatch)
     g = corpus.k4()
-    pms = enumerate_pms(g)
+    pms = list(iter_pms(g))
     assert not terms_independent(g, pms + [frozenset()])
     assert not terms_independent(g, [frozenset()])
     assert not terms_independent(g, [pms[1], pms[0], pms[1]])

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import chain
 
 import pytest
 
 from pmcover import build_graph, solve_r_graph, verify_cover
-from pmcover import decomposition
+from pmcover import decomposition, leaf_solvers
 from pmcover.cli import gen_r_graph
 from pmcover.decomposition import (
     LeafClass,
@@ -19,8 +20,13 @@ from pmcover.decomposition import (
     find_nontrivial_tight_cut,
     is_petersen,
 )
-from pmcover.graphs import bipartition, cut_from_shore, is_connected, is_r_graph, regular_degree
-from pmcover.matchings import gallai_edmonds, maximum_matching, validate_perfect_matching
+from pmcover.graphs import MultiGraph, cut_from_shore, is_connected, is_r_graph, regular_degree
+from pmcover.matchings import (
+    gallai_edmonds,
+    iter_pms,
+    maximum_matching,
+    validate_perfect_matching,
+)
 from pmcover.merge import _fold
 
 import corpus
@@ -119,7 +125,7 @@ def _perfect_mates(g):
 def _assert_bipartite_route_matches(g, exhaustive, mate, label):
     # every witness leaves exactly one nontrivial odd component, tight, and
     # some witness exists exactly when a nontrivial tight cut does
-    groups = list(_bipartite_barrier_shores(g, bipartition(g)[0], mate))
+    groups = list(_bipartite_barrier_shores(g, g.bipartition[0], mate))
     assert all(len(group) == 1 for group in groups), label
     for (shore,) in groups:
         assert shore in exhaustive or frozenset(range(g.vertex_count)) - shore in exhaustive, label
@@ -141,7 +147,7 @@ def test_bipartite_route_matches_exhaustive_sweep():
     instances = [(f"trial {trial}", _random_bipartite_r_graph(rng)) for trial in range(180)]
     instances += [
         (name, g) for name, g in corpus.structured_instances() + corpus.random_instances()
-        if 6 <= g.vertex_count <= 14 and bipartition(g) is not None and is_r_graph(g).ok
+        if 6 <= g.vertex_count <= 14 and g.bipartition is not None and is_r_graph(g).ok
     ]
     non_braces = matchings = 0
     for name, g in instances:
@@ -215,7 +221,7 @@ def _cubic_nodes():
             continue
         tree = decompose(g)
         for node in chain(tree.internal_nodes(), tree.leaves()):
-            if bipartition(node.graph) is None:
+            if node.graph.bipartition is None:
                 yield node.graph
 
 
@@ -351,9 +357,9 @@ def test_barrier_blowup_searches_once_per_barrier(monkeypatch, k):
         assert tree.petersen_count == k
         oracles.assert_solved_tree(tree)
         nonbipartite_internal = sum(
-            1 for node in tree.internal_nodes() if bipartition(node.graph) is None
+            1 for node in tree.internal_nodes() if node.graph.bipartition is None
         )
-        nonbipartite_searched = sum(1 for h in searched if bipartition(h) is None)
+        nonbipartite_searched = sum(1 for h in searched if h.bipartition is None)
         assert nonbipartite_searched == nonbipartite_internal - (k - 1), (k, seed)
         # one matching search, at the root: every route, the bipartite one
         # included, starts from the perfect matching a node inherits
@@ -475,6 +481,58 @@ def test_is_petersen_agrees_with_the_embedding_oracle():
         assert verdict == (oracles.petersen_embedding(g) is not None), (trial, g.edges)
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+class _Handed(Exception):
+    """Raised by a spy with the matchings handed to it."""
+
+
+def test_petersen_matchings_are_the_cuts_around_the_5_cycles(monkeypatch):
+    # on every Petersen draw of the generator above, ``petersen_solve`` hands
+    # the closed form the matchings that enumeration on the simple pairs
+    # lists, in the same order, so each term takes the same parallel copy;
+    # most draws are irregular hosts, so the spy stops the solve
+    def spied(weights, mats):
+        raise _Handed(list(mats))
+
+    monkeypatch.setattr(leaf_solvers, "_petersen_weight_alpha", spied)
+    rng = random.Random(13)
+    drawn = 0
+    for trial in range(300):
+        pairs = _edge_switches(corpus.PETERSEN_PAIRS, rng, steps=trial % 4)
+        g = _relabelled(pairs, rng, extra_copies=rng.randint(0, 3))
+        if not is_petersen(g):
+            continue
+        with pytest.raises(_Handed) as handed:
+            leaf_solvers.petersen_solve(g)
+        assert handed.value.args[0] == list(iter_pms(build_graph(10, g.simple_pairs))), trial
+        drawn += 1
+    assert drawn >= 75
+
+
+def test_each_node_is_two_coloured_once(monkeypatch):
+    # the classification, the tight-cut search and the leaf solver of a node
+    # all read the one bipartition cached on its graph
+    computed = []
+    colour = MultiGraph.bipartition.func
+
+    def counted(g):
+        computed.append(g)
+        return colour(g)
+
+    spied = cached_property(counted)
+    spied.__set_name__(MultiGraph, "bipartition")
+    monkeypatch.setattr(MultiGraph, "bipartition", spied)
+    instances = corpus.structured_instances() + corpus.random_instances()
+    instances += [(f"blowup_{k}", corpus.barrier_blowup(k, 0)) for k in range(2, 6)]
+    nodes_seen = 0
+    for name, g in instances:
+        computed.clear()
+        _, tree = solve_r_graph(g)
+        nodes = [node.graph for node in chain(tree.internal_nodes(), tree.leaves())]
+        assert sorted(map(id, computed)) == sorted(map(id, nodes)), name
+        nodes_seen += len(nodes)
+    assert nodes_seen >= 300, nodes_seen
 
 
 def test_classify_leaf():

@@ -7,7 +7,6 @@ import pytest
 from pmcover import graphs
 from pmcover.cli import gen_r_graph
 from pmcover.graphs import (
-    bipartition,
     build_graph,
     components_without,
     cut_from_shore,
@@ -69,13 +68,13 @@ def test_components_without():
 
 
 def test_bipartition():
-    left, right = bipartition(corpus.c6())
+    left, right = corpus.c6().bipartition
     assert {frozenset(left), frozenset(right)} == {
         frozenset({0, 2, 4}),
         frozenset({1, 3, 5}),
     }
-    assert bipartition(corpus.k4()) is None
-    assert bipartition(corpus.petersen()) is None
+    assert corpus.k4().bipartition is None
+    assert corpus.petersen().bipartition is None
 
 
 def test_cut_from_shore():

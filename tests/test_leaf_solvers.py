@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,6 @@ from pmcover import (
     LeafClass,
     build_graph,
     decompose,
-    enumerate_pms,
     leaf_solvers,
     solve_r_graph,
     terms_independent,
@@ -28,14 +28,14 @@ from pmcover.leaf_solvers import (
     brick_solve,
     petersen_solve,
 )
-from pmcover.matchings import incidence_mask, maximum_matching, pm_containing_edges
+from pmcover.matchings import incidence_mask, iter_pms, maximum_matching, pm_containing_edges
 
 import corpus
 import oracles
 
 # the Petersen pairs in simple_pairs order, and its six perfect matchings on them
 PAIRS = corpus.petersen().simple_pairs
-MATCHINGS = enumerate_pms(build_graph(10, PAIRS))
+MATCHINGS = list(iter_pms(build_graph(10, PAIRS)))
 
 
 def test_brace_solve_peels_unit_coefficients():
@@ -202,6 +202,22 @@ def test_relabelled_petersen_roots_solve_and_verify():
         assert oracles.assert_solved_tree(tree) == 0, trial
 
 
+def test_solve_enumerates_no_matchings(monkeypatch):
+    # a Petersen leaf takes its six matchings from its 5-cycles, and nothing
+    # else on the solve path lists perfect matchings either
+    def refuse(g):
+        raise AssertionError("the solve path enumerated perfect matchings")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pmcover" and hasattr(module, "iter_pms"):
+            monkeypatch.setattr(module, "iter_pms", refuse)
+    for g, pieces in ((corpus.double_petersen_splice(), 2), (corpus.barrier_blowup(4, 1), 4)):
+        sol, tree = solve_r_graph(g)
+        assert tree.petersen_count == pieces
+        assert verify_cover(g, sol, tree).mandatory_ok
+        assert sol.halves_count == 6
+
+
 def test_pair_walk_prism_frozen():
     g = corpus.prism()
     walk = list(_pair_walk(g))
@@ -325,7 +341,7 @@ def test_pair_walk_covers_every_pair_in_a_perfect_matching(g):
     def pairs(pms):
         return {(e, f) for pm in pms for e in pm for f in pm if e < f}
 
-    assert pairs(enumerate_pms(g)) <= pairs(_pair_walk(g))
+    assert pairs(oracles.all_pms(g)) <= pairs(_pair_walk(g))
 
 
 @pytest.mark.parametrize("g", WALK_GRAPHS)
