@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from typing import Any, Sequence
 
@@ -74,7 +74,7 @@ class VerifyReport:
     support: int
     support_bound_ok: bool
     independent: bool
-    inf_norm: int  # doubled, like every coefficient
+    twice_inf_norm: int  # doubled, like every coefficient
     norm_bound_ok: bool
     coeff_sum_is_r: bool
 
@@ -124,7 +124,7 @@ def _compute_report(
         (leaf.m - leaf.n + 1 for leaf in bricks if leaf.kind == LeafClass.OTHER_BRICK.value),
         default=0,
     )
-    inf_norm = sol.inf_norm()
+    twice_inf_norm = sol.inf_norm()
     r = regular_degree(g)
     return VerifyReport(
         coverage_ok=all(s == 2 for s in sol.coverage()),
@@ -135,9 +135,9 @@ def _compute_report(
         support=sol.support,
         support_bound_ok=sol.support <= g.m - g.vertex_count + 2 - len(bricks),
         independent=terms_independent(g, sol.matchings),
-        inf_norm=inf_norm,
-        # inf_norm <= 2 * 2**d by bit length: a forged leaf can make d huge or negative
-        norm_bound_ok=inf_norm == 0 or (inf_norm - 1).bit_length() <= d + 1,
+        twice_inf_norm=twice_inf_norm,
+        # twice_inf_norm <= 2 * 2**d by bit length: a forged leaf can make d huge or negative
+        norm_bound_ok=twice_inf_norm == 0 or (twice_inf_norm - 1).bit_length() <= d + 1,
         coeff_sum_is_r=r is not None and sol.coefficient_sum() == 2 * r,
     )
 
@@ -193,22 +193,6 @@ def verify_certificate(g: MultiGraph, cert: Certificate) -> VerifyReport:
     return _compute_report(g, certificate_solution(g, cert), cert.leaves)
 
 
-def report_as_dict(report: VerifyReport) -> dict[str, Any]:
-    return {
-        "coverage_ok": report.coverage_ok,
-        "each_term_is_pm": report.each_term_is_pm,
-        "halves_count": report.halves_count,
-        "halves_exact": report.halves_exact,
-        "halves_bound_ok": report.halves_bound_ok,
-        "support": report.support,
-        "support_bound_ok": report.support_bound_ok,
-        "independent": report.independent,
-        "twice_inf_norm": report.inf_norm,
-        "norm_bound_ok": report.norm_bound_ok,
-        "coeff_sum_is_r": report.coeff_sum_is_r,
-    }
-
-
 def serialize(cert: Certificate) -> str:
     """Canonical JSON text: stable field order, integers only, no floats.
 
@@ -234,7 +218,7 @@ def serialize(cert: Certificate) -> str:
             ],
             "p": cert.p,
         },
-        "report": report_as_dict(cert.report),
+        "report": asdict(cert.report),
     }
     blocks = ",\n".join(
         f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
@@ -331,21 +315,14 @@ def deserialize(text: str) -> Certificate:
         "tree.p disagrees with the leaf list",
     )
     raw_report = _as_dict(root.get("report"), "report")
-    twice_norm = _as_int(raw_report.get("twice_inf_norm"), "report.twice_inf_norm")
-    _expect(twice_norm >= 0, "report.twice_inf_norm must be non-negative")
-    report = VerifyReport(
-        coverage_ok=_as_bool(raw_report.get("coverage_ok"), "report.coverage_ok"),
-        each_term_is_pm=_as_bool(raw_report.get("each_term_is_pm"), "report.each_term_is_pm"),
-        halves_count=_as_int(raw_report.get("halves_count"), "report.halves_count"),
-        halves_exact=_as_bool(raw_report.get("halves_exact"), "report.halves_exact"),
-        halves_bound_ok=_as_bool(raw_report.get("halves_bound_ok"), "report.halves_bound_ok"),
-        support=_as_int(raw_report.get("support"), "report.support"),
-        support_bound_ok=_as_bool(raw_report.get("support_bound_ok"), "report.support_bound_ok"),
-        independent=_as_bool(raw_report.get("independent"), "report.independent"),
-        inf_norm=twice_norm,
-        norm_bound_ok=_as_bool(raw_report.get("norm_bound_ok"), "report.norm_bound_ok"),
-        coeff_sum_is_r=_as_bool(raw_report.get("coeff_sum_is_r"), "report.coeff_sum_is_r"),
-    )
+    # the field names are the report block's keys; each is a bool or an int
+    report = VerifyReport(**{
+        f.name: (_as_bool if f.type == "bool" else _as_int)(
+            raw_report.get(f.name), f"report.{f.name}"
+        )
+        for f in fields(VerifyReport)
+    })
+    _expect(report.twice_inf_norm >= 0, "report.twice_inf_norm must be non-negative")
     return Certificate(
         n=n, m=m, r=r, edges=tuple(edges), terms=tuple(terms),
         leaves=tuple(leaves), p=p, report=report,

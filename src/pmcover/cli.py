@@ -7,7 +7,8 @@ certificate's n or edge list differs from the graph's), 4 enumeration limit
 overflow.
 
 Graph files are line-oriented text: a header "rgraph <n> <m>", then exactly
-m lines "e <u> <v>" with 0-based endpoints.  Repeated lines denote parallel
+m lines "e <u> <v>" with 0-based endpoints, every field an ASCII decimal
+integer ("-?[0-9]+", then range-checked).  Repeated lines denote parallel
 edges, a line whose first non-blank character is '#' is a comment, loops
 are rejected.  A header with n > 2m is rejected: some vertex would have no
 edge, so the graph has no perfect matching.  Edge ids are assigned in file
@@ -23,8 +24,9 @@ import json
 import os
 import random
 import sys
+from dataclasses import asdict
 from itertools import islice
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from .certificate import (
     CertificateError,
@@ -32,7 +34,6 @@ from .certificate import (
     VerifyReport,
     build_certificate,
     deserialize,
-    report_as_dict,
     serialize,
     verify_certificate,
 )
@@ -57,6 +58,22 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+def _integers(a: str, b: str, lineno: int, message: str) -> tuple[int, int]:
+    """Two fields as integers, each written -?[0-9]+ in ASCII, or a parse error at ``lineno``.
+
+    ``int`` reads an optional sign of + or -, then decimal digits that may be
+    non-ASCII and grouped by underscores.  In ASCII fields with no + and no
+    _, that leaves exactly -?[0-9]+.
+    """
+    both = a + b
+    if both.isascii() and "+" not in both and "_" not in both:
+        try:
+            return int(a), int(b)
+        except ValueError:  # not digits, or past the interpreter's digit limit
+            pass
+    raise GraphParseError(lineno, message)
+
+
 def parse_graph_text(text: str) -> MultiGraph:
     header: Optional[tuple[int, int]] = None
     header_line = 1
@@ -69,20 +86,14 @@ def parse_graph_text(text: str) -> MultiGraph:
         if header is None:
             if fields[0] != "rgraph" or len(fields) != 3:
                 raise GraphParseError(lineno, "expected header 'rgraph <n> <m>'")
-            try:
-                n, m = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphParseError(lineno, "header counts must be integers") from None
+            n, m = _integers(fields[1], fields[2], lineno, "header counts must be integers")
             if n < 0 or m < 0:
                 raise GraphParseError(lineno, "header counts must be non-negative")
             header, header_line = (n, m), lineno
             continue
         if fields[0] != "e" or len(fields) != 3:
             raise GraphParseError(lineno, "expected edge line 'e <u> <v>'")
-        try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise GraphParseError(lineno, "endpoints must be integers") from None
+        u, v = _integers(fields[1], fields[2], lineno, "endpoints must be integers")
         n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(lineno, f"endpoint out of range 0..{n - 1}")
@@ -104,15 +115,19 @@ def parse_graph_text(text: str) -> MultiGraph:
     return build_graph(header[0], edges)
 
 
-def load_graph(path: str) -> MultiGraph:
+def _read_text(path: str, error: Callable[[str], Exception]) -> str:
+    """The UTF-8 text of ``path``; if it cannot be read, ``error(reason)`` is raised."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
-        raise GraphParseError(None, f"cannot read {path}: {exc.strerror}") from None
+        raise error(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise GraphParseError(None, f"{path} is not UTF-8 text: {exc.reason}") from None
-    return parse_graph_text(text)
+        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def load_graph(path: str) -> MultiGraph:
+    return parse_graph_text(_read_text(path, functools.partial(GraphParseError, None)))
 
 
 def format_graph(g: MultiGraph, comment: str = "") -> str:
@@ -196,18 +211,14 @@ def _emit(payload: dict, lines: Sequence[str], fmt: str, out: TextIO) -> None:
             print(line, file=out)
 
 
-def _report_lines(report: VerifyReport) -> list[str]:
-    data = report_as_dict(report)
-    lines = [f"{key}: {str(value).lower() if isinstance(value, bool) else value}"
-             for key, value in data.items()]
-    lines.append(f"mandatory_ok: {str(report.mandatory_ok).lower()}")
-    return lines
-
-
 def _report_payload(report: VerifyReport) -> dict:
-    payload = report_as_dict(report)
-    payload["mandatory_ok"] = report.mandatory_ok
-    return payload
+    return {**asdict(report), "mandatory_ok": report.mandatory_ok}
+
+
+def _report_lines(payload: dict) -> list[str]:
+    """The text form of a report payload: one "key: value" line per key."""
+    return [f"{key}: {str(value).lower() if isinstance(value, bool) else value}"
+            for key, value in payload.items()]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -241,13 +252,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solution, tree = solve_r_graph(g)
     cert = build_certificate(g, solution, tree)
     text = serialize(cert)
+    payload = _report_payload(cert.report)
     if args.output is not None:
         if not _write_output(args.output, text):
             return EXIT_PARSE
-        _emit(_report_payload(cert.report), _report_lines(cert.report), args.format, sys.stdout)
+        _emit(payload, _report_lines(payload), args.format, sys.stdout)
     else:
         sys.stdout.write(text)
-        for line in _report_lines(cert.report):
+        for line in _report_lines(payload):
             print(line, file=sys.stderr)
     return EXIT_OK if cert.report.mandatory_ok else EXIT_CHECK_FAILED
 
@@ -296,22 +308,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
-    try:
-        with open(args.certificate, encoding="utf-8") as handle:
-            cert = deserialize(handle.read())
-    except OSError as exc:
-        print(f"cannot read {args.certificate}: {exc.strerror}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnicodeDecodeError as exc:
-        print(f"certificate error: {args.certificate} is not UTF-8 text: {exc.reason}",
-              file=sys.stderr)
-        return EXIT_PARSE
+    cert = deserialize(_read_text(args.certificate, CertificateError))
     try:
         report = verify_certificate(g, cert)
     except FingerprintMismatch as exc:
         print(f"fingerprint mismatch: {exc}", file=sys.stderr)
         return EXIT_FINGERPRINT
-    _emit(_report_payload(report), _report_lines(report), args.format, sys.stdout)
+    payload = _report_payload(report)
+    _emit(payload, _report_lines(payload), args.format, sys.stdout)
     return EXIT_OK if report.mandatory_ok else EXIT_CHECK_FAILED
 
 

@@ -10,11 +10,12 @@ The input is validated once: ``decompose`` runs the r-graph check (a
 ``graphs.cut_vertices`` search on a cubic graph, a Gomory-Hu tree otherwise)
 on the graph it is given, and its recursion tells each child that it need
 not.  Every graph below the root is a contraction across a cut that is
-tight by the arguments below, and ``contract_shore`` only checks in O(m)
-that the child is r-regular, which for an r-graph parent makes the child
-an r-graph too.  The tests re-run the full r-graph check, the
-matching-covered check and a tightness check of every cut on every node
-of solved trees (``tests/oracles.py``).
+tight by the arguments below.  ``contract_shore`` builds both contractions
+of a cut in one O(m) pass and only checks that r edges cross it, which for
+an r-graph parent makes both children r-regular and so r-graphs too.  The
+tests re-run the full r-graph check, the matching-covered check and a
+tightness check of every cut on every node of solved trees
+(``tests/oracles.py``).
 
 Finding a nontrivial tight cut does not sweep all odd shores.  A node whose
 underlying simple graph is Petersen is a brick whatever its parallel edges
@@ -360,55 +361,61 @@ def find_nontrivial_tight_cut(
     return None
 
 
-def contract_shore(
-    g: MultiGraph, cut: Cut, keep_side: frozenset[int]
-) -> tuple[MultiGraph, ContractionMap]:
-    """Collapse the non-kept shore of a tight cut to a single new vertex.
+Contraction = tuple[MultiGraph, ContractionMap]
 
-    Kept vertices are relabeled 0..k-1 in ascending order, the collapsed
-    shore becomes vertex k, and child edges keep the parent's relative order,
-    so the contraction is deterministic.  The parent must be an r-graph.  The
-    child is checked to be r-regular, that is, the cut has exactly r edges;
-    then every odd cut of the child is an odd cut of the parent, so the child
-    is an r-graph too.  A tight cut of an r-graph always has r edges.
+
+def contract_shore(g: MultiGraph, cut: Cut) -> tuple[Contraction, Contraction]:
+    """Both contractions across a tight cut: the one keeping ``cut.shore``, then the other.
+
+    In each, the kept vertices are relabeled 0..k-1 in ascending order, the
+    other side becomes vertex k, and child edges keep the parent's relative
+    order, so the contractions are deterministic.  The parent must be an
+    r-graph.  One pass over the parent's edges builds both children and
+    counts the edges that cross the shore.  Every kept vertex keeps its
+    degree and each contracted vertex gets one edge per crossing edge, so
+    both children are r-regular exactly when r edges cross; then every odd
+    cut of a child is an odd cut of the parent, so both are r-graphs too.
+    A tight cut of an r-graph always has r edges.  The count is taken over
+    the edges the pass moves, not over ``cut.edge_ids``, so a cut whose ids
+    disagree with its shore is rejected like any other that is not tight.
     """
-    complement = frozenset(range(g.vertex_count)) - cut.shore
-    if keep_side == cut.shore:
-        collapsed = complement
-    elif keep_side == complement:
-        collapsed = cut.shore
-    else:
-        raise ValueError("keep_side must be one of the cut's two shores")
     if not cut.odd:
         raise ValueError("only odd cuts are contracted")
-    if min(len(cut.shore), len(complement)) < 2:
+    n = g.vertex_count
+    side = [int(v not in cut.shore) for v in range(n)]  # the child that keeps v
+    kept = [tuple(v for v in range(n) if side[v] == c) for c in (0, 1)]
+    if min(map(len, kept)) < 2:
         raise ValueError("contracting across a trivial cut changes nothing")
-    kept = tuple(sorted(keep_side))
-    index = {p: i for i, p in enumerate(kept)}
-    new_vertex = len(kept)
-    child_edges: list[tuple[int, int]] = []
-    child_to_parent: list[int] = []
+    labels = [[len(vertices)] * n for vertices in kept]  # the other side is the last vertex
+    for c, vertices in enumerate(kept):
+        for i, v in enumerate(vertices):
+            labels[c][v] = i
+    edges: tuple[list[tuple[int, int]], ...] = ([], [])
+    parents: tuple[list[int], ...] = ([], [])
+    crossing = 0
     for parent_id, (a, b) in enumerate(g.edges):
-        a_in = a in collapsed
-        b_in = b in collapsed
-        if a_in and b_in:
-            continue
-        if a_in:
-            child_edges.append((new_vertex, index[b]))
-        elif b_in:
-            child_edges.append((index[a], new_vertex))
-        else:
-            child_edges.append((index[a], index[b]))
-        child_to_parent.append(parent_id)
-    child = build_graph(new_vertex + 1, child_edges)
-    r = regular_degree(g)
-    if r is None or regular_degree(child) != r:
+        if side[a] == side[b]:
+            children: tuple[int, ...] = (side[a],)
+        else:  # a crossing edge ends at the contracted vertex of each child
+            children = (0, 1)
+            crossing += 1
+        for c in children:
+            edges[c].append((labels[c][a], labels[c][b]))
+            parents[c].append(parent_id)
+    if crossing != regular_degree(g):
         raise ValueError("contraction did not yield an r-graph; the cut is not tight")
-    return child, ContractionMap(
-        child_to_parent=tuple(child_to_parent),
-        contracted_vertex=new_vertex,
-        kept_vertices=kept,
+    left, right = (
+        (
+            build_graph(len(vertices) + 1, edges[c]),
+            ContractionMap(
+                child_to_parent=tuple(parents[c]),
+                contracted_vertex=len(vertices),
+                kept_vertices=vertices,
+            ),
+        )
+        for c, vertices in enumerate(kept)
     )
+    return left, right
 
 
 def is_petersen(g: MultiGraph) -> bool:
@@ -493,9 +500,7 @@ def decompose(g: MultiGraph, *, carried: Optional[Carried] = None) -> Decomposit
     if found is None:
         return DecompositionTree(graph=g, leaf_class=kind)
     cut, onward = found
-    complement = frozenset(range(g.vertex_count)) - cut.shore
-    left_graph, left_map = contract_shore(g, cut, cut.shore)
-    right_graph, right_map = contract_shore(g, cut, complement)
+    (left_graph, left_map), (right_graph, right_map) = contract_shore(g, cut)
     return DecompositionTree(
         graph=g,
         cut=cut,

@@ -13,6 +13,10 @@ tests them, so this is the check of every cut of a solved tree.  Rank and
 coordinates are computed in Fractions, not by the library's fraction-free
 integer elimination.
 
+The reference contraction, ``contract_one_side``, builds one side of a
+tight cut per call and checks the regularity of the child it built; the
+library builds both sides in one pass and counts the crossing edges.
+
 The library searches G minus a vertex set in place, warm from a matching
 of G.  The reference for that is the library's cold ``maximum_matching`` on
 a filtered copy of the adjacency, where a removed vertex keeps its label but
@@ -125,6 +129,56 @@ def is_tight_cut(g: MultiGraph, cut: Cut, matching: Sequence[int]) -> bool:
             if perfect_matching_without(g, (u1, v1, u2, v2), matching) is not None:
                 return False
     return True
+
+
+def contract_one_side(
+    g: MultiGraph, cut: Cut, keep_side: frozenset[int]
+) -> tuple[MultiGraph, ContractionMap]:
+    """The contraction that keeps ``keep_side``, one of the cut's two shores.
+
+    The library's ``contract_shore`` builds both contractions in one pass;
+    this builds one per call, with a pass of its own over the parent's edges
+    and a regularity check of the child it built.  Kept vertices are
+    relabelled 0..k-1 in ascending order, the collapsed shore is vertex k,
+    and child edges keep the parent's relative order.
+    """
+    complement = frozenset(range(g.vertex_count)) - cut.shore
+    if keep_side == cut.shore:
+        collapsed = complement
+    elif keep_side == complement:
+        collapsed = cut.shore
+    else:
+        raise ValueError("keep_side must be one of the cut's two shores")
+    if not cut.odd:
+        raise ValueError("only odd cuts are contracted")
+    if min(len(cut.shore), len(complement)) < 2:
+        raise ValueError("contracting across a trivial cut changes nothing")
+    kept = tuple(sorted(keep_side))
+    index = {p: i for i, p in enumerate(kept)}
+    new_vertex = len(kept)
+    child_edges: list[tuple[int, int]] = []
+    child_to_parent: list[int] = []
+    for parent_id, (a, b) in enumerate(g.edges):
+        a_in = a in collapsed
+        b_in = b in collapsed
+        if a_in and b_in:
+            continue
+        if a_in:
+            child_edges.append((new_vertex, index[b]))
+        elif b_in:
+            child_edges.append((index[a], new_vertex))
+        else:
+            child_edges.append((index[a], index[b]))
+        child_to_parent.append(parent_id)
+    child = build_graph(new_vertex + 1, child_edges)
+    r = regular_degree(g)
+    if r is None or regular_degree(child) != r:
+        raise ValueError("contraction did not yield an r-graph; the cut is not tight")
+    return child, ContractionMap(
+        child_to_parent=tuple(child_to_parent),
+        contracted_vertex=new_vertex,
+        kept_vertices=kept,
+    )
 
 
 def exhaustive_tight_shores(g: MultiGraph) -> list[frozenset[int]]:

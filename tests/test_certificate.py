@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcover import (
     CoverSolution,
@@ -50,7 +53,7 @@ def test_verify_cover_petersen_frozen():
     assert report.mandatory_ok
     assert report.halves_count == 6
     assert report.support == 6 == g.m - g.vertex_count + 1
-    assert report.inf_norm == 1  # doubled: the norm is 1/2
+    assert report.twice_inf_norm == 1  # the norm is 1/2
     assert report.support_bound_ok and report.norm_bound_ok
 
 
@@ -61,7 +64,7 @@ def test_verify_cover_k4_frozen():
     assert report.mandatory_ok
     assert report.halves_count == 0
     assert report.support == 3
-    assert report.inf_norm == 2  # doubled: the norm is 1
+    assert report.twice_inf_norm == 2  # the norm is 1
 
 
 def test_support_advisory_holds_on_the_corpus():
@@ -227,7 +230,7 @@ def test_norm_bound_takes_any_leaf_size(n, m, bound_ok):
     data = json.loads(serialize(cert))
     data["tree"] = {"leaves": [{"class": "OtherBrick", "n": n, "m": m}], "p": 0}
     report = verify_certificate(g, deserialize(json.dumps(data)))
-    assert report.inf_norm == 2
+    assert report.twice_inf_norm == 2
     assert report.norm_bound_ok is bound_ok
 
 
@@ -312,6 +315,40 @@ def test_deserialize_rejects_a_negative_leaf_size(field):
     data["tree"]["leaves"][0][field] = -3
     with pytest.raises(CertificateError, match=r"tree.leaves\[0\] has a negative size"):
         deserialize(json.dumps(data))
+
+
+@functools.cache
+def _k4_payload() -> str:
+    return serialize(_certificate(corpus.k4())[0])
+
+
+MISSING = object()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_report_field_is_checked_by_name(data):
+    # every key of the report block, left out, of another JSON type, or for
+    # the doubled norm negative, is a CertificateError naming that key
+    payload = json.loads(_k4_payload())
+    report = payload["report"]
+    key = data.draw(st.sampled_from(sorted(report)))
+    kind = type(report[key])  # bool or int, and a bool is not an int here
+    value = data.draw(
+        st.one_of(
+            st.just(MISSING),
+            st.sampled_from([None, "1", "true", 1.5, [], {}, True, False, 0, 1, 7]).filter(
+                lambda v: type(v) is not kind
+            ),
+            st.integers(max_value=-1) if key == "twice_inf_norm" else st.nothing(),
+        )
+    )
+    if value is MISSING:
+        del report[key]
+    else:
+        report[key] = value
+    with pytest.raises(CertificateError, match=re.escape(f"report.{key}") + r"\b"):
+        deserialize(json.dumps(payload))
 
 
 def test_serialized_json_is_integer_only():

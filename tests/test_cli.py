@@ -59,11 +59,35 @@ def test_parse_errors_carry_line_numbers():
         # header-level errors blame the header's own line, after comments
         ("# c\nrgraph 4 2\ne 0 1\n", 2),
         ("# c\n# d\nrgraph 6 1\ne 0 1\n", 3),
+        # only ASCII decimal integers: int() alone takes a + sign, digit-group
+        # underscores and non-ASCII digits
+        ("rgraph 4 2\ne +0 \u0661\ne 2 3\n", 2),
+        ("rgraph 4 2\ne 0 \u0661\ne 2 3\n", 2),
+        ("rgraph 0_2 1\ne 0 1\n", 1),
+        ("rgraph +2 1\ne 0 1\n", 1),
+        ("rgraph \u0662 1\ne 0 1\n", 1),
+        ("# c\nrgraph 2 1\ne 0 +1\n", 3),
+        ("rgraph 12 6\ne 0 1_0\n", 2),
     ]
     for text, line in cases:
         with pytest.raises(GraphParseError) as info:
             parse_graph_text(text)
         assert info.value.line == line, text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rgraph 2 1\ne 0 +1\n", "line 2: endpoints must be integers"),
+        ("rgraph 2 1\ne 0 \u0661\n", "line 2: endpoints must be integers"),
+        ("rgraph 0_2 1\ne 0 1\n", "line 1: header counts must be integers"),
+    ],
+)
+def test_validate_takes_only_ascii_decimal_integers(tmp_path, capsys, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "-i", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_gen_is_deterministic_r_graph():
@@ -389,8 +413,11 @@ def test_verify_wrong_graph_is_fingerprint_mismatch(tmp_path, capsys):
 
 def test_verify_unreadable_certificate(tmp_path, capsys):
     graph_path = _write_graph(tmp_path, corpus.k4())
-    assert main(["verify", "-i", graph_path, str(tmp_path / "missing.json")]) == 2
-    assert "cannot read" in capsys.readouterr().err
+    missing = tmp_path / "missing.json"
+    assert main(["verify", "-i", graph_path, str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"certificate error: cannot read {missing}: No such file or directory\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["gen", "solve"])

@@ -20,7 +20,14 @@ from pmcover.decomposition import (
     find_nontrivial_tight_cut,
     is_petersen,
 )
-from pmcover.graphs import MultiGraph, cut_from_shore, is_connected, is_r_graph, regular_degree
+from pmcover.graphs import (
+    Cut,
+    MultiGraph,
+    cut_from_shore,
+    is_connected,
+    is_r_graph,
+    regular_degree,
+)
 from pmcover.matchings import (
     gallai_edmonds,
     iter_pms,
@@ -397,27 +404,82 @@ def test_every_node_inherits_a_perfect_matching(monkeypatch):
 def test_contract_shore_c6_frozen():
     g = corpus.c6()
     cut = cut_from_shore(g, {0, 1, 2})
-    child, cmap = contract_shore(g, cut, keep_side=frozenset({0, 1, 2}))
+    (child, cmap), (other, other_map) = contract_shore(g, cut)
     assert child.vertex_count == 4
     assert cmap.contracted_vertex == 3
     assert cmap.child_to_parent == (0, 1, 2, 5)
     assert cmap.kept_vertices == (0, 1, 2)
     assert regular_degree(child) == 2
     assert cmap.lift_edges(frozenset({0, 3})) == frozenset({0, 5})
+    assert other.edges == ((3, 0), (0, 1), (1, 2), (2, 3))
+    assert other_map.child_to_parent == (2, 3, 4, 5)
+    assert other_map.kept_vertices == (3, 4, 5)
+    assert other_map.contracted_vertex == 3
 
 
 def test_contract_shore_rejections():
     g = corpus.c6()
-    with pytest.raises(ValueError):
-        contract_shore(g, cut_from_shore(g, {0, 1}), keep_side=frozenset({0, 1}))
-    tight = cut_from_shore(g, {0, 1, 2})
-    with pytest.raises(ValueError):
-        contract_shore(g, tight, keep_side=frozenset({0, 1}))
+    with pytest.raises(ValueError, match="only odd cuts"):
+        contract_shore(g, cut_from_shore(g, {0, 1}))
+    with pytest.raises(ValueError, match="trivial cut"):
+        contract_shore(g, cut_from_shore(g, {0}))
     # contracting across a non-tight odd cut breaks regularity
     g8 = corpus.cube()
     loose = cut_from_shore(g8, {0, 1, 2})
-    with pytest.raises(ValueError):
-        contract_shore(g8, loose, keep_side=frozenset({0, 1, 2}))
+    with pytest.raises(ValueError, match="not tight"):
+        contract_shore(g8, loose)
+
+
+def test_contract_shore_counts_the_edges_that_cross_the_shore():
+    # five edges leave {0, 1, 2} in the cube; a Cut naming three of them,
+    # r of them, still describes the shore, whose contractions are not cubic
+    g = corpus.cube()
+    loose = cut_from_shore(g, {0, 1, 2})
+    forged = Cut(shore=loose.shore, edge_ids=frozenset(sorted(loose.edge_ids)[:3]), odd=True)
+    assert forged.size == regular_degree(g) == 3 and loose.size == 5
+    with pytest.raises(ValueError, match="not tight"):
+        contract_shore(g, forged)
+    for keep_side in (loose.shore, frozenset(range(8)) - loose.shore):
+        with pytest.raises(ValueError, match="not tight"):
+            oracles.contract_one_side(g, forged, keep_side)
+
+
+def test_contract_shore_matches_the_one_side_reference():
+    instances = (
+        corpus.structured_instances()
+        + corpus.random_instances()
+        + [(f"blowup_k{k}_s{seed}", corpus.barrier_blowup(k, seed))
+           for k in range(2, 6) for seed in range(3)]
+    )
+    cuts = 0
+    for name, g in instances:
+        for node in decompose(g).internal_nodes():
+            h, cut = node.graph, node.cut
+            complement = frozenset(range(h.vertex_count)) - cut.shore
+            expected = (
+                oracles.contract_one_side(h, cut, cut.shore),
+                oracles.contract_one_side(h, cut, complement),
+            )
+            assert contract_shore(h, cut) == expected, name
+            assert ((node.left.graph, node.left_map), (node.right.graph, node.right_map)) == (
+                expected
+            ), name
+            cuts += 1
+    assert cuts >= 100, cuts
+
+
+def test_decompose_contracts_each_cut_once(monkeypatch):
+    calls = []
+
+    def counting(g, cut):
+        calls.append(cut)
+        return contract_shore(g, cut)
+
+    monkeypatch.setattr(decomposition, "contract_shore", counting)
+    for name, g in corpus.structured_instances() + [("blowup", corpus.barrier_blowup(4, 1))]:
+        calls.clear()
+        tree = decompose(g)
+        assert calls == [node.cut for node in tree.internal_nodes()], name
 
 
 def _relabelled(pairs, rng, extra_copies=0):
@@ -612,8 +674,7 @@ def test_solved_tree_check_rejects_a_cut_that_is_not_tight(monkeypatch):
     g = corpus.triangle_expanded_petersen()
     cut = cut_from_shore(g, {9, 10, 11})
     assert cut.odd and cut.size == 3
-    left, left_map = contract_shore(g, cut, cut.shore)
-    right, right_map = contract_shore(g, cut, frozenset(range(12)) - cut.shore)
+    (left, left_map), (right, right_map) = contract_shore(g, cut)
     tree = decomposition.DecompositionTree(
         graph=g,
         cut=cut,
