@@ -27,14 +27,16 @@ comparing n and the endpoint-normalized edge list, not repaired.  That
 comparison leaves out r, so loading checks that r is the common degree of
 the edges.  Leaf summaries carry each leaf's vertex and edge counts so the
 advisories are recomputable from the artifact alone; loading rejects
-negative ones.
+negative ones.  Loading checks each field once, in one pass per block
+(graph, terms, tree, report), and the error names the first offending
+field by its path (``graph.edges[2][0]``, ``terms[1]``, ``report.support``).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Any, Sequence
 
@@ -89,6 +91,10 @@ class VerifyReport:
             and self.independent
             and self.coeff_sum_is_r
         )
+
+    def as_dict(self) -> dict:
+        """The report block: each field by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,7 @@ def serialize(cert: Certificate) -> str:
             ],
             "p": cert.p,
         },
-        "report": asdict(cert.report),
+        "report": cert.report.as_dict(),
     }
     blocks = ",\n".join(
         f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
@@ -227,13 +233,17 @@ def serialize(cert: Certificate) -> str:
     return "{\n" + blocks + "\n}\n"
 
 
+_LEAF_CLASSES = frozenset(lc.value for lc in LeafClass)
+
+
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise CertificateError(message)
 
 
 def _as_int(value: Any, where: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), f"{where} must be an integer")
+    # json.loads makes no int subclass but bool, so this is isinstance(int) without bool
+    _expect(type(value) is int, f"{where} must be an integer")
     return value
 
 
@@ -253,7 +263,12 @@ def _as_list(value: Any, where: str) -> list:
 
 
 def deserialize(text: str) -> Certificate:
-    """Parse certificate text; errors carry a position or a field path."""
+    """Parse certificate text; errors carry a position or a field path.
+
+    Each field is checked once, in one loop per block, and the first
+    offending field is reported.  The per-element loops over graph edges
+    and terms format a field-path message only on the branch that raises.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -273,36 +288,53 @@ def deserialize(text: str) -> Certificate:
     _expect(len(raw_edges) == m, f"graph.edges has {len(raw_edges)} entries, expected {m}")
     edges = []
     for k, pair in enumerate(raw_edges):
-        pair = _as_list(pair, f"graph.edges[{k}]")
-        _expect(len(pair) == 2, f"graph.edges[{k}] must have two endpoints")
-        u = _as_int(pair[0], f"graph.edges[{k}][0]")
-        v = _as_int(pair[1], f"graph.edges[{k}][1]")
-        _expect(0 <= u < n and 0 <= v < n, f"graph.edges[{k}] endpoint out of range")
-        _expect(u != v, f"graph.edges[{k}] is a loop")
-        edges.append((u, v) if u <= v else (v, u))
+        if type(pair) is not list:
+            raise CertificateError(f"graph.edges[{k}] must be an array")
+        if len(pair) != 2:
+            raise CertificateError(f"graph.edges[{k}] must have two endpoints")
+        u, v = pair
+        if type(u) is not int:
+            raise CertificateError(f"graph.edges[{k}][0] must be an integer")
+        if type(v) is not int:
+            raise CertificateError(f"graph.edges[{k}][1] must be an integer")
+        if not (0 <= u < n and 0 <= v < n):
+            raise CertificateError(f"graph.edges[{k}] endpoint out of range")
+        if u == v:
+            raise CertificateError(f"graph.edges[{k}] is a loop")
+        edges.append((u, v) if u < v else (v, u))
     degree = Counter(chain.from_iterable(edges))
     _expect(
         len(degree) == n and set(degree.values()) == {r},
         "graph.r is not the common degree of graph.edges",
     )
     terms = []
-    for k, raw in enumerate(_as_list(root.get("terms"), "terms")):
-        term = _as_dict(raw, f"terms[{k}]")
-        ids = _as_list(term.get("edges"), f"terms[{k}].edges")
-        edge_ids = tuple(_as_int(e, f"terms[{k}].edges entry") for e in ids)
-        for e in edge_ids:
-            _expect(0 <= e < m, f"terms[{k}] references unknown edge id {e}")
-        _expect(len(set(edge_ids)) == len(edge_ids), f"terms[{k}] repeats an edge id")
-        twice = _as_int(term.get("twice_value"), f"terms[{k}].twice_value")
-        _expect(twice != 0, f"terms[{k}] has twice_value 0")
-        terms.append((edge_ids, twice))
+    for k, term in enumerate(_as_list(root.get("terms"), "terms")):
+        if type(term) is not dict:
+            raise CertificateError(f"terms[{k}] must be an object")
+        ids = term.get("edges")
+        if type(ids) is not list:
+            raise CertificateError(f"terms[{k}].edges must be an array")
+        # every entry's type before any entry's range
+        if not {int}.issuperset(map(type, ids)):
+            raise CertificateError(f"terms[{k}].edges entry must be an integer")
+        if ids and (min(ids) < 0 or max(ids) >= m):
+            e = next(e for e in ids if not 0 <= e < m)
+            raise CertificateError(f"terms[{k}] references unknown edge id {e}")
+        if len(set(ids)) != len(ids):
+            raise CertificateError(f"terms[{k}] repeats an edge id")
+        twice = term.get("twice_value")
+        if type(twice) is not int:
+            raise CertificateError(f"terms[{k}].twice_value must be an integer")
+        if twice == 0:
+            raise CertificateError(f"terms[{k}] has twice_value 0")
+        terms.append((tuple(ids), twice))
     tree = _as_dict(root.get("tree"), "tree")
     leaves = []
     for k, raw in enumerate(_as_list(tree.get("leaves"), "tree.leaves")):
         leaf = _as_dict(raw, f"tree.leaves[{k}]")
         kind = leaf.get("class")
         _expect(
-            isinstance(kind, str) and kind in {lc.value for lc in LeafClass},
+            isinstance(kind, str) and kind in _LEAF_CLASSES,
             f"tree.leaves[{k}] has unknown class {kind!r}",
         )
         leaf_n = _as_int(leaf.get("n"), f"tree.leaves[{k}].n")

@@ -24,7 +24,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict
 from itertools import islice
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -61,15 +60,13 @@ class GraphParseError(ValueError):
 def _integers(a: str, b: str, lineno: int, message: str) -> tuple[int, int]:
     """Two fields as integers, each written -?[0-9]+ in ASCII, or a parse error at ``lineno``.
 
-    ``int`` reads an optional sign of + or -, then decimal digits that may be
-    non-ASCII and grouped by underscores.  In ASCII fields with no + and no
-    _, that leaves exactly -?[0-9]+.
+    ``str.isdigit`` also takes non-ASCII digits, so ``isascii`` leaves exactly
+    [0-9]+ after an optional leading -.
     """
-    both = a + b
-    if both.isascii() and "+" not in both and "_" not in both:
+    if a.removeprefix("-").isdigit() and b.removeprefix("-").isdigit() and (a + b).isascii():
         try:
             return int(a), int(b)
-        except ValueError:  # not digits, or past the interpreter's digit limit
+        except ValueError:  # past the interpreter's digit limit
             pass
     raise GraphParseError(lineno, message)
 
@@ -79,10 +76,9 @@ def parse_graph_text(text: str) -> MultiGraph:
     header_line = 1
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         if header is None:
             if fields[0] != "rgraph" or len(fields) != 3:
                 raise GraphParseError(lineno, "expected header 'rgraph <n> <m>'")
@@ -112,7 +108,8 @@ def parse_graph_text(text: str) -> MultiGraph:
         raise GraphParseError(
             header_line, f"{header[0]} vertices but {header[1]} edges: some vertex has no edge"
         )
-    return build_graph(header[0], edges)
+    # every endpoint is range- and loop-checked above, which is all build_graph would check
+    return MultiGraph(header[0], tuple(edges))
 
 
 def _read_text(path: str, error: Callable[[str], Exception]) -> str:
@@ -212,7 +209,7 @@ def _emit(payload: dict, lines: Sequence[str], fmt: str, out: TextIO) -> None:
 
 
 def _report_payload(report: VerifyReport) -> dict:
-    return {**asdict(report), "mandatory_ok": report.mandatory_ok}
+    return {**report.as_dict(), "mandatory_ok": report.mandatory_ok}
 
 
 def _report_lines(payload: dict) -> list[str]:

@@ -43,12 +43,13 @@ class CoverSolution:
     terms: tuple[tuple[frozenset[int], int], ...]
 
     def __post_init__(self) -> None:
+        m = self.graph.m
         for edge_ids, twice in self.terms:
             if twice == 0:
                 raise ValueError("zero coefficient in cover term")
-            for e in edge_ids:
-                if not 0 <= e < self.graph.m:
-                    raise ValueError(f"term references unknown edge id {e}")
+            if edge_ids and (min(edge_ids) < 0 or max(edge_ids) >= m):
+                e = next(e for e in edge_ids if not 0 <= e < m)
+                raise ValueError(f"term references unknown edge id {e}")
 
     @property
     def matchings(self) -> tuple[frozenset[int], ...]:

@@ -259,13 +259,16 @@ def iter_pms(g: MultiGraph) -> Iterator[frozenset[int]]:
 
 def validate_perfect_matching(g: MultiGraph, edge_ids: Iterable[int]) -> None:
     """Raise with the offending vertex unless the edges cover each vertex once."""
+    m, edges = g.m, g.edges
     times = [0] * g.vertex_count
     for e in edge_ids:
-        if not 0 <= e < g.m:
+        if not 0 <= e < m:
             raise ValueError(f"edge id {e} out of range")
-        u, v = g.edges[e]
+        u, v = edges[e]
         times[u] += 1
         times[v] += 1
+    if times.count(1) == len(times):
+        return
     for v, t in enumerate(times):
         if t == 0:
             raise ValueError(f"vertex {v} is uncovered")

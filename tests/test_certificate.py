@@ -23,7 +23,7 @@ from pmcover import (
 )
 from pmcover.certificate import CertificateError, FingerprintMismatch
 from pmcover.decomposition import LeafClass
-from pmcover.cli import gen_r_graph
+from pmcover.cli import format_graph, gen_r_graph, main
 
 import corpus
 
@@ -170,6 +170,16 @@ def test_verify_certificate_round_trip():
     report = verify_certificate(g, deserialize(serialize(cert)))
     assert report.mandatory_ok
     assert report == cert.report
+
+
+def test_loading_puts_each_edge_low_endpoint_first():
+    g = corpus.k33_brick_splice()
+    cert, _, _ = _certificate(g)
+    data = json.loads(serialize(cert))
+    data["graph"]["edges"] = [[v, u] for u, v in data["graph"]["edges"]]
+    loaded = deserialize(json.dumps(data))
+    assert loaded.edges == cert.edges
+    assert verify_certificate(g, loaded) == cert.report
 
 
 def test_verify_certificate_fingerprint_mismatch():
@@ -349,6 +359,117 @@ def test_each_report_field_is_checked_by_name(data):
         report[key] = value
     with pytest.raises(CertificateError, match=re.escape(f"report.{key}") + r"\b"):
         deserialize(json.dumps(payload))
+
+
+# Every rejection of ``deserialize`` on the K4 certificate, whose graph block
+# is {"n":4,"m":6,"r":3,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}, whose
+# terms are [0,5], [1,4] and [2,3], each with twice_value 2, and whose one
+# leaf is an OtherBrick of 4 vertices and 6 edges, p 0.  Each case sets the
+# fields at the given paths (MISSING deletes the key) and pins the whole
+# message; cases with two faults pin which one is reported first.
+REJECTIONS = [
+    ("root", [((), [])], "certificate must be an object"),
+    ("graph", [(("graph",), 7)], "graph must be an object"),
+    ("graph.n", [(("graph", "n"), 4.0)], "graph.n must be an integer"),
+    ("graph.n bool", [(("graph", "n"), True)], "graph.n must be an integer"),
+    ("graph.m", [(("graph", "m"), MISSING)], "graph.m must be an integer"),
+    ("graph.r", [(("graph", "r"), "3")], "graph.r must be an integer"),
+    ("graph.n before graph.m", [(("graph", "n"), None), (("graph", "m"), None)],
+     "graph.n must be an integer"),
+    ("graph.edges", [(("graph", "edges"), {})], "graph.edges must be an array"),
+    ("edge count", [(("graph", "m"), 5)], "graph.edges has 6 entries, expected 5"),
+    ("edge shape", [(("graph", "edges", 2), 3)], "graph.edges[2] must be an array"),
+    ("edge length", [(("graph", "edges", 2), [0, 3, 1])],
+     "graph.edges[2] must have two endpoints"),
+    ("first endpoint", [(("graph", "edges", 2, 0), True)],
+     "graph.edges[2][0] must be an integer"),
+    ("second endpoint", [(("graph", "edges", 2, 1), 3.0)],
+     "graph.edges[2][1] must be an integer"),
+    ("both endpoints", [(("graph", "edges", 2), ["0", None])],
+     "graph.edges[2][0] must be an integer"),
+    ("endpoint range", [(("graph", "edges", 2, 1), 4)], "graph.edges[2] endpoint out of range"),
+    ("negative endpoint", [(("graph", "edges", 2, 0), -1)],
+     "graph.edges[2] endpoint out of range"),
+    ("loop", [(("graph", "edges", 2), [3, 3])], "graph.edges[2] is a loop"),
+    ("range before loop", [(("graph", "edges", 2), [4, 4])],
+     "graph.edges[2] endpoint out of range"),
+    ("earlier edge first", [(("graph", "edges", 1, 1), 9), (("graph", "edges", 4), "x")],
+     "graph.edges[1] endpoint out of range"),
+    ("common degree", [(("graph", "r"), 2)], "graph.r is not the common degree of graph.edges"),
+    ("terms", [(("terms",), MISSING)], "terms must be an array"),
+    ("term shape", [(("terms", 1), [1, 4])], "terms[1] must be an object"),
+    ("term edges", [(("terms", 1, "edges"), "1 4")], "terms[1].edges must be an array"),
+    ("term entry", [(("terms", 1, "edges", 1), False)], "terms[1].edges entry must be an integer"),
+    ("type before range", [(("terms", 1, "edges"), [6, "4"])],
+     "terms[1].edges entry must be an integer"),
+    ("unknown id", [(("terms", 1, "edges"), [1, 6, 7])], "terms[1] references unknown edge id 6"),
+    ("negative id", [(("terms", 1, "edges", 0), -1)], "terms[1] references unknown edge id -1"),
+    ("range before repeat", [(("terms", 1, "edges"), [1, 1, 9])],
+     "terms[1] references unknown edge id 9"),
+    ("repeated id", [(("terms", 1, "edges"), [1, 4, 1])], "terms[1] repeats an edge id"),
+    ("twice_value type", [(("terms", 1, "twice_value"), 2.0)],
+     "terms[1].twice_value must be an integer"),
+    ("twice_value missing", [(("terms", 1, "twice_value"), MISSING)],
+     "terms[1].twice_value must be an integer"),
+    ("twice_value zero", [(("terms", 1, "twice_value"), 0)], "terms[1] has twice_value 0"),
+    ("repeat before twice_value", [(("terms", 1, "edges", 1), 1), (("terms", 1, "twice_value"), 0)],
+     "terms[1] repeats an edge id"),
+    ("tree", [(("tree",), [])], "tree must be an object"),
+    ("tree.leaves", [(("tree", "leaves"), MISSING)], "tree.leaves must be an array"),
+    ("leaf shape", [(("tree", "leaves", 0), "OtherBrick")], "tree.leaves[0] must be an object"),
+    ("leaf class", [(("tree", "leaves", 0, "class"), "Brick")],
+     "tree.leaves[0] has unknown class 'Brick'"),
+    ("leaf class type", [(("tree", "leaves", 0, "class"), 7)],
+     "tree.leaves[0] has unknown class 7"),
+    ("leaf n", [(("tree", "leaves", 0, "n"), "4")], "tree.leaves[0].n must be an integer"),
+    ("leaf m", [(("tree", "leaves", 0, "m"), 6.5)], "tree.leaves[0].m must be an integer"),
+    ("leaf size", [(("tree", "leaves", 0, "m"), -6)], "tree.leaves[0] has a negative size"),
+    ("p type", [(("tree", "p"), None)], "tree.p must be an integer"),
+    ("p count", [(("tree", "p"), 1)], "tree.p disagrees with the leaf list"),
+    ("report", [(("report",), None)], "report must be an object"),
+    ("report bool", [(("report", "coverage_ok"), 1)], "report.coverage_ok must be a boolean"),
+    ("report int", [(("report", "support"), True)], "report.support must be an integer"),
+    ("report norm", [(("report", "twice_inf_norm"), -2)],
+     "report.twice_inf_norm must be non-negative"),
+    ("graph before terms", [(("graph", "edges", 0), [0]), (("terms", 0), None)],
+     "graph.edges[0] must have two endpoints"),
+    ("terms before tree", [(("terms", 2, "twice_value"), 0), (("tree", "p"), 1)],
+     "terms[2] has twice_value 0"),
+]
+
+
+def _rejected_k4_text(changes) -> str:
+    payload = json.loads(_k4_payload())
+    for path, value in changes:
+        if not path:
+            payload = value
+            continue
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        if value is MISSING:
+            del node[last]
+        else:
+            node[last] = value
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "changes, message", [case[1:] for case in REJECTIONS], ids=[case[0] for case in REJECTIONS]
+)
+def test_each_rejection_names_its_field(tmp_path, capsys, changes, message):
+    text = _rejected_k4_text(changes)
+    with pytest.raises(CertificateError) as info:
+        deserialize(text)
+    assert str(info.value) == message
+    graph_path = tmp_path / "k4.txt"
+    graph_path.write_text(format_graph(corpus.k4()), encoding="utf-8")
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text, encoding="utf-8")
+    assert main(["verify", "-i", str(graph_path), str(cert_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"certificate error: {message}\n")
 
 
 def test_serialized_json_is_integer_only():

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmcover
 from pmcover import (
@@ -81,6 +83,8 @@ def test_parse_errors_carry_line_numbers():
         ("rgraph 2 1\ne 0 +1\n", "line 2: endpoints must be integers"),
         ("rgraph 2 1\ne 0 \u0661\n", "line 2: endpoints must be integers"),
         ("rgraph 0_2 1\ne 0 1\n", "line 1: header counts must be integers"),
+        # ASCII digits past the interpreter's digit limit (4,300 by default)
+        ("rgraph 2 1\ne 0 " + "1" * 5000 + "\n", "line 2: endpoints must be integers"),
     ],
 )
 def test_validate_takes_only_ascii_decimal_integers(tmp_path, capsys, text, message):
@@ -88,6 +92,32 @@ def test_validate_takes_only_ascii_decimal_integers(tmp_path, capsys, text, mess
     path.write_text(text, encoding="utf-8")
     assert main(["validate", "-i", str(path)]) == 2
     assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+# endpoint fields over ASCII digits, the signs, the digit-group underscore,
+# ARABIC-INDIC DIGIT ONE and FULLWIDTH DIGIT ONE, plus small integers
+ENDPOINT_FIELDS = st.one_of(
+    st.text(alphabet="0123456789-+_\u0661\uff11", min_size=1, max_size=5),
+    st.integers(-3, 12).map(str),
+)
+
+
+@given(ENDPOINT_FIELDS, ENDPOINT_FIELDS)
+@settings(max_examples=300, deadline=None)
+def test_edge_lines_take_exactly_ascii_decimal_integers(a, b):
+    text = f"rgraph 10 5\ne {a} {b}\ne 0 1\ne 2 3\ne 4 5\ne 6 7\n"
+    if not all(re.fullmatch("-?[0-9]+", field) for field in (a, b)):
+        message = "line 2: endpoints must be integers"
+    elif not all(0 <= int(field) < 10 for field in (a, b)):
+        message = "line 2: endpoint out of range 0..9"
+    elif int(a) == int(b):
+        message = f"line 2: loop at vertex {int(a)}"
+    else:
+        assert parse_graph_text(text).edges[0] == (int(a), int(b))
+        return
+    with pytest.raises(GraphParseError) as info:
+        parse_graph_text(text)
+    assert str(info.value) == message
 
 
 def test_gen_is_deterministic_r_graph():

@@ -96,9 +96,13 @@ def test_structural_solution_accepts_wrong_sums():
 
 def test_structural_solution_rejects_bad_ids_and_zeros():
     g = corpus.k4()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^term references unknown edge id 77$"):
         CoverSolution(g, ((frozenset({77}), 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^term references unknown edge id 6$"):
+        CoverSolution(g, ((frozenset({1, 6}), 2),))
+    with pytest.raises(ValueError, match="^term references unknown edge id -1$"):
+        CoverSolution(g, ((frozenset({0, 5}), 2), (frozenset({1, -1}), 2)))
+    with pytest.raises(ValueError, match="^zero coefficient in cover term$"):
         CoverSolution(g, ((frozenset({0, 5}), 0),))
 
 

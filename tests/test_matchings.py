@@ -180,12 +180,17 @@ def test_pm_containing_edges_none_when_impossible():
 
 def test_validate_perfect_matching_errors():
     g = corpus.c6()
-    with pytest.raises(ValueError, match="uncovered"):
+    with pytest.raises(ValueError, match="^vertex 2 is uncovered$"):
         validate_perfect_matching(g, [0])
-    with pytest.raises(ValueError, match="covered 2 times"):
+    with pytest.raises(ValueError, match="^vertex 1 is covered 2 times$"):
         validate_perfect_matching(g, [0, 1, 3])
-    with pytest.raises(ValueError, match="out of range"):
+    # every vertex covered, four of them twice
+    with pytest.raises(ValueError, match="^vertex 1 is covered 2 times$"):
+        validate_perfect_matching(g, [0, 2, 4, 1])
+    with pytest.raises(ValueError, match="^edge id 99 out of range$"):
         validate_perfect_matching(g, [99])
+    with pytest.raises(ValueError, match="^edge id -1 out of range$"):
+        validate_perfect_matching(g, [0, -1])
     validate_perfect_matching(g, [0, 2, 4])
 
 
